@@ -1,15 +1,10 @@
 (* Provenance-engine benchmark: sustained interactions/second of the
-   policy-driven provenance scan (Tin_core.Provenance) over the flat
-   Compact substrate, per selection policy, against the plain greedy
-   scan as the no-attribution baseline.  Results go to
-   BENCH_provenance.json for the bench-check regression gate; spill
-   and peak-entry counts are deterministic for the fixed seed, so the
-   baseline also pins the memory-bounding behaviour.
-
-   Every scenario carries an exactness guard: the Graph.t and
-   Compact.t twins must produce identical vectors, totals, spill and
-   peak counts — the bench fails outright if the representations ever
-   diverge. *)
+   policy-driven provenance scan (Tin_core.Provenance), per selection
+   policy, against the plain greedy scan of the same graph as the
+   no-attribution baseline.  Results go to BENCH_provenance.json for
+   the bench-check regression gate; spill and peak-entry counts are
+   deterministic for the fixed seed, so the baseline also pins the
+   memory-bounding behaviour. *)
 
 module Prov = Tin_core.Provenance
 module Greedy = Tin_core.Greedy
@@ -20,9 +15,8 @@ module Prng = Tin_util.Prng
 type result = {
   name : string;
   interactions : int;
-  scan_ms : float;  (* Graph.t representation *)
-  compact_scan_ms : float;
-  inter_per_s : float;  (* from the compact scan *)
+  scan_ms : float;
+  inter_per_s : float;
   spills : int;
   peak_entries : int;
 }
@@ -42,17 +36,13 @@ let make_graph ~n ~vertices rng =
   done;
   !g
 
-let scenario ~g ~c ~n name run_graph run_compact =
-  let r, scan_ms = Timer.time_ms (fun () -> run_graph g) in
-  let rc, compact_scan_ms = Timer.time_ms (fun () -> run_compact c) in
-  if r <> rc then
-    failwith (Printf.sprintf "provenance bench: %s diverges between Graph and Compact" name);
+let scenario ~g ~n name run =
+  let r, scan_ms = Timer.time_ms (fun () -> run g) in
   {
     name;
     interactions = n;
     scan_ms;
-    compact_scan_ms;
-    inter_per_s = float_of_int n /. (compact_scan_ms /. 1000.0);
+    inter_per_s = float_of_int n /. (scan_ms /. 1000.0);
     spills = r.Prov.spills;
     peak_entries = r.Prov.peak_entries;
   }
@@ -75,7 +65,6 @@ let write_json path ~scale_name results =
       add "      \"spills\": %d,\n" r.spills;
       add "      \"peak_entries\": %d,\n" r.peak_entries;
       add "      \"scan_ms\": %s,\n" (json_float r.scan_ms);
-      add "      \"compact_scan_ms\": %s,\n" (json_float r.compact_scan_ms);
       add "      \"inter_per_s\": %s\n" (json_float r.inter_per_s);
       add "    }%s\n" (if i < List.length results - 1 then "," else ""))
     results;
@@ -90,33 +79,23 @@ let run ?(json = "BENCH_provenance.json") ~scale_name ~quick () =
   let vertices = 500 in
   let source = 0 and sink = 1 in
   let g = make_graph ~n ~vertices rng in
-  let c = Compact.of_graph g in
   let policies = [ Prov.Lrb; Prov.Mrb; Prov.Proportional ] in
   let open_world =
     List.map
-      (fun p ->
-        scenario ~g ~c ~n (Prov.policy_name p)
-          (Prov.run ~policy:p ~absorb:sink)
-          (Prov.run_compact ~policy:p ~absorb:sink))
+      (fun p -> scenario ~g ~n (Prov.policy_name p) (Prov.run ~policy:p ~absorb:sink))
       policies
   in
   let rooted =
-    scenario ~g ~c ~n "prop-rooted"
-      (Prov.run ~policy:Prov.Proportional ~source ~absorb:sink)
-      (Prov.run_compact ~policy:Prov.Proportional ~source ~absorb:sink)
+    scenario ~g ~n "prop-rooted" (Prov.run ~policy:Prov.Proportional ~source ~absorb:sink)
   in
-  (* The no-attribution floor: the plain greedy scalar scan over the
-     same substrate, for the overhead column. *)
-  let greedy_v, greedy_ms =
-    Timer.time_ms (fun () -> Greedy.flow_compact c ~source ~sink)
-  in
-  ignore greedy_v;
+  (* The no-attribution floor: the plain greedy scan of the same
+     graph, for the overhead column. *)
+  let _, greedy_ms = Timer.time_ms (fun () -> Greedy.flow g ~source ~sink) in
   let greedy_row =
     {
       name = "greedy-baseline";
       interactions = n;
       scan_ms = greedy_ms;
-      compact_scan_ms = greedy_ms;
       inter_per_s = float_of_int n /. (greedy_ms /. 1000.0);
       spills = 0;
       peak_entries = 0;
@@ -132,9 +111,9 @@ let run ?(json = "BENCH_provenance.json") ~scale_name ~quick () =
        (fun r ->
          [
            r.name;
-           Printf.sprintf "%.1f" r.compact_scan_ms;
+           Printf.sprintf "%.1f" r.scan_ms;
            Printf.sprintf "%.0f" r.inter_per_s;
-           Printf.sprintf "%.1fx" (r.compact_scan_ms /. greedy_ms);
+           Printf.sprintf "%.1fx" (r.scan_ms /. greedy_ms);
            string_of_int r.spills;
            string_of_int r.peak_entries;
          ])

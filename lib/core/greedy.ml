@@ -10,199 +10,165 @@ type transfer = {
   moved : float;
 }
 
-(* Buffer state: [avail] is the quantity usable now (arrived strictly
-   earlier), [pending] holds arrivals at the current timestamp, flushed
-   into [avail] when the scan moves to a later timestamp. *)
-type state = {
-  avail : (Graph.vertex, float) Hashtbl.t;
-  pending : (Graph.vertex, float) Hashtbl.t;
-  mutable dirty : Graph.vertex list; (* vertices with pending quantity *)
-  source : Graph.vertex;
-}
+module Kernel = struct
+  (* An all-float record stores its field unboxed, so advancing the
+     clock never allocates. *)
+  type clock = { mutable now : float }
 
-let get tbl v = match Hashtbl.find_opt tbl v with Some x -> x | None -> 0.0
+  (* Buffer state over integer slots: [avail] is the quantity usable
+     now (arrived strictly earlier), [pending] holds arrivals at
+     [clock.now], flushed into [avail] when the scan moves to a later
+     timestamp; [dirty.(0 .. n_dirty - 1)] are the slots with pending
+     quantity.  Labels are interned on first sight — the source at
+     slot 0, the sink at slot 1 — and the arrays double when a new
+     label overflows them. *)
+  type t = {
+    slots : (Graph.vertex, int) Hashtbl.t;
+    mutable avail : float array;
+    mutable pending : float array;
+    mutable dirty : int array;
+    mutable n_dirty : int;
+    clock : clock;
+    mutable touches : int;
+  }
 
-let flush st =
-  List.iter
-    (fun v ->
-      let p = get st.pending v in
-      if p > 0.0 then Hashtbl.replace st.avail v (get st.avail v +. p);
-      Hashtbl.remove st.pending v)
-    st.dirty;
-  st.dirty <- []
+  let source_slot = 0
+  let sink_slot = 1
 
-let scan g ~source ~sink ~on_transfer =
+  let create ~source ~sink =
+    let cap = 16 in
+    let t =
+      {
+        slots = Hashtbl.create cap;
+        avail = Array.make cap 0.0;
+        pending = Array.make cap 0.0;
+        dirty = Array.make cap 0;
+        n_dirty = 0;
+        clock = { now = nan };
+        touches = 0;
+      }
+    in
+    Hashtbl.replace t.slots source source_slot;
+    Hashtbl.replace t.slots sink sink_slot;
+    t.avail.(source_slot) <- infinity;
+    t
+
+  let grow t =
+    let cap = 2 * Array.length t.avail in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.avail <- extend t.avail 0.0;
+    t.pending <- extend t.pending 0.0;
+    t.dirty <- extend t.dirty 0
+
+  let slot t v =
+    match Hashtbl.find t.slots v with
+    | s -> s
+    | exception Not_found ->
+        let s = Hashtbl.length t.slots in
+        if s = Array.length t.avail then grow t;
+        Hashtbl.add t.slots v s;
+        s
+
+  let flush t =
+    for k = 0 to t.n_dirty - 1 do
+      let u = t.dirty.(k) in
+      let p = t.pending.(u) in
+      if p > 0.0 then t.avail.(u) <- t.avail.(u) +. p;
+      t.pending.(u) <- 0.0
+    done;
+    t.n_dirty <- 0
+
+  (* Definition 4 for one interaction [v -> u] at [(tm, q)]; returns
+     the quantity moved.  Inlined into [replay] and [push] so that no
+     float crosses a call boundary (a boxed argument or result per
+     interaction otherwise). *)
+  let[@inline always] step t v u tm q =
+    if not (Float.equal t.clock.now tm) then begin
+      flush t;
+      t.clock.now <- tm
+    end;
+    (* The sink absorbs: quantity that reached it is never re-sent
+       (the paper's graphs give the sink no outgoing edges; on
+       arbitrary graphs this defines the flow as total absorbed). *)
+    let b = if v = sink_slot then 0.0 else t.avail.(v) in
+    let moved = Float.min q b in
+    if moved > 0.0 then begin
+      if v <> source_slot then t.avail.(v) <- b -. moved;
+      if t.pending.(u) = 0.0 then begin
+        t.dirty.(t.n_dirty) <- u;
+        t.n_dirty <- t.n_dirty + 1
+      end;
+      t.pending.(u) <- t.pending.(u) +. moved;
+      t.touches <- t.touches + 1
+    end;
+    moved
+
+  let replay ?moved t inters =
+    let record, out =
+      match moved with Some a -> (true, a) | None -> (false, Float.Array.create 0)
+    in
+    for j = 0 to Array.length inters - 1 do
+      let src, dst, (i : Interaction.t) = inters.(j) in
+      let v = slot t src in
+      let u = slot t dst in
+      let m = step t v u i.time i.qty in
+      if record then Float.Array.set out j m
+    done
+
+  let push t ~src ~dst (i : Interaction.t) =
+    let v = slot t src in
+    let u = slot t dst in
+    step t v u i.time i.qty
+
+  let buffer t v =
+    match Hashtbl.find_opt t.slots v with
+    | None -> 0.0
+    | Some s when s = source_slot -> infinity
+    | Some s -> t.avail.(s) +. t.pending.(s)
+
+  let flow t = t.avail.(sink_slot) +. t.pending.(sink_slot)
+  let now t = t.clock.now
+  let touches t = t.touches
+end
+
+(* One scan of [g] in canonical order; [moved] receives the quantity
+   each interaction moved, indexed like the returned interactions. *)
+let scan ?moved g ~source ~sink =
   if source = sink then invalid_arg "Greedy: source = sink";
-  let st =
-    { avail = Hashtbl.create 64; pending = Hashtbl.create 16; dirty = []; source }
-  in
-  Hashtbl.replace st.avail source infinity;
-  let current = ref nan in
-  (* Buffer touches are counted in a plain local and published once
-     after the scan: the per-interaction loop stays probe-free. *)
-  let touches = ref 0 in
-  Array.iter
-    (fun (v, u, i) ->
-      let tm = Interaction.time i and q = Interaction.qty i in
-      if not (Float.equal !current tm) then begin
-        flush st;
-        current := tm
-      end;
-      (* The sink absorbs: quantity that reached it is never re-sent
-         (the paper's graphs give the sink no outgoing edges; on
-         arbitrary graphs this defines the flow as total absorbed). *)
-      let b = if v = sink then 0.0 else get st.avail v in
-      let moved = Float.min q b in
-      if moved > 0.0 then begin
-        if v <> st.source then Hashtbl.replace st.avail v (b -. moved);
-        if get st.pending u = 0.0 then st.dirty <- u :: st.dirty;
-        Hashtbl.replace st.pending u (get st.pending u +. moved);
-        incr touches
-      end;
-      on_transfer { src = v; dst = u; time = tm; offered = q; moved })
-    (Graph.interactions_sorted g);
-  flush st;
-  Obs.Counter.add c_touches !touches;
-  (get st.avail sink, st)
+  let k = Kernel.create ~source ~sink in
+  let inters = Graph.interactions_sorted g in
+  Kernel.replay ?moved k inters;
+  Obs.Counter.add c_touches (Kernel.touches k);
+  (k, inters)
 
-let flow g ~source ~sink =
-  let value, _ = scan g ~source ~sink ~on_transfer:ignore in
-  value
+let flow g ~source ~sink = Kernel.flow (fst (scan g ~source ~sink))
 
 let flow_trace g ~source ~sink =
-  let log = ref [] in
-  let value, _ = scan g ~source ~sink ~on_transfer:(fun tr -> log := tr :: !log) in
-  (value, List.rev !log)
+  let moved = Float.Array.create (Graph.n_interactions g) in
+  let k, inters = scan ~moved g ~source ~sink in
+  let trace =
+    List.init (Array.length inters) (fun j ->
+        let src, dst, (i : Interaction.t) = inters.(j) in
+        { src; dst; time = i.time; offered = i.qty; moved = Float.Array.get moved j })
+  in
+  (Kernel.flow k, trace)
 
 let arrivals_at_sink g ~source ~sink =
+  let moved = Float.Array.create (Graph.n_interactions g) in
+  let _, inters = scan ~moved g ~source ~sink in
   let arrivals = ref [] in
-  let on_transfer tr =
-    if tr.dst = sink && tr.moved > 0.0 then
-      arrivals := Interaction.unchecked ~time:tr.time ~qty:tr.moved :: !arrivals
-  in
-  let _, _ = scan g ~source ~sink ~on_transfer in
-  List.rev !arrivals
+  for j = Array.length inters - 1 downto 0 do
+    let _, dst, (i : Interaction.t) = inters.(j) in
+    let m = Float.Array.get moved j in
+    if dst = sink && m > 0.0 then
+      arrivals := Interaction.unchecked ~time:i.time ~qty:m :: !arrivals
+  done;
+  !arrivals
 
 let buffers g ~source ~sink =
-  let _, st = scan g ~source ~sink ~on_transfer:ignore in
-  List.map (fun v -> (v, get st.avail v)) (Graph.vertices g)
-
-(* --- flat scan over the Compact substrate --------------------------
-
-   Same algorithm over the same scan order: the compact interaction
-   table is sorted by (time, qty, src, dst) on compact ids, and compact
-   ids are sorted-label ranks, so ties break exactly as
-   [Graph.interactions_sorted] breaks them on raw labels.  The
-   floating-point operation sequence is identical to [scan], so the
-   result is bit-identical — the property the verify lattice and the
-   representation-determinism tests pin down.  Buffers live in flat
-   float arrays indexed by compact id instead of hashtables, and the
-   hot loop reads the unboxed columns directly. *)
-
-let scan_compact c ~source ~sink ~on_transfer =
-  if source = sink then invalid_arg "Greedy: source = sink";
-  let n = Compact.n_vertices c in
-  let id l = match Compact.vertex_of_label c l with Some v -> v | None -> -1 in
-  let sid = id source and tid = id sink in
-  let size = if n = 0 then 1 else n in
-  let avail = Array.make size 0.0 in
-  let pending = Array.make size 0.0 in
-  let dirty = Array.make size 0 in
-  let n_dirty = ref 0 in
-  if sid >= 0 then avail.(sid) <- infinity;
-  let flush () =
-    for k = 0 to !n_dirty - 1 do
-      let u = dirty.(k) in
-      let p = pending.(u) in
-      if p > 0.0 then avail.(u) <- avail.(u) +. p;
-      pending.(u) <- 0.0
-    done;
-    n_dirty := 0
-  in
-  let current = ref nan in
-  let touches = ref 0 in
-  for k = 0 to Compact.n_interactions c - 1 do
-    let v = Compact.inter_src c k and u = Compact.inter_dst c k in
-    let tm = Compact.inter_time c k and q = Compact.inter_qty c k in
-    if not (Float.equal !current tm) then begin
-      flush ();
-      current := tm
-    end;
-    let b = if v = tid then 0.0 else avail.(v) in
-    let moved = Float.min q b in
-    if moved > 0.0 then begin
-      if v <> sid then avail.(v) <- b -. moved;
-      if pending.(u) = 0.0 then begin
-        dirty.(!n_dirty) <- u;
-        incr n_dirty
-      end;
-      pending.(u) <- pending.(u) +. moved;
-      incr touches
-    end;
-    on_transfer
-      { src = Compact.label c v; dst = Compact.label c u; time = tm; offered = q; moved }
-  done;
-  flush ();
-  Obs.Counter.add c_touches !touches;
-  ((if tid >= 0 then avail.(tid) else 0.0), avail, sid)
-
-let flow_compact c ~source ~sink =
-  (* Callback-free twin of [scan_compact]: the per-interaction loop is
-     pure column reads and array updates. *)
-  if source = sink then invalid_arg "Greedy: source = sink";
-  let n = Compact.n_vertices c in
-  let id l = match Compact.vertex_of_label c l with Some v -> v | None -> -1 in
-  let sid = id source and tid = id sink in
-  let size = if n = 0 then 1 else n in
-  let avail = Array.make size 0.0 in
-  let pending = Array.make size 0.0 in
-  let dirty = Array.make size 0 in
-  let n_dirty = ref 0 in
-  if sid >= 0 then avail.(sid) <- infinity;
-  let flush () =
-    for k = 0 to !n_dirty - 1 do
-      let u = dirty.(k) in
-      let p = pending.(u) in
-      if p > 0.0 then avail.(u) <- avail.(u) +. p;
-      pending.(u) <- 0.0
-    done;
-    n_dirty := 0
-  in
-  let current = ref nan in
-  let touches = ref 0 in
-  for k = 0 to Compact.n_interactions c - 1 do
-    let v = Compact.inter_src c k and u = Compact.inter_dst c k in
-    let tm = Compact.inter_time c k and q = Compact.inter_qty c k in
-    if not (Float.equal !current tm) then begin
-      flush ();
-      current := tm
-    end;
-    let b = if v = tid then 0.0 else avail.(v) in
-    let moved = Float.min q b in
-    if moved > 0.0 then begin
-      if v <> sid then avail.(v) <- b -. moved;
-      if pending.(u) = 0.0 then begin
-        dirty.(!n_dirty) <- u;
-        incr n_dirty
-      end;
-      pending.(u) <- pending.(u) +. moved;
-      incr touches
-    end
-  done;
-  flush ();
-  Obs.Counter.add c_touches !touches;
-  if tid >= 0 then avail.(tid) else 0.0
-
-let flow_trace_compact c ~source ~sink =
-  let log = ref [] in
-  let value, _, _ = scan_compact c ~source ~sink ~on_transfer:(fun tr -> log := tr :: !log) in
-  (value, List.rev !log)
-
-let arrivals_at_sink_compact c ~source ~sink =
-  let arrivals = ref [] in
-  let on_transfer tr =
-    if tr.dst = sink && tr.moved > 0.0 then
-      arrivals := Interaction.unchecked ~time:tr.time ~qty:tr.moved :: !arrivals
-  in
-  let _ = scan_compact c ~source ~sink ~on_transfer in
-  List.rev !arrivals
+  let k, _ = scan g ~source ~sink in
+  List.map (fun v -> (v, Kernel.buffer k v)) (Graph.vertices g)

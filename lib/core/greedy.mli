@@ -51,25 +51,45 @@ val buffers : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> (Graph.vert
 (** Final buffer of every vertex after the scan (the source reports
     [infinity]). *)
 
-(** {1 Flat substrate}
+(** {1 The scan kernel}
 
-    The same scan over a {!Compact} network, reading the unboxed
-    interaction columns directly with flat per-vertex buffer arrays —
-    no hashtable probes, no per-interaction boxing.  [source]/[sink]
-    are raw labels, as above.  Scan order and floating-point operation
-    sequence are identical to the [Graph.t] path, so on equivalent
-    inputs the results are bit-identical (the representation-
-    determinism property the test suite and [tinflow verify] check). *)
+    The one implementation of the greedy rule, as an incremental state:
+    {!flow}, {!flow_trace}, {!arrivals_at_sink}, {!buffers} and
+    {!Online} all drive it.  Buffers are flat float arrays indexed by
+    integer {e slots}; vertex labels are interned to slots on first
+    sight (the source and sink first), and the arrays grow as new
+    labels arrive. *)
 
-val flow_compact : Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> float
-(** Greedy flow over the flat substrate.
-    @raise Invalid_argument if [source = sink]. *)
+module Kernel : sig
+  type t
 
-val flow_trace_compact :
-  Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> float * transfer list
-(** Flat-substrate twin of {!flow_trace}; transfers report raw
-    labels. *)
+  val create : source:Graph.vertex -> sink:Graph.vertex -> t
+  (** A fresh scan state with the source's buffer infinite.  The
+      caller rejects [source = sink]. *)
 
-val arrivals_at_sink_compact :
-  Compact.t -> source:Graph.vertex -> sink:Graph.vertex -> Interaction.t list
-(** Flat-substrate twin of {!arrivals_at_sink}. *)
+  val replay :
+    ?moved:floatarray -> t -> (Graph.vertex * Graph.vertex * Interaction.t) array -> unit
+  (** Scans an interaction array in index order, for example
+      {!Graph.interactions_sorted}: the times must be non-decreasing,
+      continuing from the latest timestamp already scanned.  With
+      [moved], the quantity interaction [j] moved is stored at
+      [moved.(j)].  Apart from interning a label on first sight, the
+      loop allocates nothing. *)
+
+  val push : t -> src:Graph.vertex -> dst:Graph.vertex -> Interaction.t -> float
+  (** Scans one interaction and returns the quantity it moved.  The
+      caller enforces non-decreasing time and [src <> dst]. *)
+
+  val flow : t -> float
+  (** Quantity the sink has absorbed so far. *)
+
+  val buffer : t -> Graph.vertex -> float
+  (** Current buffer of a vertex, arrivals at the latest timestamp
+      included; the source reports [infinity], an unseen vertex [0.]. *)
+
+  val now : t -> float
+  (** Latest scanned timestamp, [nan] before the first interaction. *)
+
+  val touches : t -> int
+  (** Interactions so far that moved a positive quantity. *)
+end

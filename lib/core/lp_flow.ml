@@ -26,15 +26,7 @@ type event = {
   incoming : bool;
 }
 
-(* The LP formulation is shared between the persistent and the flat
-   substrate: [iter] must visit every interaction grouped by edge in
-   ascending (src, dst) label order, time-sorted within an edge —
-   [Graph.iter_edges] order.  Both substrates iterate identically, so
-   the insertion sequence into the [events] hashtable (and therefore
-   [Hashtbl.iter]'s constraint-emission order, and therefore the
-   simplex pivot sequence) is the same: objective values agree
-   bit-for-bit across representations. *)
-let build_iter ~iter ~source ~sink =
+let build g ~source ~sink =
   if source = sink then invalid_arg "Lp_flow.build: source = sink";
   let problem = Problem.create ~direction:Problem.Maximize () in
   let events : (Graph.vertex, event list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -48,28 +40,38 @@ let build_iter ~iter ~source ~sink =
   let objective_vars = ref [] in
   let var_interactions = ref [] in
   let fixed_interactions = ref [] in
-  iter (fun v u i ->
-      let time = Interaction.time i and qty = Interaction.qty i in
-      if v = source then begin
+  (* Edges in ascending (src, dst) order, time-sorted within an edge:
+     this fixes the insertion sequence into [events], hence the
+     constraint-emission order of [Hashtbl.iter] and the simplex pivot
+     sequence. *)
+  Graph.iter_edges
+    (fun v u is ->
+      List.iter
+        (fun i ->
+          let time = Interaction.time i and qty = Interaction.qty i in
+          if v = source then begin
             (* Full quantity, no variable. *)
-        fixed_interactions := (v, u, i) :: !fixed_interactions;
-        if u = sink then fixed_into_sink := !fixed_into_sink +. qty
-        else push u { time; qty; var = None; incoming = true }
-      end
-      else if v = sink then
-        (* The sink absorbs; its outgoing interactions carry
-           nothing (same convention as the greedy scan and the
-           time-expanded network). *)
-        ()
-      else begin
-        let obj = if u = sink then 1.0 else 0.0 in
-        let var = Problem.add_var ~lb:0.0 ~ub:qty ~obj problem in
-        incr n_vars;
-        var_interactions := (var, (v, u, i)) :: !var_interactions;
-        if u = sink then objective_vars := (var, 1.0) :: !objective_vars;
-        push v { time; qty; var = Some var; incoming = false };
-        if u <> sink && u <> source then push u { time; qty; var = Some var; incoming = true }
-      end);
+            fixed_interactions := (v, u, i) :: !fixed_interactions;
+            if u = sink then fixed_into_sink := !fixed_into_sink +. qty
+            else push u { time; qty; var = None; incoming = true }
+          end
+          else if v = sink then
+            (* The sink absorbs; its outgoing interactions carry
+               nothing (same convention as the greedy scan and the
+               time-expanded network). *)
+            ()
+          else begin
+            let obj = if u = sink then 1.0 else 0.0 in
+            let var = Problem.add_var ~lb:0.0 ~ub:qty ~obj problem in
+            incr n_vars;
+            var_interactions := (var, (v, u, i)) :: !var_interactions;
+            if u = sink then objective_vars := (var, 1.0) :: !objective_vars;
+            push v { time; qty; var = Some var; incoming = false };
+            if u <> sink && u <> source then
+              push u { time; qty; var = Some var; incoming = true }
+          end)
+        is)
+    g;
   (* Buffer constraints, one per distinct sending timestamp per vertex.
      Scanning events in time order with incoming-before-outgoing at
      equal... no: outgoing at τ may NOT use arrivals at τ, so at each
@@ -137,12 +139,6 @@ let build_iter ~iter ~source ~sink =
     fixed_interactions = !fixed_interactions;
   }
 
-let build g ~source ~sink =
-  build_iter ~iter:(fun f -> Graph.iter_edges (fun v u is -> List.iter (f v u) is) g) ~source ~sink
-
-let build_compact c ~source ~sink =
-  build_iter ~iter:(fun f -> Compact.iter_grouped c f) ~source ~sink
-
 let assignments lp value =
   List.rev_append
     (List.rev_map
@@ -169,12 +165,6 @@ let solve_detailed ?solver ?eps ?max_iters g ~source ~sink =
 
 let solve ?solver ?eps ?max_iters g ~source ~sink =
   Result.map fst (solve_detailed ?solver ?eps ?max_iters g ~source ~sink)
-
-let solve_detailed_compact ?solver ?eps ?max_iters c ~source ~sink =
-  solve_lp ?solver ?eps ?max_iters (build_compact c ~source ~sink)
-
-let solve_compact ?solver ?eps ?max_iters c ~source ~sink =
-  Result.map fst (solve_detailed_compact ?solver ?eps ?max_iters c ~source ~sink)
 
 let n_variables g ~source =
   Graph.fold_edges

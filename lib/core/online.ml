@@ -1,76 +1,36 @@
 module Obs = Tin_obs.Obs
+module Kernel = Greedy.Kernel
 
 let c_touches = Obs.Counter.make "online.buffer_touches"
 
-type t = {
-  source : Graph.vertex;
-  sink : Graph.vertex;
-  avail : (Graph.vertex, float) Hashtbl.t;
-  pending : (Graph.vertex, float) Hashtbl.t;
-  mutable dirty : Graph.vertex list;
-  mutable current : float option; (* timestamp of the open batch *)
-  mutable pushed : int;
-}
+type t = { kernel : Kernel.t; mutable pushed : int }
 
 let create ~source ~sink =
   if source = sink then invalid_arg "Online.create: source = sink";
-  let t =
-    {
-      source;
-      sink;
-      avail = Hashtbl.create 64;
-      pending = Hashtbl.create 16;
-      dirty = [];
-      current = None;
-      pushed = 0;
-    }
-  in
-  Hashtbl.replace t.avail source infinity;
-  t
-
-let get tbl v = match Hashtbl.find_opt tbl v with Some x -> x | None -> 0.0
-
-let flush t =
-  List.iter
-    (fun v ->
-      let p = get t.pending v in
-      if p > 0.0 then Hashtbl.replace t.avail v (get t.avail v +. p);
-      Hashtbl.remove t.pending v)
-    t.dirty;
-  t.dirty <- []
+  { kernel = Kernel.create ~source ~sink; pushed = 0 }
 
 let push t ~src ~dst i =
   if src = dst then invalid_arg "Online.push: self-loop";
-  let tm = Interaction.time i and q = Interaction.qty i in
-  (match t.current with
-  | Some last when tm < last -> invalid_arg "Online.push: timestamps must be non-decreasing"
-  | Some last when tm > last ->
-      flush t;
-      t.current <- Some tm
-  | Some _ -> ()
-  | None -> t.current <- Some tm);
+  if i.Interaction.time < Kernel.now t.kernel then
+    invalid_arg "Online.push: timestamps must be non-decreasing";
   t.pushed <- t.pushed + 1;
-  let b = if src = t.sink then 0.0 else get t.avail src in
-  let moved = Float.min q b in
-  if moved > 0.0 then begin
-    if src <> t.source then Hashtbl.replace t.avail src (b -. moved);
-    if get t.pending dst = 0.0 then t.dirty <- dst :: t.dirty;
-    Hashtbl.replace t.pending dst (get t.pending dst +. moved);
-    Obs.Counter.incr c_touches
-  end;
+  let moved = Kernel.push t.kernel ~src ~dst i in
+  if moved > 0.0 then Obs.Counter.incr c_touches;
   moved
 
 let of_graph g ~source ~sink =
   let t = create ~source ~sink in
-  Array.iter
-    (fun (src, dst, i) -> ignore (push t ~src ~dst i))
-    (Graph.interactions_sorted g);
+  let inters = Graph.interactions_sorted g in
+  Kernel.replay t.kernel inters;
+  Obs.Counter.add c_touches (Kernel.touches t.kernel);
+  t.pushed <- Array.length inters;
   t
 
-let flow t = get t.avail t.sink +. get t.pending t.sink
+let flow t = Kernel.flow t.kernel
+let buffer t v = Kernel.buffer t.kernel v
 
-let buffer t v =
-  if v = t.source then infinity else get t.avail v +. get t.pending v
+let last_time t =
+  let now = Kernel.now t.kernel in
+  if Float.is_nan now then None else Some now
 
-let last_time t = t.current
 let n_pushed t = t.pushed

@@ -5,8 +5,10 @@
     NOC watching traffic) sees interactions as a live stream.  This
     module maintains the greedy buffers incrementally: push
     interactions in non-decreasing time order and read the running
-    flow at any moment.  Pushing the full history in order yields
-    exactly {!Greedy.flow} (property-tested). *)
+    flow at any moment.  It runs {!Greedy.Kernel}, the same scan state
+    as the batch functions, so pushing the full history in canonical
+    order yields exactly {!Greedy.flow} (property-tested with
+    [Float.equal]). *)
 
 type t
 
@@ -15,9 +17,10 @@ val create : source:Graph.vertex -> sink:Graph.vertex -> t
 
 val of_graph : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> t
 (** [of_graph g ~source ~sink] replays every interaction of [g]
-    through {!push} in the canonical scan order of the batch algorithm
-    — {!Graph.interactions_sorted}, i.e. [(time, qty, src, dst)]
-    ascending — so [flow (of_graph g ~source ~sink)] equals
+    through {!Greedy.Kernel.replay} in the canonical scan order of the
+    batch algorithm — {!Graph.interactions_sorted}, i.e.
+    [(time, qty, src, dst)] ascending — so
+    [flow (of_graph g ~source ~sink)] equals
     [Greedy.flow g ~source ~sink] {e bit-for-bit}: both run the same
     floating-point operation sequence (property-tested).  This is the
     window-rebuild fallback of the streaming daemon: greedy flow

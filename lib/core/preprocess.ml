@@ -79,170 +79,3 @@ let run g0 ~source ~sink =
     removed_edges = !stats_e;
     removed_vertices = !stats_v;
   }
-
-type result_compact = {
-  compact : Compact.t;
-  zero_flow_c : bool;
-  removed_interactions_c : int;
-  removed_edges_c : int;
-  removed_vertices_c : int;
-}
-
-(* Flat Algorithm 1 over the Compact substrate.  Same pass, same
-   clean-up recursion, same statistics — but liveness is tracked in
-   bit/offset arrays instead of rebuilding persistent maps:
-
-   - a kept interaction set of an edge is always a time-sorted suffix
-     of its slice (the filter keeps [time >= mintime] and slices are
-     time-sorted), so per-edge state is one start offset;
-   - vertex/edge liveness and live-degree counters replace structural
-     removal.
-
-   The examine result is independent of which valid topological order
-   is used: the minimum arrival time at [v] only depends on the
-   filtering outcome at predecessors, all of which are fully processed
-   before [v] in any topological order, and the upstream clean-up only
-   ever deletes edges into vertices that are already dead.  The
-   cross-representation property tests pin the equivalence to [run]
-   (identical surviving network and identical statistics). *)
-let run_compact c ~source ~sink =
-  if source = sink then invalid_arg "Preprocess.run: source = sink";
-  let n = Compact.n_vertices c in
-  let m_e = Compact.n_edges c in
-  let id l = match Compact.vertex_of_label c l with Some v -> v | None -> -1 in
-  let sid = id source and tid = id sink in
-  (* Fixed examination order: Kahn over the untouched input.  Queue
-     (FIFO) rather than sorted frontier — any topological order gives
-     the same result (see above). *)
-  let order =
-    let indeg = Array.init n (fun v -> Compact.in_degree c v) in
-    let q = Queue.create () in
-    for v = 0 to n - 1 do
-      if indeg.(v) = 0 then Queue.add v q
-    done;
-    let order = Array.make n 0 and len = ref 0 in
-    while not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      order.(!len) <- v;
-      incr len;
-      Compact.iter_succs c v (fun u _ ->
-          indeg.(u) <- indeg.(u) - 1;
-          if indeg.(u) = 0 then Queue.add u q)
-    done;
-    if !len < n then invalid_arg "Preprocess.run_compact: graph has a cycle";
-    order
-  in
-  let edge_live = Array.make (max m_e 1) true in
-  let edge_start = Array.make (max m_e 1) 0 in
-  let out_live = Array.init n (fun v -> Compact.out_degree c v) in
-  let in_live = Array.init n (fun v -> Compact.in_degree c v) in
-  let vert_live = Array.make (max n 1) true in
-  let stats_i = ref 0 and stats_e = ref 0 and stats_v = ref 0 in
-  let remove_edge e =
-    stats_i := !stats_i + (Compact.edge_n_inter c e - edge_start.(e));
-    stats_e := !stats_e + 1;
-    edge_live.(e) <- false;
-    out_live.(Compact.edge_src c e) <- out_live.(Compact.edge_src c e) - 1;
-    in_live.(Compact.edge_dst c e) <- in_live.(Compact.edge_dst c e) - 1
-  in
-  let remove_vertex v =
-    stats_v := !stats_v + 1;
-    vert_live.(v) <- false
-  in
-  let rec delete_dead_end v =
-    let preds = ref [] in
-    Compact.iter_preds c v (fun w e -> if edge_live.(e) then preds := (w, e) :: !preds);
-    let preds = List.rev !preds in
-    List.iter (fun (_, e) -> remove_edge e) preds;
-    remove_vertex v;
-    List.iter (fun (w, _) -> if w <> tid && out_live.(w) = 0 then delete_dead_end w) preds
-  in
-  let examine v =
-    if v <> sid && v <> tid && vert_live.(v) then begin
-      if in_live.(v) = 0 then begin
-        let outs = ref [] in
-        Compact.iter_succs c v (fun _ e -> if edge_live.(e) then outs := e :: !outs);
-        List.iter remove_edge (List.rev !outs);
-        remove_vertex v
-      end
-      else begin
-        (* Earliest possible arrival at v: head of each live in-slice. *)
-        let mintime = ref infinity in
-        Compact.iter_preds c v (fun _ e ->
-            if edge_live.(e) then
-              mintime :=
-                Float.min !mintime (Compact.inter_time c (Compact.edge_inter c e edge_start.(e))));
-        let mintime = !mintime in
-        Compact.iter_succs c v (fun _ e ->
-            if edge_live.(e) then begin
-              let ne = Compact.edge_n_inter c e in
-              let s = ref edge_start.(e) in
-              while !s < ne && Compact.inter_time c (Compact.edge_inter c e !s) < mintime do
-                incr s
-              done;
-              let dropped = !s - edge_start.(e) in
-              if dropped > 0 then begin
-                stats_i := !stats_i + dropped;
-                edge_start.(e) <- !s;
-                if !s = ne then begin
-                  stats_e := !stats_e + 1;
-                  edge_live.(e) <- false;
-                  out_live.(v) <- out_live.(v) - 1;
-                  in_live.(Compact.edge_dst c e) <- in_live.(Compact.edge_dst c e) - 1
-                end
-              end
-            end);
-        if out_live.(v) = 0 then delete_dead_end v
-      end
-    end
-  in
-  Array.iter examine order;
-  let zero_flow =
-    sid < 0 || tid < 0
-    || (not vert_live.(sid))
-    || (not vert_live.(tid))
-    ||
-    (* Reachability over the surviving edges. *)
-    let seen = Array.make (max n 1) false in
-    let q = Queue.create () in
-    seen.(sid) <- true;
-    Queue.add sid q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let v = Queue.pop q in
-      if v = tid then found := true
-      else
-        Compact.iter_succs c v (fun u e ->
-            if edge_live.(e) && not seen.(u) then begin
-              seen.(u) <- true;
-              Queue.add u q
-            end)
-    done;
-    not !found
-  in
-  let entries = ref [] in
-  for e = m_e - 1 downto 0 do
-    if edge_live.(e) then begin
-      let s = Compact.label c (Compact.edge_src c e)
-      and d = Compact.label c (Compact.edge_dst c e) in
-      for k = Compact.edge_n_inter c e - 1 downto edge_start.(e) do
-        let j = Compact.edge_inter c e k in
-        entries :=
-          ( s,
-            d,
-            Interaction.unchecked ~time:(Compact.inter_time c j) ~qty:(Compact.inter_qty c j) )
-          :: !entries
-      done
-    end
-  done;
-  let vertices = ref [] in
-  for v = n - 1 downto 0 do
-    if vert_live.(v) then vertices := Compact.label c v :: !vertices
-  done;
-  {
-    compact = Compact.of_entries ~vertices:!vertices !entries;
-    zero_flow_c = zero_flow;
-    removed_interactions_c = !stats_i;
-    removed_edges_c = !stats_e;
-    removed_vertices_c = !stats_v;
-  }

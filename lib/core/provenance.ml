@@ -53,13 +53,12 @@ let default_budget = 64
 
    A buffer is a list of entries sorted ascending by (born, origin),
    where [born] is the scan index of the interaction that created the
-   mass.  The key order is total and identical on both
-   representations, so every list operation below — and therefore
-   every floating-point addition order — is deterministic and
-   representation-independent.  Entries with equal keys are always
-   coalesced on merge, so keys are unique within a buffer.  [Lrb]
-   consumes from the front, [Mrb] from the back, [Proportional] scales
-   every entry by one ratio. *)
+   mass.  The key order is total, so every list operation below —
+   and therefore every floating-point addition order — is
+   deterministic.  Entries with equal keys are always coalesced on
+   merge, so keys are unique within a buffer.  [Lrb] consumes from the
+   front, [Mrb] from the back, [Proportional] scales every entry by
+   one ratio. *)
 
 type entry = { origin : origin; born : int; mutable mass : float }
 
@@ -159,9 +158,8 @@ let select ctx policy buffer ~take ~avail =
       (List.rev !moved, List.rev !kept)
 
 (* Aggregate a buffer by origin for reporting.  Masses are summed in
-   buffer (key) order so the addition sequence is deterministic and
-   representation-independent; the output is sorted by descending
-   mass, ties broken by origin. *)
+   buffer (key) order so the addition sequence is deterministic; the
+   output is sorted by descending mass, ties broken by origin. *)
 let aggregate entries =
   let acc = ref [] in
   (* first-seen order; buffers are budget-bounded so O(n^2) is fine *)
@@ -177,18 +175,29 @@ let aggregate entries =
 
 (* --- the scan --------------------------------------------------------
 
-   One core over integer slots, fed by either representation.  In
+   Slot-indexed buffers over the canonical interaction order.  In
    source-rooted mode the scalar operations replicate [Greedy]'s exact
    floating-point sequence (strict-time buffers: pending arrivals at
    the current timestamp flush when time advances; the absorbing
    vertex never re-sends; moved = min(q, avail); the source is
    infinite), so per-slot totals are bit-identical to
    [Greedy.buffers].  In open-world mode every interaction ships its
-   full quantity and the uncovered part is born at the sender. *)
+   full quantity and the uncovered part is born at the sender.  The
+   scan does not share [Greedy.Kernel]: the provenance entries move
+   inside the same per-interaction step. *)
 
-let scan ~policy ~budget ~rooted ~source_slot ~absorb_slot ~n_slots ~n_inters ~get ~label ~trace
-    =
+let scan ~policy ~budget ?source ?absorb ~trace g =
   if budget < 2 then invalid_arg "Provenance: budget must be at least 2";
+  let rooted = source <> None in
+  let verts = Array.of_list (Graph.vertices g) in
+  let n_slots = Array.length verts in
+  let slot_of = Hashtbl.create (max 16 n_slots) in
+  Array.iteri (fun s v -> Hashtbl.replace slot_of v s) verts;
+  let slot = function
+    | None -> -1
+    | Some l -> ( match Hashtbl.find_opt slot_of l with Some s -> s | None -> -1)
+  in
+  let source_slot = slot source and absorb_slot = slot absorb in
   if rooted && source_slot = absorb_slot && source_slot >= 0 then
     invalid_arg "Provenance: source = absorb";
   let size = max 1 n_slots in
@@ -215,8 +224,11 @@ let scan ~policy ~budget ~rooted ~source_slot ~absorb_slot ~n_slots ~n_inters ~g
     n_dirty := 0
   in
   let current = ref nan in
-  for k = 0 to n_inters - 1 do
-    let v, u, tm, q = get k in
+  let inters = Graph.interactions_sorted g in
+  for k = 0 to Array.length inters - 1 do
+    let src, dst, i = inters.(k) in
+    let v = Hashtbl.find slot_of src and u = Hashtbl.find slot_of dst in
+    let tm = Interaction.time i and q = Interaction.qty i in
     if not (Float.equal !current tm) then begin
       flush ();
       current := tm
@@ -250,7 +262,7 @@ let scan ~policy ~budget ~rooted ~source_slot ~absorb_slot ~n_slots ~n_inters ~g
           selected
           @ [
               {
-                origin = Inter { index = k; src = label v; dst = label u; time = tm; qty = q };
+                origin = Inter { index = k; src; dst; time = tm; qty = q };
                 born = k;
                 mass = born_amt;
               };
@@ -268,54 +280,17 @@ let scan ~policy ~budget ~rooted ~source_slot ~absorb_slot ~n_slots ~n_inters ~g
     end
   done;
   flush ();
-  let totals = List.init n_slots (fun s -> (label s, avail.(s))) in
-  let vectors = List.init n_slots (fun s -> (label s, aggregate avail_e.(s))) in
+  let totals = List.init n_slots (fun s -> (verts.(s), avail.(s))) in
+  let vectors = List.init n_slots (fun s -> (verts.(s), aggregate avail_e.(s))) in
   Obs.Counter.add c_spills ctx.spills;
   Obs.Gauge.set g_entries (float_of_int ctx.peak);
   { totals; vectors; spills = ctx.spills; peak_entries = ctx.peak }
 
-let timed f =
+let run ?(policy = Proportional) ?(budget = default_budget) ?source ?absorb ?trace g =
+  let scan () = scan ~policy ~budget ?source ?absorb ~trace g in
   if Atomic.get Obs.enabled then
     Obs.Span.with_ "provenance.scan" (fun () ->
-        let r, ms = Timer.time_ms f in
+        let r, ms = Timer.time_ms scan in
         Obs.Histogram.observe h_scan_ms ms;
         r)
-  else f ()
-
-let run ?(policy = Proportional) ?(budget = default_budget) ?source ?absorb ?trace g =
-  timed (fun () ->
-      let verts = Array.of_list (Graph.vertices g) in
-      let n_slots = Array.length verts in
-      let slot_of = Hashtbl.create (max 16 n_slots) in
-      Array.iteri (fun s v -> Hashtbl.replace slot_of v s) verts;
-      let slot l =
-        match l with
-        | None -> -1
-        | Some l -> ( match Hashtbl.find_opt slot_of l with Some s -> s | None -> -1)
-      in
-      let inters = Graph.interactions_sorted g in
-      let get k =
-        let v, u, i = inters.(k) in
-        (Hashtbl.find slot_of v, Hashtbl.find slot_of u, Interaction.time i, Interaction.qty i)
-      in
-      scan ~policy ~budget ~rooted:(source <> None) ~source_slot:(slot source)
-        ~absorb_slot:(slot absorb) ~n_slots ~n_inters:(Array.length inters) ~get
-        ~label:(fun s -> verts.(s))
-        ~trace)
-
-let run_compact ?(policy = Proportional) ?(budget = default_budget) ?source ?absorb ?trace c =
-  timed (fun () ->
-      let slot l =
-        match l with
-        | None -> -1
-        | Some l -> ( match Compact.vertex_of_label c l with Some s -> s | None -> -1)
-      in
-      let get k =
-        (Compact.inter_src c k, Compact.inter_dst c k, Compact.inter_time c k,
-         Compact.inter_qty c k)
-      in
-      scan ~policy ~budget ~rooted:(source <> None) ~source_slot:(slot source)
-        ~absorb_slot:(slot absorb) ~n_slots:(Compact.n_vertices c)
-        ~n_inters:(Compact.n_interactions c) ~get
-        ~label:(fun s -> Compact.label c s)
-        ~trace)
+  else scan ()

@@ -29,15 +29,11 @@
     vertex-level to fully aggregated attribution instead of growing
     without bound.
 
-    Both representations are supported — {!run} over {!Graph.t} and
-    {!run_compact} over the flat {!Compact.t} substrate — and are
-    bit-identical twins: the scan follows the global interaction order
-    (time, quantity, src, dst) with the same floating-point operation
-    sequence, so totals {e and} per-origin masses compare with
-    [Float.equal].  In source-rooted mode the scalar side mirrors
-    {!Greedy} exactly: per-vertex totals equal {!Greedy.buffers} and
-    the absorbed total equals {!Greedy.flow} bit for bit, which the
-    verify lattice enforces. *)
+    The scan follows the global interaction order (time, quantity,
+    src, dst) of {!Graph.interactions_sorted}.  In source-rooted mode
+    the scalar side mirrors {!Greedy} exactly: per-vertex totals equal
+    {!Greedy.buffers} and the absorbed total equals {!Greedy.flow} bit
+    for bit, which the verify lattice enforces. *)
 
 type policy = Lrb | Mrb | Proportional
 
@@ -113,15 +109,3 @@ val run :
     (default {!default_budget}; at least 2).
 
     @raise Invalid_argument if [budget < 2] or [source = absorb]. *)
-
-val run_compact :
-  ?policy:policy ->
-  ?budget:int ->
-  ?source:Graph.vertex ->
-  ?absorb:Graph.vertex ->
-  ?trace:(int -> (origin * float) list -> unit) ->
-  Compact.t ->
-  t
-(** Bit-identical twin of {!run} over the flat substrate: identical
-    origins, masses, totals, spill and peak counts.  [source]/[absorb]
-    are raw labels, as in {!run}. *)

@@ -254,18 +254,6 @@ let total_qty t =
   done;
   !acc
 
-let iter_grouped t f =
-  for e = 0 to n_edges t - 1 do
-    let s = t.labels.(t.edge_src.(e)) and d = t.labels.(t.edge_dst.(e)) in
-    for k = t.edge_off.(e) to t.edge_off.(e + 1) - 1 do
-      let j = t.by_edge.(k) in
-      f s d
-        (Interaction.unchecked
-           ~time:(Float.Array.get t.inter_time j)
-           ~qty:(Float.Array.get t.inter_qty j))
-    done
-  done
-
 let to_graph t =
   let g = ref Graph.empty in
   Array.iter (fun l -> g := Graph.add_vertex !g l) t.labels;

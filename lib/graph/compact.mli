@@ -17,10 +17,12 @@
 
     Compact vertex ids are {e sorted-label ranks}: [label] is strictly
     increasing in the id, so iterating edges in id order visits them in
-    the same order as {!Graph.iter_edges} visits raw labels.  This is
-    what makes the flat consumers ([Greedy.flow_compact],
-    [Lp_flow.build_compact], …) bit-identical to their [Graph.t]
-    counterparts.
+    the same order as {!Graph.iter_edges} visits raw labels.
+
+    [Compact] is the load and snapshot substrate: {!Snapshot} persists
+    it as [.tinb], and {!Io} reads snapshots through it into the
+    persistent {!Graph.t} the flow algorithms run on, or into the
+    pattern layer's {!Static} view.
 
     Unlike {!Graph.t}, the substrate tolerates self-loops (the binary
     snapshot format must round-trip arbitrary well-formed files);
@@ -48,8 +50,7 @@ val of_graph : Graph.t -> t
     vertices. *)
 
 val to_graph : t -> Graph.t
-(** The persistent compatibility view, used by the verify lattice to
-    cross-check flat and boxed paths.
+(** The persistent view the flow algorithms run on.
     @raise Invalid_argument if the substrate contains a self-loop
     ({!Graph.t} cannot represent one). *)
 
@@ -117,13 +118,6 @@ val iter_preds : t -> vertex -> (vertex -> edge_id -> unit) -> unit
 
 val find_edge : t -> src:vertex -> dst:vertex -> edge_id option
 (** Binary search over the sorted out-row of [src]. *)
-
-val iter_grouped : t -> (int -> int -> Interaction.t -> unit) -> unit
-(** [iter_grouped t f] calls [f src_label dst_label interaction]
-    edge-by-edge in [(src, dst)] label order, time-sorted within each
-    edge — exactly the visit order of {!Graph.iter_edges} on the
-    equivalent persistent graph.  The drop-in iteration for consumers
-    that still want boxed interactions. *)
 
 (** {1 Raw columns (snapshot interchange)} *)
 

@@ -25,9 +25,8 @@
       mode matches the greedy scan bit for bit on per-vertex totals
       (all policies), conserves mass per vertex, attributes only
       origins the source sent — validated against the fixed scan-order
-      interaction numbering shared with {!Tin_core.Decompose} — never
-      exceeds an origin interaction's quantity, and is bit-identical
-      across the [Graph]/[Compact] representations;
+      interaction numbering shared with {!Tin_core.Decompose} — and
+      never exceeds an origin interaction's quantity;
     - an oracle raising an exception is itself a discrepancy.
 
     {!fuzz} drives {!check} over randomized instances ({!Gen}), and

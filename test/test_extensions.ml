@@ -115,11 +115,13 @@ let test_online_rejects_out_of_order () =
   Alcotest.check_raises "self loop" (Invalid_argument "Online.push: self-loop") (fun () ->
       ignore (Online.push m ~src:1 ~dst:1 (Interaction.make ~time:6.0 ~qty:1.0)))
 
+(* Streaming and batch run the same kernel, so pushing the canonical
+   order reproduces the batch scan bit for bit. *)
 let prop_online_matches_batch rng =
   let g, source, sink = Gen.random_digraph rng in
   let m = Online.create ~source ~sink in
   Array.iter (fun (src, dst, i) -> ignore (Online.push m ~src ~dst i)) (Graph.interactions_sorted g);
-  Fcmp.approx_eq ~eps:1e-9 (Greedy.flow g ~source ~sink) (Online.flow m)
+  Float.equal (Greedy.flow g ~source ~sink) (Online.flow m)
 
 (* The window-rebuild path of the streaming daemon: replaying in
    canonical order must reproduce the batch greedy flow bit for bit
@@ -168,9 +170,7 @@ let prop_online_buffers_match rng =
   let m = Online.create ~source ~sink in
   Array.iter (fun (src, dst, i) -> ignore (Online.push m ~src ~dst i)) (Graph.interactions_sorted g);
   Greedy.buffers g ~source ~sink
-  |> List.for_all (fun (v, b) ->
-         let b' = Online.buffer m v in
-         b = b' || Fcmp.approx_eq ~eps:1e-9 b b')
+  |> List.for_all (fun (v, b) -> Float.equal b (Online.buffer m v))
 
 (* --- bounded vertex buffers (extension over the paper) --- *)
 

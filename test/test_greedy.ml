@@ -135,6 +135,36 @@ let test_unknown_endpoints_zero () =
      anything. *)
   Check.check_flow "unknown sink" 0.0 (Greedy.flow P.fig3 ~source:P.s ~sink:99)
 
+(* The kernel's per-interaction loop allocates nothing: a boxed float
+   per interaction would cost at least two minor-heap words each.  The
+   interactions are built before measuring, over 50 vertices that keep
+   moving quantity (ties and flushes included).  Interning the 50
+   labels allocates the same few words at any length, so the count
+   must not grow from 10k to 40k interactions. *)
+let test_kernel_loop_allocation_free () =
+  let n_vertices = 50 in
+  let kernel_words n =
+    let rng = Tin_util.Prng.create ~seed:7 in
+    let inters =
+      Array.init n (fun j ->
+          let v = Tin_util.Prng.int rng n_vertices in
+          let u = (v + 1 + Tin_util.Prng.int rng (n_vertices - 1)) mod n_vertices in
+          let qty = float_of_int (Tin_util.Prng.int rng 10) in
+          (v, u, Interaction.make ~time:(float_of_int (j / 3)) ~qty))
+    in
+    let k = Greedy.Kernel.create ~source:0 ~sink:1 in
+    let before = Gc.minor_words () in
+    Greedy.Kernel.replay k inters;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "the scan moved quantity" true (Greedy.Kernel.touches k > n / 10);
+    words
+  in
+  let small = kernel_words 10_000 and large = kernel_words 40_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "constant words (%g at 10k, %g at 40k interactions)" small large)
+    true
+    (Float.equal small large && small < 1000.0)
+
 let () =
   Alcotest.run "greedy"
     [
@@ -163,4 +193,6 @@ let () =
           Alcotest.test_case "source = sink rejected" `Quick test_source_eq_sink_rejected;
           Alcotest.test_case "unknown endpoints" `Quick test_unknown_endpoints_zero;
         ] );
+      ( "kernel",
+        [ Alcotest.test_case "loop allocates nothing" `Quick test_kernel_loop_allocation_free ] );
     ]

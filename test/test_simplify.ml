@@ -5,6 +5,8 @@ open Tin_testlib
 module Simplify = Tin_core.Simplify
 module Lp_flow = Tin_core.Lp_flow
 module Pipeline = Tin_core.Pipeline
+module Greedy = Tin_core.Greedy
+module Prng = Tin_util.Prng
 module P = Paper_examples
 
 let test_fig5a_chain_collapse () =
@@ -97,22 +99,57 @@ let test_cyclic_rejected () =
   Alcotest.check_raises "cycle" (Invalid_argument "Simplify.run: graph has a cycle") (fun () ->
       ignore (Simplify.run g ~source:0 ~sink:1))
 
-let test_reduce_chain_interactions_helper () =
-  (* The positional helper agrees with the graph-level reduction on
-     Figure 5(a). *)
+(* The pattern tables' chain reduction, fed the chain whose edge [e]
+   carries the interactions [edges.(e)], rows in the given order. *)
+let reduce_chain rows ~k =
+  let rows = Array.of_list rows in
+  let n = Array.length rows in
+  Simplify.reduce_chain_cols ~k
+    ~times:(Float.Array.init n (fun j -> Interaction.time (snd rows.(j))))
+    ~qtys:(Float.Array.init n (fun j -> Interaction.qty (snd rows.(j))))
+    ~pos:(Array.map fst rows)
+
+let chain_rows edges = List.concat (List.mapi (fun e is -> List.map (fun i -> (e, i)) is) edges)
+
+let test_reduce_chain_cols_fig5a () =
   let edges =
     [
-      (P.x, Graph.edge P.fig5a ~src:P.s ~dst:P.x);
-      (P.y, Graph.edge P.fig5a ~src:P.x ~dst:P.y);
-      (P.t, Graph.edge P.fig5a ~src:P.y ~dst:P.t);
+      Graph.edge P.fig5a ~src:P.s ~dst:P.x;
+      Graph.edge P.fig5a ~src:P.x ~dst:P.y;
+      Graph.edge P.fig5a ~src:P.y ~dst:P.t;
     ]
   in
-  Alcotest.check Check.interactions "helper matches"
-    P.fig5a_reduced_edge
-    (Simplify.reduce_chain_interactions edges)
+  Alcotest.check Check.interactions "reduced edge of Figure 5(a)" P.fig5a_reduced_edge
+    (reduce_chain (chain_rows edges) ~k:3)
 
-let test_reduce_chain_empty () =
-  Alcotest.check Check.interactions "empty chain" [] (Simplify.reduce_chain_interactions [])
+let test_reduce_chain_cols_empty () =
+  Alcotest.check Check.interactions "empty chain" [] (reduce_chain [] ~k:0)
+
+(* Reference check for the separate chain loop: it must give what the
+   greedy kernel gives on the equivalent positional chain graph.  Small
+   time and quantity ranges force duplicate timestamps and zero
+   quantities; rows reach it shuffled, since it accepts any order. *)
+let prop_reduce_chain_cols_is_greedy rng =
+  let k = 1 + Prng.int rng 5 in
+  let edges =
+    List.init k (fun _ ->
+        List.init
+          (1 + Prng.int rng 4)
+          (fun _ ->
+            Interaction.make
+              ~time:(float_of_int (Prng.int rng 6))
+              ~qty:(float_of_int (Prng.int rng 5))))
+  in
+  let g, _ =
+    List.fold_left
+      (fun (g, e) is -> (Graph.add_edge g ~src:e ~dst:(e + 1) is, e + 1))
+      (Graph.empty, 0) edges
+  in
+  let rows = Array.of_list (chain_rows edges) in
+  Prng.shuffle rng rows;
+  List.equal Interaction.equal
+    (reduce_chain (Array.to_list rows) ~k)
+    (Greedy.arrivals_at_sink g ~source:0 ~sink:k)
 
 let () =
   Alcotest.run "simplify"
@@ -132,7 +169,8 @@ let () =
           Alcotest.test_case "parallel edge merge" `Quick test_parallel_edge_merge;
           Alcotest.test_case "whole graph collapses" `Quick test_whole_graph_collapses;
           Alcotest.test_case "cycle rejected" `Quick test_cyclic_rejected;
-          Alcotest.test_case "chain helper" `Quick test_reduce_chain_interactions_helper;
-          Alcotest.test_case "empty chain helper" `Quick test_reduce_chain_empty;
+          Alcotest.test_case "chain helper" `Quick test_reduce_chain_cols_fig5a;
+          Alcotest.test_case "empty chain helper" `Quick test_reduce_chain_cols_empty;
+          Check.seeded_property "chain helper = greedy arrivals" prop_reduce_chain_cols_is_greedy;
         ] );
     ]

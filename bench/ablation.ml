@@ -1,66 +1,17 @@
 (* Ablation benchmarks for the design choices DESIGN.md calls out:
 
-   A. LP solver variant: the paper's LP has per-variable bounds; we
-      measure explicit bound rows (dense two-phase simplex) against
-      the bounded-variable simplex on the hard (Class C) subgraphs.
-   B. Static solver on the time-expanded network: Edmonds-Karp vs
+   A. Static solver on the time-expanded network: Edmonds-Karp vs
       Dinic vs push-relabel (the PTIME route of Section 4.2.1).
-   C. Path-table maintenance: full precomputation vs delta updates
+   B. Path-table maintenance: full precomputation vs delta updates
       (the paper's footnote-2 suggestion) for a batch of fresh
       interactions. *)
 
-module Pipeline = Tin_core.Pipeline
-module Lp_flow = Tin_core.Lp_flow
 module Extract = Tin_datasets.Extract
 module TE = Tin_maxflow.Time_expand
 module Table = Tin_util.Table
 module Timer = Tin_util.Timer
 module Stats = Tin_util.Stats
 module Prng = Tin_util.Prng
-
-let class_c_problems d =
-  List.filter
-    (fun (p : Extract.problem) ->
-      Pipeline.classify p.Extract.graph ~source:p.Extract.source ~sink:p.Extract.sink
-      = Pipeline.C)
-    d.Workload.problems
-
-let lp_solver_ablation datasets =
-  let rows =
-    List.map
-      (fun d ->
-        let problems = class_c_problems d in
-        let time solver =
-          Stats.mean
-            (List.map
-               (fun (p : Extract.problem) ->
-                 let _, ms =
-                   Timer.time_ms (fun () ->
-                       match
-                         Lp_flow.solve ~solver p.Extract.graph ~source:p.Extract.source
-                           ~sink:p.Extract.sink
-                       with
-                       | Ok v -> v
-                       | Error _ -> nan)
-                 in
-                 ms)
-               problems)
-        in
-        let dense = time `Dense and bounded = time `Bounded in
-        [
-          d.Workload.spec.Tin_datasets.Spec.name;
-          string_of_int (List.length problems);
-          Table.fmt_ms dense;
-          Table.fmt_ms bounded;
-          Printf.sprintf "%.1fx" (dense /. Float.max 1e-9 bounded);
-        ])
-      datasets
-  in
-  Table.print
-    ~title:"Ablation A: LP with bound rows (dense) vs native bounds (bounded), Class C subgraphs"
-    ~header:[ "Dataset"; "#subgraphs"; "Dense simplex"; "Bounded simplex"; "speedup" ]
-    rows;
-  print_newline ()
 
 let static_solver_ablation datasets =
   let rows =
@@ -95,7 +46,7 @@ let static_solver_ablation datasets =
       datasets
   in
   Table.print
-    ~title:"Ablation B: static max-flow solver on the time-expanded network (20 largest subgraphs)"
+    ~title:"Ablation A: static max-flow solver on the time-expanded network (20 largest subgraphs)"
     ~header:[ "Dataset"; "Edmonds-Karp"; "Dinic"; "Push-relabel" ]
     rows;
   print_newline ()
@@ -139,13 +90,12 @@ let delta_ablation datasets =
       datasets
   in
   Table.print
-    ~title:"Ablation C: path tables, full rebuild vs delta update (batch of 100 new interactions)"
+    ~title:"Ablation B: path tables, full rebuild vs delta update (batch of 100 new interactions)"
     ~header:
       [ "Dataset"; "Initial build"; "Full rebuild"; "Delta update"; "rows touched"; "speedup" ]
     rows;
   print_newline ()
 
 let run datasets =
-  lp_solver_ablation datasets;
   static_solver_ablation datasets;
   delta_ablation datasets

@@ -37,7 +37,7 @@ module Batch = Tin_core.Batch
 let guard_pct = 2.0
 let max_problems = 50
 
-let solvers : Tin_lp.Problem.solver list = [ `Dense; `Bounded; `Sparse ]
+let solvers : Tin_lp.Problem.solver list = [ `Bounded; `Sparse ]
 
 (* ns per disabled Counter.incr, measured over a long tight loop. *)
 let disabled_incr_ns () =

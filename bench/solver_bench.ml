@@ -1,8 +1,8 @@
-(* Solver benchmark: dense two-phase simplex vs bounded tableau vs
-   sparse revised simplex on the extracted flow LPs (per difficulty
-   class), plus multicore batch throughput across Domains.  Results are
-   printed as tables and written machine-readable to a JSON file
-   (default BENCH_flow.json) for regression tracking. *)
+(* Solver benchmark: bounded tableau vs sparse revised simplex on the
+   extracted flow LPs (per difficulty class), plus multicore batch
+   throughput across Domains.  Results are printed as tables and
+   written machine-readable to a JSON file (default BENCH_flow.json)
+   for regression tracking. *)
 
 module Pipeline = Tin_core.Pipeline
 module Lp_flow = Tin_core.Lp_flow
@@ -14,16 +14,16 @@ module Stats = Tin_util.Stats
 module Fcmp = Tin_util.Fcmp
 
 let solvers : (string * Tin_lp.Problem.solver) list =
-  [ ("dense", `Dense); ("bounded", `Bounded); ("sparse", `Sparse) ]
+  [ ("bounded", `Bounded); ("sparse", `Sparse) ]
 
 type measured = {
   cls : Pipeline.cls;
   times : (string * float) list; (* solver name -> ms *)
 }
 
-(* One problem, all solvers, with a value-agreement guard: the three
-   simplex variants must produce the same flow — any gap is a solver
-   bug, not noise. *)
+(* One problem, all solvers, with a value-agreement guard: the simplex
+   variants must produce the same flow — any gap is a solver bug, not
+   noise. *)
 let measure_problem (p : Extract.problem) =
   let g = p.Extract.graph and source = p.Extract.source and sink = p.Extract.sink in
   let cls = Pipeline.classify g ~source ~sink in
@@ -44,8 +44,8 @@ let measure_problem (p : Extract.problem) =
     (fun (name, v, _) ->
       if not (Fcmp.approx_eq ~eps:1e-6 v0 v) then
         failwith
-          (Printf.sprintf "solver disagreement on seed %d: dense=%g %s=%g" p.Extract.seed v0 name
-             v))
+          (Printf.sprintf "solver disagreement on seed %d: bounded=%g %s=%g" p.Extract.seed v0
+             name v))
     runs;
   { cls; times = List.map (fun (name, _, ms) -> (name, ms)) runs }
 
@@ -233,7 +233,7 @@ let solver_table name classes =
     ~header:("Subgraphs" :: List.map (fun (n, _) -> n) solvers)
     (List.map
        (fun c ->
-         if c.count = 0 then [ c.label ^ " (0)"; "-"; "-"; "-" ]
+         if c.count = 0 then (c.label ^ " (0)") :: List.map (fun _ -> "-") solvers
          else
            Printf.sprintf "%s (%d)" c.label c.count
            :: List.map (fun (_, ms) -> Table.fmt_ms ms) c.solver_ms)

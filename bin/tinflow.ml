@@ -287,30 +287,6 @@ let method_conv =
   in
   Arg.conv (parse, fun ppf m -> Fmt.string ppf (Pipeline.method_name m))
 
-let solver_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "auto" -> Ok `Auto
-    | "dense" -> Ok `Dense
-    | "bounded" -> Ok `Bounded
-    | "sparse" -> Ok `Sparse
-    | _ -> Error (`Msg "expected auto | dense | bounded | sparse")
-  in
-  let print ppf (s : Tin_lp.Problem.solver) =
-    Fmt.string ppf
-      (match s with `Auto -> "auto" | `Dense -> "dense" | `Bounded -> "bounded" | `Sparse -> "sparse")
-  in
-  Arg.conv (parse, print)
-
-let solver_arg =
-  Arg.(
-    value
-    & opt solver_conv `Auto
-    & info [ "solver" ] ~docv:"SOLVER"
-        ~doc:
-          "LP solver for the simplex stages: auto | dense | bounded | sparse (default auto: \
-           picks the sparse revised simplex on large sparse instances).")
-
 let file_arg =
   Arg.(
     required
@@ -333,7 +309,7 @@ let flow_cmd =
   let meth =
     Arg.(value & opt (some method_conv) None & info [ "method"; "m" ] ~docv:"METHOD" ~doc:"greedy | lp | pre | presim | timeexp (default: report greedy and presim).")
   in
-  let run file source sink split meth solver obs =
+  let run file source sink split meth obs =
     setup_logs ();
     with_obs ~cmd:"flow" obs @@ fun () ->
     let g = load_graph file in
@@ -364,9 +340,9 @@ let flow_cmd =
     (match meth with
     | Some m ->
         Printf.printf "%s flow: %g\n" (Pipeline.method_name m)
-          (Pipeline.compute ~solver m g ~source ~sink)
+          (Pipeline.compute m g ~source ~sink)
     | None ->
-        let r = Pipeline.report ~solver g ~source ~sink in
+        let r = Pipeline.report g ~source ~sink in
         Printf.printf "greedy flow:  %g\n" (Pipeline.compute Pipeline.Greedy g ~source ~sink);
         Printf.printf "maximum flow: %g\n" r.Pipeline.value;
         Printf.printf "difficulty:   %s (LP variables %d -> %d)\n"
@@ -376,7 +352,7 @@ let flow_cmd =
   in
   Cmd.v
     (Cmd.info "flow" ~doc:"Compute source-to-sink flow in an interaction network")
-    Term.(const run $ file_arg $ source $ sink $ split $ meth $ solver_arg $ obs_term)
+    Term.(const run $ file_arg $ source $ sink $ split $ meth $ obs_term)
 
 (* --- batch --- *)
 
@@ -403,7 +379,7 @@ let batch_cmd =
   let max_subgraphs =
     Arg.(value & opt int max_int & info [ "max-subgraphs" ] ~docv:"N" ~doc:"Stop after N subgraphs.")
   in
-  let run file jobs meth solver max_interactions max_subgraphs obs =
+  let run file jobs meth max_interactions max_subgraphs obs =
     setup_logs ();
     with_obs ~cmd:"batch" obs @@ fun () ->
     if (match jobs with Some j -> j < 1 | None -> false) then begin
@@ -433,7 +409,7 @@ let batch_cmd =
           ];
       let values, secs =
         Tin_util.Timer.time_f (fun () ->
-            Tin_core.Batch.max_flows ~jobs ~solver ~method_:meth problems)
+            Tin_core.Batch.max_flows ~jobs ~method_:meth problems)
       in
       let total = List.fold_left ( +. ) 0.0 values in
       Event.emit "batch.done"
@@ -454,7 +430,7 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:"Compute the flow of every extracted cycle subgraph, in parallel across cores")
     Term.(
-      const run $ file_arg $ jobs $ meth $ solver_arg $ max_interactions $ max_subgraphs
+      const run $ file_arg $ jobs $ meth $ max_interactions $ max_subgraphs
       $ obs_serve_term)
 
 (* --- paths (flow decomposition) --- *)

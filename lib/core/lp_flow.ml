@@ -28,7 +28,7 @@ type event = {
 
 let build g ~source ~sink =
   if source = sink then invalid_arg "Lp_flow.build: source = sink";
-  let problem = Problem.create ~direction:Problem.Maximize () in
+  let problem = Problem.create () in
   let events : (Graph.vertex, event list ref) Hashtbl.t = Hashtbl.create 64 in
   let push v e =
     match Hashtbl.find_opt events v with
@@ -62,7 +62,7 @@ let build g ~source ~sink =
             ()
           else begin
             let obj = if u = sink then 1.0 else 0.0 in
-            let var = Problem.add_var ~lb:0.0 ~ub:qty ~obj problem in
+            let var = Problem.add_var ~ub:qty ~obj problem in
             incr n_vars;
             var_interactions := (var, (v, u, i)) :: !var_interactions;
             if u = sink then objective_vars := (var, 1.0) :: !objective_vars;
@@ -73,8 +73,7 @@ let build g ~source ~sink =
         is)
     g;
   (* Buffer constraints, one per distinct sending timestamp per vertex.
-     Scanning events in time order with incoming-before-outgoing at
-     equal... no: outgoing at τ may NOT use arrivals at τ, so at each
+     An interaction sent at τ may not use arrivals at τ, so at each
      distinct outgoing timestamp τ we bound cumulative outgoing (≤ τ)
      by cumulative incoming (< τ). *)
   let n_rows = ref 0 in
@@ -156,9 +155,7 @@ let solve_lp ?solver ?eps ?max_iters lp =
     match sol.Problem.status with
     | `Optimal ->
         Ok (sol.Problem.objective +. lp.fixed_into_sink, assignments lp sol.Problem.value)
-    | `Unbounded -> Error `Unbounded
-    | `Infeasible -> Error `Infeasible
-    | `Iteration_limit -> Error `Iteration_limit
+    | (`Unbounded | `Iteration_limit) as e -> Error e
 
 let solve_detailed ?solver ?eps ?max_iters g ~source ~sink =
   solve_lp ?solver ?eps ?max_iters (build g ~source ~sink)

@@ -49,17 +49,15 @@ val solve :
   Graph.t ->
   source:Graph.vertex ->
   sink:Graph.vertex ->
-  (float, [ `Unbounded | `Infeasible | `Iteration_limit ]) Stdlib.result
-(** Builds and solves; [Ok flow] on success.  [`Infeasible] cannot
-    happen on well-formed inputs ([x = 0] is always feasible) and
-    [`Unbounded] only on graphs with an all-infinite source→sink
-    path.  [solver] selects the simplex variant (default [`Auto]:
-    flow LPs always fit the bounded-variable shape, so [`Auto] routes
-    between the sparse revised simplex — large, sparse instances — and
-    the dense bounded tableau); [`Dense] forces the row-based
-    two-phase simplex and [`Sparse]/[`Bounded] the respective native
-    bounded solvers, the configurations compared by the solver
-    benchmark ([bench/main.exe solvers]). *)
+  (float, [ `Unbounded | `Iteration_limit ]) Stdlib.result
+(** Builds and solves; [Ok flow] on success.  The LP is always
+    feasible ([x = 0] satisfies every row), and [`Unbounded] happens
+    only on graphs with an all-infinite source→sink path.  [solver]
+    selects the simplex variant (default [`Auto], which routes on
+    size: the sparse revised simplex for constraint matrices of at
+    least 4096 cells, the dense bounded tableau below);
+    [`Sparse]/[`Bounded] force one of them, the configurations
+    compared by the solver benchmark ([bench/main.exe solvers]). *)
 
 val solve_detailed :
   ?solver:Tin_lp.Problem.solver ->
@@ -68,7 +66,7 @@ val solve_detailed :
   Graph.t ->
   source:Graph.vertex ->
   sink:Graph.vertex ->
-  (float * assignment list, [ `Unbounded | `Infeasible | `Iteration_limit ]) Stdlib.result
+  (float * assignment list, [ `Unbounded | `Iteration_limit ]) Stdlib.result
 (** Like {!solve}, but also returns the full solution vector as
     per-interaction {!assignment}s, one per interaction of the graph
     (sink-origin interactions excluded — they carry nothing).  The

@@ -75,7 +75,6 @@ let solve_lp ?solver g ~source ~sink =
   match Lp_flow.solve ?solver g ~source ~sink with
   | Ok v -> v
   | Error `Unbounded -> raise (Solver_failure "LP unbounded (all-infinite source-sink path?)")
-  | Error `Infeasible -> raise (Solver_failure "LP infeasible (internal error)")
   | Error `Iteration_limit -> raise (Solver_failure "LP iteration limit reached")
 
 (* The Pre / PreSim pipelines.  [simplify] toggles the Algorithm-2

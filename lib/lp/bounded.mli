@@ -1,19 +1,17 @@
 (** Simplex with native upper bounds ("bounded-variable simplex").
 
     The flow LP of Section 4.2.1 has one bound pair [0 ≤ x_i ≤ q_i]
-    per interaction.  Encoding the upper bounds as explicit rows (what
-    {!Simplex} requires) doubles the tableau height; the classic
-    bounded-variable simplex instead keeps nonbasic variables at
-    either bound and handles "bound flips" without pivoting, so the
-    tableau has only the true buffer constraints.  On flow LPs this
-    roughly halves memory and row-eliminations per pivot — the
-    trade-off is measured by the [ablation] benchmark target.
+    per interaction.  Written as explicit rows, those bounds would
+    double the tableau height; the classic bounded-variable simplex
+    instead keeps nonbasic variables at either bound and handles
+    "bound flips" without pivoting, so the tableau has only the true
+    buffer constraints.
 
     Scope: maximization over [A x ≤ b] with [b ≥ 0] and
     [0 ≤ x ≤ u] ([u_j] may be [infinity]) — exactly the shape of the
     paper's LP, which is feasible at the origin.
-    @raise Invalid_argument if some [b < 0] (use {!Simplex} for
-    general rows). *)
+    @raise Invalid_argument if some [b < 0], some [u_j] is negative
+    or NaN, or an array length disagrees with [c]. *)
 
 type outcome =
   | Optimal of { objective : float; solution : float array }

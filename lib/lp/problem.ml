@@ -3,281 +3,133 @@ let h_solve_ms solver = Tin_obs.Obs.Histogram.labeled h_solve_ms_fam [ solver ]
 
 type var = int
 
-type status = [ `Optimal | `Infeasible | `Unbounded | `Iteration_limit ]
+type status = [ `Optimal | `Unbounded | `Iteration_limit ]
 
 type solution = { status : status; objective : float; value : var -> float }
-type direction = Maximize | Minimize
 
-type var_info = { lb : float; ub : float; obj : float; name : string }
+type var_info = { ub : float; obj : float }
 
 type t = {
-  direction : direction;
   mutable vars : var_info array; (* prefix [0, nvars) is live *)
   mutable nvars : int;
-  mutable rows : ((float * var) list * Simplex.sense * float) list; (* reversed *)
+  mutable rows : ((float * var) list * float) list; (* reversed *)
   mutable nrows : int;
   mutable frozen : bool;
 }
 
-let dummy_var = { lb = 0.0; ub = 0.0; obj = 0.0; name = "" }
+let dummy_var = { ub = 0.0; obj = 0.0 }
 
-let create ?(direction = Maximize) () =
-  { direction; vars = [||]; nvars = 0; rows = []; nrows = 0; frozen = false }
+let create () = { vars = [||]; nvars = 0; rows = []; nrows = 0; frozen = false }
 
 let check_open t name = if t.frozen then invalid_arg (name ^ ": problem already solved")
 
-let add_var ?(lb = 0.0) ?(ub = infinity) ?(obj = 0.0) ?name t =
+let add_var ?(ub = infinity) ?(obj = 0.0) t =
   check_open t "Problem.add_var";
-  if Float.is_nan lb || Float.is_nan ub || Float.is_nan obj then
-    invalid_arg "Problem.add_var: NaN parameter";
-  if lb > ub then invalid_arg "Problem.add_var: lb > ub";
+  if not (ub >= 0.0) then invalid_arg "Problem.add_var: negative or NaN ub";
+  if Float.is_nan obj then invalid_arg "Problem.add_var: NaN obj";
   let id = t.nvars in
-  let name = match name with Some n -> n | None -> Printf.sprintf "x%d" id in
   if t.nvars = Array.length t.vars then begin
     let grown = Array.make (max 8 (2 * t.nvars)) dummy_var in
     Array.blit t.vars 0 grown 0 t.nvars;
     t.vars <- grown
   end;
-  t.vars.(t.nvars) <- { lb; ub; obj; name };
+  t.vars.(t.nvars) <- { ub; obj };
   t.nvars <- t.nvars + 1;
   id
 
-let add_row t terms sense rhs =
-  check_open t "Problem.add_constraint";
+let add_le t terms rhs =
+  check_open t "Problem.add_le";
+  if not (rhs >= 0.0) then invalid_arg "Problem.add_le: negative or NaN rhs";
   List.iter
-    (fun (_, v) ->
-      if v < 0 || v >= t.nvars then invalid_arg "Problem.add_constraint: unknown variable")
+    (fun (_, v) -> if v < 0 || v >= t.nvars then invalid_arg "Problem.add_le: unknown variable")
     terms;
-  t.rows <- (terms, sense, rhs) :: t.rows;
+  t.rows <- (terms, rhs) :: t.rows;
   t.nrows <- t.nrows + 1
-
-let add_le t terms rhs = add_row t terms Simplex.Le rhs
-let add_ge t terms rhs = add_row t terms Simplex.Ge rhs
-let add_eq t terms rhs = add_row t terms Simplex.Eq rhs
 
 let n_vars t = t.nvars
 let n_constraints t = t.nrows
 
-let var_name t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Problem.var_name: unknown variable"
-  else t.vars.(v).name
+type solver = [ `Auto | `Bounded | `Sparse ]
 
-(* Standard-form translation.
-
-   Each user variable [x] with bounds [lb, ub] maps to non-negative
-   standard variables:
-   - [lb = 0]:                x = y
-   - finite [lb]:             x = y + lb          (shift)
-   - [lb = -inf]:             x = y+ - y-         (split)
-   Finite upper bounds become extra rows over the mapped expression. *)
-type mapping =
-  | Shift of int * float (* x = std.(i) + offset *)
-  | Split of int * int (* x = std.(i) - std.(j) *)
-
-type solver = [ `Auto | `Dense | `Bounded | `Sparse ]
-
-(* `Auto picks `Sparse over `Bounded when the constraint matrix is
-   large and empty enough that the revised simplex's per-iteration
-   cost (O(nnz) pricing + eta-file solves) beats the dense tableau's
-   O(m·(n+m)) pivot. *)
+(* `Auto sends a problem to `Sparse once its constraint matrix has this
+   many cells.  Size alone decides: the cumulative buffer rows of a flow
+   LP repeat every earlier variable of their vertex, so large flow LPs
+   are often denser than 0.25 and still solve faster on `Sparse. *)
 let sparse_min_cells = 4096
-let sparse_max_density = 0.25
 
 let solve ?(solver = `Auto) ?eps ?max_iters ?metrics t =
   t.frozen <- true;
-  let vars = Array.sub t.vars 0 t.nvars in
-  let nv = Array.length vars in
-  let mapping = Array.make nv (Shift (0, 0.0)) in
-  let nstd = ref 0 in
-  let fresh () =
-    let i = !nstd in
-    incr nstd;
-    i
-  in
-  Array.iteri
-    (fun i { lb; _ } ->
-      if lb = neg_infinity then mapping.(i) <- Split (fresh (), fresh ())
-      else mapping.(i) <- Shift (fresh (), lb))
-    vars;
-  let n = !nstd in
-  (* Objective over standard variables; Minimize flips the sign. *)
-  let sign = match t.direction with Maximize -> 1.0 | Minimize -> -1.0 in
-  let c = Array.make n 0.0 in
-  let obj_const = ref 0.0 in
-  Array.iteri
-    (fun i { obj; _ } ->
-      match mapping.(i) with
-      | Shift (j, off) ->
-          c.(j) <- c.(j) +. (sign *. obj);
-          obj_const := !obj_const +. (obj *. off)
-      | Split (jp, jm) ->
-          c.(jp) <- c.(jp) +. (sign *. obj);
-          c.(jm) <- c.(jm) -. (sign *. obj))
-    vars;
-  (* Dense row expansion — only for the `Dense / `Bounded paths. *)
-  let expand terms =
-    let coefs = Array.make n 0.0 and const = ref 0.0 in
-    List.iter
-      (fun (coef, v) ->
-        match mapping.(v) with
-        | Shift (j, off) ->
-            coefs.(j) <- coefs.(j) +. coef;
-            const := !const +. (coef *. off)
-        | Split (jp, jm) ->
-            coefs.(jp) <- coefs.(jp) +. coef;
-            coefs.(jm) <- coefs.(jm) -. coef)
-      terms;
-    (coefs, !const)
-  in
-  (* Shape test without densifying: the bounded/sparse solvers handle
-     [0 <= y <= u] natively when every row is a <= with non-negative
-     (shift-adjusted) rhs and no variable was split. *)
-  let row_const terms =
-    List.fold_left
-      (fun acc (coef, v) ->
-        match mapping.(v) with Shift (_, off) -> acc +. (coef *. off) | Split _ -> acc)
-      0.0 terms
-  in
-  let bounded_ok =
-    Array.for_all (fun m -> match m with Shift _ -> true | Split _ -> false) mapping
-    && List.for_all
-         (fun (terms, sense, rhs) -> sense = Simplex.Le && rhs -. row_const terms >= 0.0)
-         t.rows
-  in
-  let bounded_shape_msg name =
-    Printf.sprintf "Problem.solve: %s requires <= rows, non-negative rhs, no free vars" name
-  in
+  let n = t.nvars and m = t.nrows in
+  let c = Array.init n (fun j -> t.vars.(j).obj) in
+  let upper = Array.init n (fun j -> t.vars.(j).ub) in
   let choice =
     match solver with
-    | `Dense -> `Dense
-    | `Bounded ->
-        if not bounded_ok then invalid_arg (bounded_shape_msg "`Bounded");
-        `Bounded
-    | `Sparse ->
-        if not bounded_ok then invalid_arg (bounded_shape_msg "`Sparse");
-        `Sparse
-    | `Auto ->
-        if not bounded_ok then `Dense
-        else if t.nrows * n >= sparse_min_cells then begin
-          let nnz =
-            List.fold_left (fun acc (terms, _, _) -> acc + List.length terms) 0 t.rows
-          in
-          let density = float_of_int nnz /. (float_of_int t.nrows *. float_of_int n) in
-          if density <= sparse_max_density then `Sparse else `Bounded
-        end
-        else `Bounded
+    | `Auto -> if m * n >= sparse_min_cells then `Sparse else `Bounded
+    | (`Bounded | `Sparse) as s -> s
   in
-  let native_upper () =
-    let upper = Array.make n infinity in
-    Array.iteri
-      (fun i { ub; _ } ->
-        match mapping.(i) with
-        | Shift (j, off) -> upper.(j) <- ub -. off
-        | Split _ -> assert false)
-      vars;
-    upper
-  in
-  let outcome =
-    let compute () =
-      match choice with
-      | `Sparse ->
-        (* Build CSC storage straight from the term lists — no
-           densification.  [t.rows] is reversed, so row [k] of the list
-           is constraint [nrows - 1 - k]; duplicate terms may produce
-           duplicate (row, coef) entries, which the solver sums. *)
-        let m = t.nrows in
-        let srhs = Array.make m 0.0 in
+  let compute () =
+    match choice with
+    | `Sparse -> (
+        (* CSC storage straight from the term lists, never densified.
+           [t.rows] is reversed, so row [k] of the list is constraint
+           [m - 1 - k]; duplicate terms give duplicate (row, coef)
+           entries, which the solver sums. *)
+        let rhs = Array.make m 0.0 in
         let cols = Array.make n [] in
         List.iteri
-          (fun k (terms, _, rhs) ->
+          (fun k (terms, b) ->
             let i = m - 1 - k in
-            let const = ref 0.0 in
-            List.iter
-              (fun (coef, v) ->
-                match mapping.(v) with
-                | Shift (j, off) ->
-                    cols.(j) <- (i, coef) :: cols.(j);
-                    const := !const +. (coef *. off)
-                | Split _ -> assert false)
-              terms;
-            srhs.(i) <- rhs -. !const)
+            List.iter (fun (coef, v) -> cols.(v) <- (i, coef) :: cols.(v)) terms;
+            rhs.(i) <- b)
           t.rows;
-        (match
-           Sparse.solve ?eps ?max_iters ?metrics ~c ~upper:(native_upper ()) ~rhs:srhs ~cols ()
-         with
-        | Sparse.Optimal { objective; solution } -> Simplex.Optimal { objective; solution }
-        | Sparse.Unbounded -> Simplex.Unbounded
-        | Sparse.Iteration_limit -> Simplex.Iteration_limit)
-    | `Bounded ->
-        let brows =
+        match Sparse.solve ?eps ?max_iters ?metrics ~c ~upper ~rhs ~cols () with
+        | Sparse.Optimal { solution; _ } -> `Optimal solution
+        | Sparse.Unbounded -> `Unbounded
+        | Sparse.Iteration_limit -> `Iteration_limit)
+    | `Bounded -> (
+        let rows =
           List.rev_map
-            (fun (terms, _, rhs) ->
-              let coefs, const = expand terms in
-              (coefs, rhs -. const))
+            (fun (terms, b) ->
+              let coefs = Array.make n 0.0 in
+              List.iter (fun (coef, v) -> coefs.(v) <- coefs.(v) +. coef) terms;
+              (coefs, b))
             t.rows
         in
-        (match Bounded.solve ?eps ?max_iters ?metrics ~c ~upper:(native_upper ()) ~rows:brows () with
-        | Bounded.Optimal { objective; solution } -> Simplex.Optimal { objective; solution }
-        | Bounded.Unbounded -> Simplex.Unbounded
-        | Bounded.Iteration_limit -> Simplex.Iteration_limit)
-    | `Dense ->
-        let rows = ref [] in
-        List.iter
-          (fun (terms, sense, rhs) ->
-            let coefs, const = expand terms in
-            rows := (coefs, sense, rhs -. const) :: !rows)
-          t.rows;
-        (* Finite upper bounds as explicit rows. *)
-        Array.iteri
-          (fun i { ub; _ } ->
-            if ub < infinity then begin
-              let coefs, const = expand [ (1.0, i) ] in
-              rows := (coefs, Simplex.Le, ub -. const) :: !rows
-            end)
-          vars;
-        Simplex.solve ?eps ?max_iters ?metrics ~c ~rows:!rows ()
-    in
-    let solver_name =
-      match choice with `Sparse -> "sparse" | `Bounded -> "bounded" | `Dense -> "dense"
-    in
-    (* Latency histogram per backend; the clock reads are gated so the
-       disabled path stays syscall-free. *)
-    let compute =
-      if Atomic.get Tin_obs.Obs.enabled then fun () ->
-        let t0 = Tin_util.Timer.now_ns () in
-        let outcome = compute () in
-        let dt_ms = Int64.to_float (Int64.sub (Tin_util.Timer.now_ns ()) t0) /. 1e6 in
-        Tin_obs.Obs.Histogram.observe (h_solve_ms solver_name) dt_ms;
-        outcome
-      else compute
-    in
-    (* Span args are only materialized when tracing is on: the disabled
-       path must not allocate. *)
+        match Bounded.solve ?eps ?max_iters ?metrics ~c ~upper ~rows () with
+        | Bounded.Optimal { solution; _ } -> `Optimal solution
+        | Bounded.Unbounded -> `Unbounded
+        | Bounded.Iteration_limit -> `Iteration_limit)
+  in
+  let solver_name = match choice with `Sparse -> "sparse" | `Bounded -> "bounded" in
+  (* Latency histogram per backend; the clock reads are gated so the
+     disabled path stays syscall-free. *)
+  let compute =
+    if Atomic.get Tin_obs.Obs.enabled then fun () ->
+      let t0 = Tin_util.Timer.now_ns () in
+      let outcome = compute () in
+      let dt_ms = Int64.to_float (Int64.sub (Tin_util.Timer.now_ns ()) t0) /. 1e6 in
+      Tin_obs.Obs.Histogram.observe (h_solve_ms solver_name) dt_ms;
+      outcome
+    else compute
+  in
+  (* Span args are only materialized when tracing is on: the disabled
+     path must not allocate. *)
+  let outcome =
     if Tin_obs.Obs.recording () then
       Tin_obs.Obs.Span.with_ "lp.solve"
-        ~args:
-          [
-            ("solver", solver_name); ("vars", string_of_int n); ("rows", string_of_int t.nrows);
-          ]
+        ~args:[ ("solver", solver_name); ("vars", string_of_int n); ("rows", string_of_int m) ]
         compute
     else compute ()
   in
   match outcome with
-  | Simplex.Optimal { solution; _ } ->
+  | `Optimal solution ->
       let value v =
-        if v < 0 || v >= nv then invalid_arg "Problem.solution.value: unknown variable"
-        else
-          match mapping.(v) with
-          | Shift (j, off) -> solution.(j) +. off
-          | Split (jp, jm) -> solution.(jp) -. solution.(jm)
+        if v < 0 || v >= n then invalid_arg "Problem.solution.value: unknown variable"
+        else solution.(v)
       in
-      let objective =
-        Array.to_list (Array.mapi (fun i { obj; _ } -> obj *. value i) vars)
-        |> List.fold_left ( +. ) 0.0
-      in
-      ignore !obj_const;
-      { status = `Optimal; objective; value }
-  | Simplex.Infeasible -> { status = `Infeasible; objective = 0.0; value = (fun _ -> 0.0) }
-  | Simplex.Unbounded -> { status = `Unbounded; objective = 0.0; value = (fun _ -> 0.0) }
-  | Simplex.Iteration_limit ->
-      { status = `Iteration_limit; objective = 0.0; value = (fun _ -> 0.0) }
+      let objective = ref 0.0 in
+      for j = 0 to n - 1 do
+        objective := !objective +. (c.(j) *. solution.(j))
+      done;
+      { status = `Optimal; objective = !objective; value }
+  | (`Unbounded | `Iteration_limit) as status -> { status; objective = 0.0; value = (fun _ -> 0.0) }

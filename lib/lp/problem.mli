@@ -1,16 +1,16 @@
-(** Linear-programming front end.
+(** Builder for the paper's maximum-flow LP (Section 4.2.1, Eqs. 1–3).
 
     A mutable problem builder in the style of classic LP libraries
-    (the paper's implementation used lpsolve): create variables with
-    bounds and objective coefficients, add linear constraints, then
-    {!solve}.  General bounds are reduced to the standard form expected
-    by {!Simplex}: positive lower bounds are shifted away, finite upper
-    bounds become rows, and free variables are split. *)
+    (the paper's implementation used lpsolve), restricted to the one
+    shape the flow LP has: maximize [c·x] subject to [A x ≤ b] with
+    [b ≥ 0] and [0 ≤ x_i ≤ u_i].  The origin is always feasible, so
+    both box-bounded solvers ({!Bounded}, {!Sparse}) take every problem
+    this builder accepts, and no solve can end infeasible. *)
 
 type t
 type var
 
-type status = [ `Optimal | `Infeasible | `Unbounded | `Iteration_limit ]
+type status = [ `Optimal | `Unbounded | `Iteration_limit ]
 
 type solution = {
   status : status;
@@ -19,40 +19,31 @@ type solution = {
       (** Optimal value of a variable; [0.] unless [`Optimal]. *)
 }
 
-type direction = Maximize | Minimize
+val create : unit -> t
+(** Fresh maximization problem. *)
 
-val create : ?direction:direction -> unit -> t
-(** Fresh problem; default direction is [Maximize]. *)
-
-val add_var : ?lb:float -> ?ub:float -> ?obj:float -> ?name:string -> t -> var
-(** New variable with bounds [\[lb, ub\]] (defaults [0., infinity]) and
-    objective coefficient [obj] (default [0.]).  [lb] may be
-    [neg_infinity] (free variable) and [ub] [infinity].
-    @raise Invalid_argument if [lb > ub] or called after {!solve}. *)
+val add_var : ?ub:float -> ?obj:float -> t -> var
+(** New variable with bounds [\[0, ub\]] ([ub] defaults to [infinity])
+    and objective coefficient [obj] (default [0.]).
+    @raise Invalid_argument if [ub] is negative or NaN, [obj] is NaN,
+    or the problem was already solved. *)
 
 val add_le : t -> (float * var) list -> float -> unit
 (** [add_le p terms rhs] adds [Σ coef·var ≤ rhs].  Repeated variables
-    in [terms] are summed. *)
-
-val add_ge : t -> (float * var) list -> float -> unit
-val add_eq : t -> (float * var) list -> float -> unit
+    in [terms] are summed.
+    @raise Invalid_argument if [rhs] is negative or NaN, a variable is
+    unknown, or the problem was already solved. *)
 
 val n_vars : t -> int
 val n_constraints : t -> int
 
-val var_name : t -> var -> string
-
-type solver = [ `Auto | `Dense | `Bounded | `Sparse ]
-(** [`Dense] is the two-phase row simplex ({!Simplex}: any
-    constraints); [`Bounded] the bounded-variable simplex
-    ({!Bounded}: only [≤] rows feasible at the lower-bound origin,
-    but upper bounds cost no extra rows); [`Sparse] the
-    bounded-variable {e revised} simplex ({!Sparse}: same shape as
-    [`Bounded], but column-wise sparse storage built straight from the
-    term lists and an eta-file basis inverse — no tableau).  [`Auto]
-    picks [`Dense] when the shape demands it, [`Sparse] when the
-    constraint matrix is large ([rows × cols ≥ 4096]) and sparse
-    (density ≤ 0.25), and [`Bounded] otherwise. *)
+type solver = [ `Auto | `Bounded | `Sparse ]
+(** [`Bounded] is the bounded-variable simplex on a dense tableau
+    ({!Bounded}); [`Sparse] the bounded-variable {e revised} simplex
+    ({!Sparse}: column-wise sparse storage built straight from the
+    term lists and an eta-file basis inverse, no tableau).  [`Auto]
+    picks [`Sparse] when the constraint matrix has
+    [rows × cols ≥ 4096] cells and [`Bounded] otherwise. *)
 
 val solve :
   ?solver:solver -> ?eps:float -> ?max_iters:int -> ?metrics:Solver_metrics.t -> t -> solution
@@ -60,8 +51,6 @@ val solve :
 
     [metrics] accumulates the backend's work counts (iterations,
     pivots, bound flips, refactorizations) into the given record; the
-    same counts always feed the [lp.*] observability counters, and the
+    same counts always feed the [lp_*] observability counters, and the
     whole call is wrapped in an ["lp.solve"] span (with solver, vars
-    and rows args) when {!Tin_obs.Obs} tracing is enabled.
-    @raise Invalid_argument if [`Bounded] or [`Sparse] is forced on a
-    problem outside its shape. *)
+    and rows args) when {!Tin_obs.Obs} tracing is enabled. *)

@@ -1,10 +1,8 @@
 type t = {
   mutable iterations : int;
-  mutable phase1_iterations : int;
   mutable pivots : int;
   mutable bound_flips : int;
   mutable refactorizations : int;
 }
 
-let create () =
-  { iterations = 0; phase1_iterations = 0; pivots = 0; bound_flips = 0; refactorizations = 0 }
+let create () = { iterations = 0; pivots = 0; bound_flips = 0; refactorizations = 0 }

@@ -64,7 +64,7 @@ module Counter : sig
   (** A labeled counter family: one metric name, one fixed label key
       list, one time series per label-value combination — the
       Prometheus data model.  [lp_pivots{solver="sparse"}] and
-      [lp_pivots{solver="dense"}] are two counters of one family. *)
+      [lp_pivots{solver="bounded"}] are two counters of one family. *)
 
   val make_labeled : string -> labels:string list -> family
   (** [make_labeled name ~labels] registers (or finds) the family.

@@ -14,7 +14,7 @@ type policy = {
           consistency.  Default [1e-6]. *)
   pivot_eps : float;
       (** Simplex pivot/zero tolerance used inside the LP solvers
-          ([Tin_lp.Simplex]/[Bounded]/[Sparse]).  Default [1e-9]. *)
+          ([Tin_lp.Bounded]/[Sparse]).  Default [1e-9]. *)
   path_eps : float;
       (** Augmenting-path residual threshold of the static max-flow
           algorithms and the flow decomposition.  Default [1e-12]. *)

@@ -136,7 +136,7 @@ let audit ~eps ~what ~source ~sink ~value transfers add =
 (* --- the differential check ----------------------------------------- *)
 
 let lp_solvers : (string * Tin_lp.Problem.solver) list =
-  [ ("lp:dense", `Dense); ("lp:bounded", `Bounded); ("lp:sparse", `Sparse) ]
+  [ ("lp:bounded", `Bounded); ("lp:sparse", `Sparse) ]
 
 let te_algos : (string * [ `Dinic | `Edmonds_karp | `Push_relabel ]) list =
   [ ("te:dinic", `Dinic); ("te:edmonds-karp", `Edmonds_karp); ("te:push-relabel", `Push_relabel) ]
@@ -200,10 +200,7 @@ let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
             match Lp_flow.solve_detailed ~solver ~eps:policy.Fcmp.pivot_eps g ~source ~sink with
             | Error e ->
                 failwith
-                  (match e with
-                  | `Unbounded -> "unbounded"
-                  | `Infeasible -> "infeasible"
-                  | `Iteration_limit -> "iteration limit")
+                  (match e with `Unbounded -> "unbounded" | `Iteration_limit -> "iteration limit")
             | Ok (value, assigns) ->
                 let transfers =
                   List.map

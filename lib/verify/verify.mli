@@ -2,10 +2,10 @@
 
     Given any TIN and a source/sink pair, {!check} runs every
     independent way this codebase can compute the flow — the greedy
-    scan, each LP solver variant, each static max-flow algorithm over
-    the time-expanded reduction, and the accelerated pipeline with its
-    preprocessing stages toggled on and off — and tests the full
-    invariant lattice relating them:
+    scan, both LP solvers (bounded tableau and sparse revised simplex),
+    each static max-flow algorithm over the time-expanded reduction,
+    and the accelerated pipeline with its preprocessing stages toggled
+    on and off — and tests the full invariant lattice relating them:
 
     - all maximum-flow oracles agree pairwise within the shared
       tolerance policy ({!Tin_util.Fcmp.policy}[.flow_eps]);
@@ -67,7 +67,10 @@ type outcome = {
 val pp_discrepancy : Format.formatter -> discrepancy -> unit
 
 val oracle_names : string list
-(** Names of the built-in oracles, for reporting. *)
+(** Names of the 12 built-in oracles, for reporting: [greedy],
+    [lp:bounded], [lp:sparse], the three [te:*] algorithms,
+    [pipeline:pre], [pipeline:presim], [decomp] and the three
+    [prov:*] policies. *)
 
 val check :
   ?policy:Tin_util.Fcmp.policy ->

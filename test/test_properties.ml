@@ -44,21 +44,10 @@ let prop_dinic_eq_ek rng =
     (TE.max_flow ~algo:`Dinic g ~source ~sink)
     (TE.max_flow ~algo:`Edmonds_karp g ~source ~sink)
 
-let prop_lp_dense_eq_bounded rng =
-  (* The two simplex variants must agree on flow LPs (the ablation's
-     correctness premise). *)
-  let g, source, sink = Gen.random_dag rng in
-  let run solver =
-    match Lp_flow.solve ~solver g ~source ~sink with
-    | Ok v -> v
-    | Error _ -> QCheck.Test.fail_report "LP solver failure"
-  in
-  Fcmp.approx_eq ~eps (run `Dense) (run `Bounded)
-
 let prop_all_simplex_variants_eq_dinic rng =
-  (* All three simplex variants (dense two-phase, bounded tableau,
-     sparse revised) and the time-expanded Dinic oracle must agree to
-     1e-6 on random DAG flow problems. *)
+  (* Both simplex variants (bounded tableau, sparse revised) and the
+     time-expanded Dinic oracle must agree to 1e-6 on random DAG flow
+     problems. *)
   let g, source, sink = Gen.random_dag rng in
   let run solver =
     match Lp_flow.solve ~solver g ~source ~sink with
@@ -68,7 +57,7 @@ let prop_all_simplex_variants_eq_dinic rng =
   let oracle = TE.max_flow g ~source ~sink in
   List.for_all
     (fun solver -> Fcmp.approx_eq ~eps:1e-6 oracle (run solver))
-    [ `Dense; `Bounded; `Sparse ]
+    [ `Bounded; `Sparse ]
 
 let prop_push_relabel_eq_dinic rng =
   let g, source, sink = Gen.random_digraph rng in
@@ -244,9 +233,7 @@ let () =
           Check.seeded_property "push-relabel = Dinic" prop_push_relabel_eq_dinic;
           Check.seeded_property ~count:80 "push-relabel = Dinic (larger)"
             prop_push_relabel_eq_dinic_larger;
-          Check.seeded_property "LP dense simplex = bounded simplex" prop_lp_dense_eq_bounded;
-          Check.seeded_property "dense/bounded/sparse simplex = Dinic"
-            prop_all_simplex_variants_eq_dinic;
+          Check.seeded_property "bounded/sparse simplex = Dinic" prop_all_simplex_variants_eq_dinic;
           Check.seeded_property "Pre/PreSim = LP" prop_pre_and_presim_agree_with_lp;
         ] );
       ( "reductions",

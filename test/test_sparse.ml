@@ -9,6 +9,7 @@ module Problem = Tin_lp.Problem
 module Lp_flow = Tin_core.Lp_flow
 module Prng = Tin_util.Prng
 module Fcmp = Tin_util.Fcmp
+module Obs = Tin_obs.Obs
 
 let check_opt ~expected_obj ?(expected = []) outcome =
   match outcome with
@@ -145,19 +146,56 @@ let test_problem_sparse_route () =
   Alcotest.(check (float 1e-6)) "x" 2.0 (s.Problem.value x);
   Alcotest.(check (float 1e-6)) "y" 6.0 (s.Problem.value y)
 
-let test_problem_sparse_shape_rejected () =
+(* The builder enforces the box solvers' shape when a variable or row
+   is added, so a forced [`Sparse] never meets a problem it cannot
+   take.  The boundary values a flow LP produces are in shape: a
+   zero-quantity interaction (ub = 0) and a buffer row of a vertex that
+   has received nothing yet (rhs = 0).  Anything below zero is refused
+   before the solve. *)
+let test_problem_sparse_shape () =
   let p = Problem.create () in
-  let x = Problem.add_var ~obj:1.0 p in
-  Problem.add_ge p [ (1.0, x) ] 2.0;
-  try
-    ignore (Problem.solve ~solver:`Sparse p);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
+  let x = Problem.add_var ~ub:0.0 ~obj:1.0 p in
+  let y = Problem.add_var ~ub:5.0 ~obj:1.0 p in
+  Problem.add_le p [ (1.0, y); (-1.0, x) ] 0.0;
+  (try
+     ignore (Problem.add_var ~ub:(-1e-300) p);
+     Alcotest.fail "negative ub accepted"
+   with Invalid_argument _ -> ());
+  (try
+     Problem.add_le p [ (1.0, y) ] (-1e-300);
+     Alcotest.fail "negative rhs accepted"
+   with Invalid_argument _ -> ());
+  let s = Problem.solve ~solver:`Sparse p in
+  Alcotest.(check bool) "optimal" true (s.Problem.status = `Optimal);
+  Alcotest.(check (float 0.0)) "objective" 0.0 s.Problem.objective
 
-(* A chain flow LP big and sparse enough that [`Auto] routes to the
-   sparse solver (rows × cols >= 4096, density well under 0.25): 10
-   vertices, 30 distinct-time interactions per edge.  Cross-check the
-   auto-routed value against the forced dense simplex. *)
+(* The solver [`Auto] picked, read off the per-solver [lp_iters]
+   counters: only the chosen backend's counter moves. *)
+let auto_route g ~source ~sink =
+  let iters solver =
+    Obs.Counter.(value (labeled (make_labeled "lp_iters" ~labels:[ "solver" ]) [ solver ]))
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let v = Fun.protect ~finally:Obs.disable (fun () -> Lp_flow.solve g ~source ~sink) in
+  let route =
+    match (iters "bounded", iters "sparse") with
+    | b, 0 when b > 0 -> "bounded"
+    | 0, s when s > 0 -> "sparse"
+    | b, s -> Alcotest.failf "no single route: bounded=%d sparse=%d iterations" b s
+  in
+  Obs.reset ();
+  match v with Ok v -> (v, route) | Error _ -> Alcotest.fail "solver failure"
+
+let lp_value solver g ~source ~sink =
+  match Lp_flow.solve ~solver g ~source ~sink with
+  | Ok v -> v
+  | Error _ -> Alcotest.fail "solver failure"
+
+(* A chain flow LP large enough that [`Auto] routes to the sparse
+   solver (rows × cols >= 4096): 10 vertices, 30 distinct-time
+   interactions per edge.  The route is asserted, and the value
+   checked against both forced solvers. *)
 let test_auto_routes_large_flow_lp () =
   let g = ref Graph.empty in
   for v = 0 to 8 do
@@ -171,18 +209,42 @@ let test_auto_routes_large_flow_lp () =
   done;
   let g = !g and source = 0 and sink = 9 in
   let lp = Lp_flow.build g ~source ~sink in
-  let rows = Tin_lp.Problem.n_constraints lp.Lp_flow.problem in
-  let cells = rows * lp.Lp_flow.n_vars in
+  let cells = Problem.n_constraints lp.Lp_flow.problem * lp.Lp_flow.n_vars in
   Alcotest.(check bool)
     (Printf.sprintf "instance large enough for the sparse route (%d cells)" cells)
     true (cells >= 4096);
-  let run solver =
-    match Lp_flow.solve ~solver g ~source ~sink with
-    | Ok v -> v
-    | Error _ -> Alcotest.fail "solver failure"
+  let v, route = auto_route g ~source ~sink in
+  Alcotest.(check string) "route" "sparse" route;
+  let bounded = lp_value `Bounded g ~source ~sink in
+  Alcotest.(check (float 1e-6)) "auto = bounded" bounded v;
+  Alcotest.(check (float 1e-6)) "sparse = bounded" bounded (lp_value `Sparse g ~source ~sink)
+
+(* source -> relay -> sink with [k] interactions per edge, interleaved
+   in time, so the relay's buffer row at its i-th send repeats all i
+   earlier relay variables: k variables, k rows, k(k+1)/2 nonzeros. *)
+let relay_graph k =
+  let edge first qty =
+    List.init k (fun i -> Interaction.make ~time:(float_of_int ((2 * i) + first)) ~qty:(qty i))
   in
-  Alcotest.(check (float 1e-6)) "auto = dense" (run `Dense) (run `Auto);
-  Alcotest.(check (float 1e-6)) "sparse = dense" (run `Dense) (run `Sparse)
+  let g = Graph.add_edge Graph.empty ~src:0 ~dst:1 (edge 0 (fun i -> float_of_int (1 + (i mod 5)))) in
+  Graph.add_edge g ~src:1 ~dst:2 (edge 1 (fun _ -> 3.0))
+
+(* [`Auto] routes on size alone: a flow LP of 4096 cells goes to
+   [`Sparse] although its density is about 0.5, and one under 4096
+   cells goes to [`Bounded]. *)
+let test_auto_routes_on_size () =
+  let route_of k =
+    let g = relay_graph k and source = 0 and sink = 2 in
+    let lp = Lp_flow.build g ~source ~sink in
+    Alcotest.(check (pair int int)) "k vars, k rows" (k, k) (lp.Lp_flow.n_vars, lp.Lp_flow.n_rows);
+    let v, route = auto_route g ~source ~sink in
+    List.iter
+      (fun solver -> Alcotest.(check (float 1e-6)) "auto = forced" (lp_value solver g ~source ~sink) v)
+      [ `Bounded; `Sparse ];
+    route
+  in
+  Alcotest.(check string) "64 x 64 cells, density 65/128" "sparse" (route_of 64);
+  Alcotest.(check string) "8 x 8 cells" "bounded" (route_of 8)
 
 let () =
   Alcotest.run "sparse"
@@ -204,7 +266,8 @@ let () =
       ( "problem",
         [
           Alcotest.test_case "`Sparse route" `Quick test_problem_sparse_route;
-          Alcotest.test_case "shape rejection" `Quick test_problem_sparse_shape_rejected;
+          Alcotest.test_case "shape rejection" `Quick test_problem_sparse_shape;
           Alcotest.test_case "`Auto routes large flow LP" `Quick test_auto_routes_large_flow_lp;
+          Alcotest.test_case "`Auto routes on size alone" `Quick test_auto_routes_on_size;
         ] );
     ]

@@ -65,7 +65,7 @@ let prop_lp_solvers_agree rng =
   let reference = TE.max_flow g ~source ~sink in
   List.for_all
     (fun solver -> Fcmp.approx_eq ~eps (lp_value solver g ~source ~sink) reference)
-    [ `Dense; `Bounded; `Sparse ]
+    [ `Bounded; `Sparse ]
 
 let prop_te_algos_agree rng =
   let c = VGen.case rng in

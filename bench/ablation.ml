@@ -57,18 +57,16 @@ let delta_ablation datasets =
     List.map
       (fun d ->
         let net = d.Workload.net in
-        let n = Static.n_vertices net in
+        let n = Compact.n_vertices net in
         let additions =
           List.init 100 (fun _ ->
               let s = Prng.int rng n and t = Prng.int rng n in
               let t = if t = s then (t + 1) mod n else t in
-              ( Static.label net s,
-                Static.label net t,
-                [
-                  Interaction.make
-                    ~time:(Prng.float rng 1_000_000.0)
-                    ~qty:(Prng.log_normal rng ~mu:1.0 ~sigma:1.0);
-                ] ))
+              ( Compact.label net s,
+                Compact.label net t,
+                Interaction.make
+                  ~time:(Prng.float rng 1_000_000.0)
+                  ~qty:(Prng.log_normal rng ~mu:1.0 ~sigma:1.0) ))
         in
         let state, init_ms =
           Timer.time_ms (fun () -> Tin_patterns.Delta.create net)

@@ -44,8 +44,8 @@ let time_best ~reps f =
 
 let measure ~reps (d : Workload.dataset) =
   let name = d.Workload.spec.Tin_datasets.Spec.name in
-  let g = Static.to_graph d.Workload.net in
-  let c0 = Compact.of_graph g in
+  let c0 = d.Workload.net in
+  let g = Compact.to_graph c0 in
   let csv = Filename.temp_file "tinflow_load" ".csv" in
   let snap = Filename.temp_file "tinflow_load" ".tinb" in
   Fun.protect

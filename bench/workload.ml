@@ -43,7 +43,7 @@ let quick =
 
 type dataset = {
   spec : Spec.t;
-  net : Static.t;
+  net : Compact.t;
   problems : Extract.problem list;
   table_id : int; (* paper table number for flow experiments *)
   pattern_table_id : int;

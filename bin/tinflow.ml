@@ -895,7 +895,7 @@ let generate_cmd =
         | `Prosper -> Tin_datasets.Spec.prosper)
     in
     let net = Tin_datasets.Generator.generate ~seed spec in
-    Io.save_csv out (Static.to_graph net);
+    Io.save_csv out (Compact.to_graph net);
     let s = Tin_datasets.Generator.stats net in
     Printf.printf "wrote %s: %d vertices, %d edges, %d interactions\n" out
       s.Tin_datasets.Generator.n_vertices s.Tin_datasets.Generator.n_edges

@@ -52,7 +52,7 @@ let () =
   Table.print ~title:"Top accounts by aggregated round-trip flow (<= 3 hops)"
     ~header:[ "Account"; "Round-trip flow (B)" ]
     (List.map
-       (fun (a, f) -> [ string_of_int (Static.label net a); Table.fmt_flow f ])
+       (fun (a, f) -> [ string_of_int (Compact.label net a); Table.fmt_flow f ])
        top);
 
   (* Deep-dive on the top suspect: exact maximum flow through the

@@ -70,4 +70,4 @@ let () =
   in
   Table.print ~title:"Users with the largest round-trip loan flow"
     ~header:[ "User"; "Round-trip $" ]
-    (List.map (fun (a, f) -> [ string_of_int (Static.label net a); Table.fmt_flow f ]) ranked)
+    (List.map (fun (a, f) -> [ string_of_int (Compact.label net a); Table.fmt_flow f ]) ranked)

@@ -21,13 +21,13 @@ module Table = Tin_util.Table
 (* Union of all simple paths (<= 3 hops) from [src] to [dst]. *)
 let path_subgraph net ~src ~dst =
   let edges = ref [] in
-  Static.iter_succs net src (fun a e1 ->
+  Compact.iter_succs net src (fun a e1 ->
       if a = dst then edges := [ e1 ] :: !edges
       else
-        Static.iter_succs net a (fun b e2 ->
+        Compact.iter_succs net a (fun b e2 ->
             if b = dst && a <> src then edges := [ e1; e2 ] :: !edges
             else if b <> src && b <> a then
-              Static.iter_succs net b (fun c e3 ->
+              Compact.iter_succs net b (fun c e3 ->
                   if c = dst then edges := [ e1; e2; e3 ] :: !edges)));
   List.concat !edges
 
@@ -39,9 +39,9 @@ let () =
     stats.Generator.n_vertices stats.Generator.n_edges stats.Generator.n_interactions;
 
   (* The two busiest hosts (highest total degree). *)
-  let n = Static.n_vertices net in
+  let n = Compact.n_vertices net in
   let by_degree =
-    List.init n (fun v -> (v, Static.out_degree net v + Static.in_degree net v))
+    List.init n (fun v -> (v, Compact.out_degree net v + Compact.in_degree net v))
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
   (* Skip the very hottest hubs: their 3-hop neighbourhood is most of
@@ -53,9 +53,9 @@ let () =
       let eids = path_subgraph net ~src:c2 ~dst:exfil in
       if eids = [] then print_endline "No short path between them; nothing to analyse."
       else begin
-        let g = Static.edges_to_graph net eids in
-        let g = Topo.dagify g ~root:(Static.label net c2) in
-        let source = Static.label net c2 and sink = Static.label net exfil in
+        let g = Compact.edges_to_graph net eids in
+        let g = Topo.dagify g ~root:(Compact.label net c2) in
+        let source = Compact.label net c2 and sink = Compact.label net exfil in
         Printf.printf "Sub-network on <=3-hop paths: %d hosts, %d edges, %d transfers\n\n"
           (Graph.n_vertices g) (Graph.n_edges g) (Graph.n_interactions g);
         let greedy = Tin_core.Greedy.flow g ~source ~sink in
@@ -79,12 +79,12 @@ let () =
       in
       let eids = List.concat_map (fun b -> path_subgraph net ~src:b ~dst:exfil) bots in
       if eids <> [] then begin
-        let g = Static.edges_to_graph net eids in
+        let g = Compact.edges_to_graph net eids in
         (* Wire every bot to one super-source, exactly like the
            synthetic-source construction of the paper's Figure 4: a
            single interaction at time -inf with infinite quantity. *)
         let bots_labels =
-          List.map (Static.label net) bots |> List.filter (Graph.mem_vertex g)
+          List.map (Compact.label net) bots |> List.filter (Graph.mem_vertex g)
         in
         let super = 1 + List.fold_left max 0 (Graph.vertices g) in
         let g =
@@ -96,9 +96,9 @@ let () =
         in
         let g = Topo.dagify g ~root:super in
         Printf.printf "Botnet-wide: flow from %d suspected bots into host %d: %s bytes\n"
-          (List.length bots_labels) (Static.label net exfil)
+          (List.length bots_labels) (Compact.label net exfil)
           (Table.fmt_flow
              (Pipeline.compute Pipeline.Time_expanded g ~source:super
-                ~sink:(Static.label net exfil)))
+                ~sink:(Compact.label net exfil)))
       end
   | _ -> print_endline "Network too small."

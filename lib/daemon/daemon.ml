@@ -136,7 +136,7 @@ let create ?(base = Graph.empty) ?(on_alert = fun _ -> ()) config =
       dirty = false;
       stream_last = neg_infinity;
       evict_from = neg_infinity;
-      delta = Delta.create ~with_chains (Static.of_graph base);
+      delta = Delta.create ~with_chains (Compact.of_graph base);
       pending = [];
       since_tick = 0;
       accepted = 0;
@@ -180,15 +180,7 @@ let tick_locked t =
   Obs.Span.with_ "serve.tick" @@ fun () ->
   rebuild t;
   if t.pending <> [] then begin
-    (* Delta.apply wants one addition per directed pair. *)
-    let by_pair = Hashtbl.create 16 in
-    List.iter
-      (fun (s, d, i) ->
-        let prev = Option.value ~default:[] (Hashtbl.find_opt by_pair (s, d)) in
-        Hashtbl.replace by_pair (s, d) (i :: prev))
-      t.pending;
-    let additions = Hashtbl.fold (fun (s, d) is acc -> (s, d, is) :: acc) by_pair [] in
-    t.delta <- Delta.apply t.delta ~additions;
+    t.delta <- Delta.apply t.delta ~additions:t.pending;
     t.pending <- []
   end;
   t.since_tick <- 0;

@@ -12,14 +12,14 @@ let cycle_edges net ~seed =
   (* Edge ids of every 2-hop (seed→a→seed) and 3-hop (seed→a→b→seed)
      cycle through the seed. *)
   let acc = ref [] in
-  Static.iter_succs net seed (fun a e_sa ->
+  Compact.iter_succs net seed (fun a e_sa ->
       if a <> seed then begin
-        (match Static.find_edge net ~src:a ~dst:seed with
+        (match Compact.find_edge net ~src:a ~dst:seed with
         | Some e_as -> acc := e_sa :: e_as :: !acc
         | None -> ());
-        Static.iter_succs net a (fun b e_ab ->
+        Compact.iter_succs net a (fun b e_ab ->
             if b <> seed && b <> a then
-              match Static.find_edge net ~src:b ~dst:seed with
+              match Compact.find_edge net ~src:b ~dst:seed with
               | Some e_bs -> acc := e_sa :: e_ab :: e_bs :: !acc
               | None -> ())
       end);
@@ -38,13 +38,13 @@ let subgraph_of_seed net ~seed ~max_interactions =
         (fun e ->
           if not (Hashtbl.mem seen e) then begin
             Hashtbl.add seen e ();
-            count := !count + Array.length (Static.interactions net e)
+            count := !count + Compact.edge_n_inter net e
           end)
         eids;
       if !count > max_interactions then None
       else begin
-        let merged = Static.edges_to_graph net eids in
-        let seed_label = Static.label net seed in
+        let merged = Compact.edges_to_graph net eids in
+        let seed_label = Compact.label net seed in
         let ep = Endpoints.split merged ~vertex:seed_label in
         (* Interior back edges (e.g. both a→b and b→a were on cycles)
            would make the DAG passes inapplicable: drop them. *)
@@ -61,7 +61,7 @@ let subgraph_of_seed net ~seed ~max_interactions =
 
 let extract ?(max_interactions = 2000) ?(max_subgraphs = max_int) net =
   let out = ref [] and count = ref 0 in
-  let n = Static.n_vertices net in
+  let n = Compact.n_vertices net in
   let v = ref 0 in
   while !count < max_subgraphs && !v < n do
     (match subgraph_of_seed net ~seed:!v ~max_interactions with

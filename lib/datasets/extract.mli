@@ -18,18 +18,22 @@ type problem = {
   n_interactions : int;
 }
 
-val subgraph_of_seed : Static.t -> seed:Static.vertex -> max_interactions:int -> problem option
+val subgraph_of_seed : Compact.t -> seed:Compact.vertex -> max_interactions:int -> problem option
 (** [None] when the seed lies on no short cycle or the subgraph is too
-    large. *)
+    large.  The network must have no self-loops ({!Io.load}
+    guarantees it). *)
 
 val extract :
   ?max_interactions:int ->
   ?max_subgraphs:int ->
-  Static.t ->
+  Compact.t ->
   problem list
-(** All seed subgraphs of the network, in increasing seed order
-    (deterministic).  Defaults: [max_interactions = 2000] (scaled-down
-    counterpart of the paper's 10K cap), [max_subgraphs = max_int]. *)
+(** All seed subgraphs of the network, in increasing seed order —
+    {!Compact} ids are label ranks, so seeds come in increasing label
+    order and [max_subgraphs] keeps the lowest-label seeds whether the
+    network came from CSV or from a snapshot.  Defaults:
+    [max_interactions = 2000] (scaled-down counterpart of the paper's
+    10K cap), [max_subgraphs = max_int]. *)
 
 type summary = {
   n_subgraphs : int;

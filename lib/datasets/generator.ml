@@ -99,19 +99,20 @@ let generate ~seed spec =
         edges := (v, !dst, interaction_batch rng spec ~n:1) :: !edges
       end)
     touched;
-  Static.of_list !edges
+  Compact.of_entries
+    (List.concat_map (fun (s, d, is) -> List.map (fun i -> (s, d, i)) is) !edges)
 
 type stats = { n_vertices : int; n_edges : int; n_interactions : int; avg_qty : float }
 
 let stats net =
   let total = ref 0.0 in
-  for e = 0 to Static.n_edges net - 1 do
-    total := !total +. Static.edge_total_qty net e
+  for e = 0 to Compact.n_edges net - 1 do
+    total := !total +. Compact.edge_total_qty net e
   done;
-  let ni = Static.n_interactions net in
+  let ni = Compact.n_interactions net in
   {
-    n_vertices = Static.n_vertices net;
-    n_edges = Static.n_edges net;
+    n_vertices = Compact.n_vertices net;
+    n_edges = Compact.n_edges net;
     n_interactions = ni;
     avg_qty = (if ni = 0 then 0.0 else !total /. float_of_int ni);
   }

@@ -6,8 +6,9 @@
     time-increasing interactions (so that cyclic flow is realisable,
     not just structural), and log-normal quantities. *)
 
-val generate : seed:int -> Spec.t -> Static.t
-(** Same seed, same spec ⇒ identical network. *)
+val generate : seed:int -> Spec.t -> Compact.t
+(** Same seed, same spec ⇒ identical network.  Vertices are labelled
+    [0 .. n_vertices - 1], so a vertex's id equals its label. *)
 
 type stats = {
   n_vertices : int;
@@ -16,4 +17,4 @@ type stats = {
   avg_qty : float;  (** Mean interaction quantity — Table 4's "avg. flow". *)
 }
 
-val stats : Static.t -> stats
+val stats : Compact.t -> stats

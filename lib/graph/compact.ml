@@ -193,22 +193,13 @@ let vertex_of_label t l = Hashtbl.find_opt t.label_index l
 let out_degree t v = t.out_off.(v + 1) - t.out_off.(v)
 let in_degree t v = t.in_off.(v + 1) - t.in_off.(v)
 
-let inter_src t k = t.inter_src.(k)
-let inter_dst t k = t.inter_dst.(k)
 let inter_time t k = Float.Array.get t.inter_time k
 let inter_qty t k = Float.Array.get t.inter_qty k
 
 let edge_src t e = t.edge_src.(e)
 let edge_dst t e = t.edge_dst.(e)
-let edge_inter_range t e = (t.edge_off.(e), t.edge_off.(e + 1))
 let edge_n_inter t e = t.edge_off.(e + 1) - t.edge_off.(e)
 let edge_inter t e k = t.by_edge.(t.edge_off.(e) + k)
-
-let iter_edge_inter t e f =
-  for k = t.edge_off.(e) to t.edge_off.(e + 1) - 1 do
-    let j = t.by_edge.(k) in
-    f (Float.Array.get t.inter_time j) (Float.Array.get t.inter_qty j)
-  done
 
 let edge_interactions t e =
   List.init (edge_n_inter t e) (fun k ->
@@ -247,12 +238,17 @@ let has_self_loops t =
   let rec go e = e < n_edges t && (t.edge_src.(e) = t.edge_dst.(e) || go (e + 1)) in
   go 0
 
-let total_qty t =
-  let acc = ref 0.0 in
-  for k = 0 to n_interactions t - 1 do
-    acc := !acc +. Float.Array.get t.inter_qty k
-  done;
-  !acc
+let edges_to_graph t eids =
+  let seen = Hashtbl.create 16 in
+  List.fold_left
+    (fun g e ->
+      if Hashtbl.mem seen e then g
+      else begin
+        Hashtbl.add seen e ();
+        Graph.add_edge g ~src:t.labels.(t.edge_src.(e)) ~dst:t.labels.(t.edge_dst.(e))
+          (edge_interactions t e)
+      end)
+    Graph.empty eids
 
 let to_graph t =
   let g = ref Graph.empty in

@@ -19,14 +19,19 @@
     increasing in the id, so iterating edges in id order visits them in
     the same order as {!Graph.iter_edges} visits raw labels.
 
-    [Compact] is the load and snapshot substrate: {!Snapshot} persists
-    it as [.tinb], and {!Io} reads snapshots through it into the
-    persistent {!Graph.t} the flow algorithms run on, or into the
-    pattern layer's {!Static} view.
+    [Compact] is the one compiled substrate.  {!Snapshot} persists it
+    as [.tinb]; {!Io} loads both formats into it; pattern search,
+    path tables and subgraph extraction browse its adjacency directly;
+    and {!to_graph}/{!edges_to_graph} hand (sub)networks to the flow
+    algorithms as a persistent {!Graph.t}.  Because ids are label
+    ranks, the same network gets the same ids, and hence the same
+    enumeration order, whether it was read from CSV or from a
+    snapshot.
 
     Unlike {!Graph.t}, the substrate tolerates self-loops (the binary
     snapshot format must round-trip arbitrary well-formed files);
-    {!to_graph} rejects them. *)
+    {!to_graph} and {!edges_to_graph} reject them, and {!Io.load}
+    refuses a network that has any. *)
 
 type vertex = int
 (** Compact vertex id in [[0, n_vertices)] — the rank of the vertex's
@@ -54,6 +59,11 @@ val to_graph : t -> Graph.t
     @raise Invalid_argument if the substrate contains a self-loop
     ({!Graph.t} cannot represent one). *)
 
+val edges_to_graph : t -> edge_id list -> Graph.t
+(** Persistent subgraph induced by a set of edges (raw labels);
+    duplicate ids are harmless.
+    @raise Invalid_argument on a self-loop edge. *)
+
 val equal : t -> t -> bool
 (** Structural equality: same labels and identical interaction columns
     (exact float comparison).  Because every constructor canonicalises
@@ -73,14 +83,11 @@ val vertex_of_label : t -> int -> vertex option
 val out_degree : t -> vertex -> int
 val in_degree : t -> vertex -> int
 val has_self_loops : t -> bool
-val total_qty : t -> float
 
 (** {1 Global interaction table}
 
     Index [k] ranges over [[0, n_interactions)] in scan order. *)
 
-val inter_src : t -> int -> vertex
-val inter_dst : t -> int -> vertex
 val inter_time : t -> int -> float
 val inter_qty : t -> int -> float
 
@@ -89,23 +96,15 @@ val inter_qty : t -> int -> float
 val edge_src : t -> edge_id -> vertex
 val edge_dst : t -> edge_id -> vertex
 
-val edge_inter_range : t -> edge_id -> int * int
-(** [(lo, hi)]: the edge's interactions are
-    [edge_inter t e k = by_edge.(lo + k)] for [lo + k < hi], in time
-    order. *)
-
 val edge_n_inter : t -> edge_id -> int
 
 val edge_inter : t -> edge_id -> int -> int
 (** [edge_inter t e k] is the global interaction index of the [k]-th
     (time-ordered) interaction of edge [e]. *)
 
-val iter_edge_inter : t -> edge_id -> (float -> float -> unit) -> unit
-(** [iter_edge_inter t e f] calls [f time qty] over the edge's
-    interactions in time order, without boxing. *)
-
 val edge_interactions : t -> edge_id -> Interaction.t list
-(** Boxed per-edge sequence (compatibility; allocates). *)
+(** Boxed per-edge sequence in time order (allocates; hot loops read
+    {!edge_inter} with {!inter_time}/{!inter_qty} instead). *)
 
 val edge_total_qty : t -> edge_id -> float
 

@@ -92,27 +92,10 @@ let parse_channel ?(file = "") ic =
   in
   go 1 [] 0
 
-let interactions_of_channel ic =
-  match parse_channel ic with Ok entries -> entries | Error e -> raise (Parse_error e)
-
-let group_entries entries =
-  let tbl = Hashtbl.create 1024 in
-  List.iter
-    (fun (s, d, i) ->
-      let existing = match Hashtbl.find_opt tbl (s, d) with Some l -> l | None -> [] in
-      Hashtbl.replace tbl (s, d) (i :: existing))
-    entries;
-  Hashtbl.fold (fun (s, d) is acc -> (s, d, is) :: acc) tbl []
-
 let graph_of_entries entries =
   List.fold_left
     (fun g (srcv, dstv, i) -> Graph.add_interaction g ~src:srcv ~dst:dstv i)
     Graph.empty entries
-
-let load_csv_result path =
-  In_channel.with_open_text path (fun ic ->
-      Result.map (fun entries -> Static.of_list (group_entries entries))
-        (parse_channel ~file:path ic))
 
 let load_csv_graph_result path =
   In_channel.with_open_text path (fun ic ->
@@ -120,7 +103,6 @@ let load_csv_graph_result path =
 
 let raise_on_error = function Ok x -> x | Error e -> raise (Parse_error e)
 
-let load_csv path = raise_on_error (load_csv_result path)
 let load_csv_graph path = raise_on_error (load_csv_graph_result path)
 
 (* --- format-agnostic loaders ---------------------------------------
@@ -142,24 +124,15 @@ let load_compact_result path =
     In_channel.with_open_text path (fun ic ->
         Result.map Compact.of_entries (parse_channel ~file:path ic))
 
+(* Only a snapshot can carry a self-loop: the CSV parser skips them. *)
 let load_result path =
-  if Snapshot.sniff path then
-    match Snapshot.load_result path with
-    | Error e -> Error (snapshot_error e)
-    | Ok c -> (
-        try Ok (Static.of_compact c)
-        with Invalid_argument _ ->
-          Error (structure_error path "snapshot contains self-loop interactions"))
-  else load_csv_result path
+  match load_compact_result path with
+  | Ok c when Compact.has_self_loops c ->
+      Error (structure_error path "snapshot contains self-loop interactions")
+  | r -> r
 
 let load_graph_result path =
-  if Snapshot.sniff path then
-    match Snapshot.load_result path with
-    | Error e -> Error (snapshot_error e)
-    | Ok c -> (
-        try Ok (Compact.to_graph c)
-        with Invalid_argument _ ->
-          Error (structure_error path "snapshot contains self-loop interactions"))
+  if Snapshot.sniff path then Result.map Compact.to_graph (load_result path)
   else load_csv_graph_result path
 
 let load path = raise_on_error (load_result path)

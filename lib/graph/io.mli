@@ -10,8 +10,9 @@
 
     The format-agnostic loaders ({!load}, {!load_graph},
     {!load_compact}) sniff the first four bytes and dispatch; the
-    [_csv_] variants parse CSV only.  [tinflow convert] produces
-    snapshots from CSV and vice versa.
+    [_csv_] variants parse CSV only.  Both formats compile to the same
+    {!Compact.t} — same vertex ids, same answers.  [tinflow convert]
+    produces snapshots from CSV and vice versa.
 
     The CSV parser is strict: every malformed row is reported with
     file, line and column; NaN, infinite and negative timestamps or
@@ -43,37 +44,30 @@ val parse_channel :
     counter), matching how the paper cleans its inputs.  [file] is only
     used in diagnostics. *)
 
-val interactions_of_channel : in_channel -> (int * int * Interaction.t) list
-(** Exception-raising wrapper of {!parse_channel}.
-    @raise Parse_error on malformed input. *)
-
-val load_csv_result : string -> (Static.t, error) result
-(** Loads a CSV file into a compiled network. *)
-
 val load_csv_graph_result : string -> (Graph.t, error) result
-
-val load_csv : string -> Static.t
-(** @raise Parse_error on malformed input. *)
 
 val load_csv_graph : string -> Graph.t
 (** @raise Parse_error on malformed input. *)
 
-val load_result : string -> (Static.t, error) result
-(** Format-agnostic load into a compiled network: [.tinb] snapshots by
-    magic sniffing ({!Snapshot.sniff}), CSV otherwise. *)
+val load_result : string -> (Compact.t, error) result
+(** Format-agnostic load of a network for pattern search and
+    extraction: {!load_compact_result}, except that a snapshot
+    containing self-loops is an error (the CSV parser skips them, and
+    the pattern layer and {!Compact.edges_to_graph} assume none). *)
 
 val load_graph_result : string -> (Graph.t, error) result
 (** Format-agnostic load into a persistent graph.  Snapshots containing
     self-loops (which {!Graph.t} cannot represent) are reported as
-    errors, matching the CSV parser's self-loop policy of skipping
-    being inapplicable to an already-compiled substrate. *)
+    errors, as in {!load_result}. *)
 
 val load_compact_result : string -> (Compact.t, error) result
 (** Format-agnostic load into the flat substrate — the cheapest target
     for both formats (snapshots deserialise straight into it; CSV
-    entries are compiled without building a persistent graph). *)
+    entries are compiled without building a persistent graph).
+    Self-loop snapshots load unchanged, so [tinflow convert]
+    round-trips them. *)
 
-val load : string -> Static.t
+val load : string -> Compact.t
 (** @raise Parse_error on malformed input (either format). *)
 
 val load_graph : string -> Graph.t

@@ -1,288 +1,5 @@
-type vertex = int
-type edge_id = int
+(* Alias of [Compact] for the benchmark sources that still name it;
+   new code uses [Compact]. *)
+include Compact
 
-type t = {
-  labels : int array;
-  label_index : (int, int) Hashtbl.t;
-  out_idx : int array;
-  (* out_dst.(k) / out_eid.(k) for k in [out_idx.(v), out_idx.(v+1)) *)
-  out_dst : int array;
-  out_eid : int array;
-  in_idx : int array;
-  in_src : int array;
-  in_eid : int array;
-  edge_src : int array;
-  edge_dst : int array;
-  (* Interaction columns: edge [e]'s sequence is the slice
-     [edge_ptr.(e), edge_ptr.(e + 1)) of the unboxed time/qty columns,
-     sorted by (time, qty).  Replaces the former boxed
-     [Interaction.t array array] — same contents, no per-interaction
-     allocation. *)
-  edge_ptr : int array;
-  inter_time : floatarray;
-  inter_qty : floatarray;
-}
-
-(* CSR rows over an edge list sorted by (src, dst): the out side fills
-   sequentially; the in side needs a counting pass and a per-row sort. *)
-let adjacency ~n ~edge_src ~edge_dst =
-  let m = Array.length edge_src in
-  let out_idx = Array.make (n + 1) 0 and in_idx = Array.make (n + 1) 0 in
-  Array.iter (fun s -> out_idx.(s + 1) <- out_idx.(s + 1) + 1) edge_src;
-  Array.iter (fun d -> in_idx.(d + 1) <- in_idx.(d + 1) + 1) edge_dst;
-  for v = 0 to n - 1 do
-    out_idx.(v + 1) <- out_idx.(v + 1) + out_idx.(v);
-    in_idx.(v + 1) <- in_idx.(v + 1) + in_idx.(v)
-  done;
-  let out_dst = Array.make m 0 and out_eid = Array.make m 0 in
-  let in_src = Array.make m 0 and in_eid = Array.make m 0 in
-  let out_pos = Array.copy out_idx and in_pos = Array.copy in_idx in
-  for eid = 0 to m - 1 do
-    let s = edge_src.(eid) and d = edge_dst.(eid) in
-    out_dst.(out_pos.(s)) <- d;
-    out_eid.(out_pos.(s)) <- eid;
-    out_pos.(s) <- out_pos.(s) + 1;
-    in_src.(in_pos.(d)) <- s;
-    in_eid.(in_pos.(d)) <- eid;
-    in_pos.(d) <- in_pos.(d) + 1
-  done;
-  (* Sort each in-row by source for determinism (out rows are already
-     sorted because edges were sorted by (src, dst)). *)
-  for v = 0 to n - 1 do
-    let lo = in_idx.(v) and hi = in_idx.(v + 1) in
-    let len = hi - lo in
-    if len > 1 then begin
-      let tmp = Array.init len (fun k -> (in_src.(lo + k), in_eid.(lo + k))) in
-      Array.sort compare tmp;
-      Array.iteri
-        (fun k (s, e) ->
-          in_src.(lo + k) <- s;
-          in_eid.(lo + k) <- e)
-        tmp
-    end
-  done;
-  (out_idx, out_dst, out_eid, in_idx, in_src, in_eid)
-
-let of_list edges =
-  List.iter (fun (s, d, _) -> if s = d then invalid_arg "Static.of_list: self-loop") edges;
-  (* Compact labels. *)
-  let label_index = Hashtbl.create 1024 in
-  let labels = ref [] in
-  let intern l =
-    match Hashtbl.find_opt label_index l with
-    | Some v -> v
-    | None ->
-        let v = Hashtbl.length label_index in
-        Hashtbl.add label_index l v;
-        labels := l :: !labels;
-        v
-  in
-  (* Merge duplicate (src, dst) pairs. *)
-  let merged = Hashtbl.create 1024 in
-  List.iter
-    (fun (s, d, is) ->
-      (* Intern source before destination so compact ids follow first
-         appearance in reading order (deterministic and intuitive). *)
-      let ks = intern s in
-      let kd = intern d in
-      let key = (ks, kd) in
-      let existing = match Hashtbl.find_opt merged key with Some l -> l | None -> [] in
-      Hashtbl.replace merged key (List.rev_append is existing))
-    edges;
-  let n = Hashtbl.length label_index in
-  let labels = Array.of_list (List.rev !labels) in
-  let m = Hashtbl.length merged in
-  let edge_src = Array.make m 0
-  and edge_dst = Array.make m 0
-  and edge_ptr = Array.make (m + 1) 0 in
-  let pairs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [] in
-  let pairs = List.sort (fun ((a, b), _) ((c, d), _) -> compare (a, b) (c, d)) pairs in
-  let sorted = Array.make m [||] in
-  let n_inter = ref 0 in
-  List.iteri
-    (fun eid ((s, d), is) ->
-      edge_src.(eid) <- s;
-      edge_dst.(eid) <- d;
-      let a = Array.of_list is in
-      Array.sort Interaction.compare a;
-      n_inter := !n_inter + Array.length a;
-      edge_ptr.(eid + 1) <- !n_inter;
-      sorted.(eid) <- a)
-    pairs;
-  let inter_time = Float.Array.create !n_inter and inter_qty = Float.Array.create !n_inter in
-  Array.iteri
-    (fun eid a ->
-      Array.iteri
-        (fun k i ->
-          Float.Array.set inter_time (edge_ptr.(eid) + k) (Interaction.time i);
-          Float.Array.set inter_qty (edge_ptr.(eid) + k) (Interaction.qty i))
-        a)
-    sorted;
-  let out_idx, out_dst, out_eid, in_idx, in_src, in_eid = adjacency ~n ~edge_src ~edge_dst in
-  {
-    labels;
-    label_index;
-    out_idx;
-    out_dst;
-    out_eid;
-    in_idx;
-    in_src;
-    in_eid;
-    edge_src;
-    edge_dst;
-    edge_ptr;
-    inter_time;
-    inter_qty;
-  }
-
-let of_graph g =
-  of_list (Graph.fold_edges (fun s d is acc -> (s, d, is) :: acc) g [])
-
-let n_vertices t = Array.length t.labels
-let n_edges t = Array.length t.edge_src
-let n_interactions t = Float.Array.length t.inter_time
-let label t v = t.labels.(v)
-let vertex_of_label t l = Hashtbl.find_opt t.label_index l
-let out_degree t v = t.out_idx.(v + 1) - t.out_idx.(v)
-let in_degree t v = t.in_idx.(v + 1) - t.in_idx.(v)
-
-let row_seq dst eid lo hi =
-  let rec go k () =
-    if k >= hi then Seq.Nil else Seq.Cons ((dst.(k), eid.(k)), go (k + 1))
-  in
-  go lo
-
-let succs t v = row_seq t.out_dst t.out_eid t.out_idx.(v) t.out_idx.(v + 1)
-let preds t v = row_seq t.in_src t.in_eid t.in_idx.(v) t.in_idx.(v + 1)
-
-let iter_succs t v f =
-  for k = t.out_idx.(v) to t.out_idx.(v + 1) - 1 do
-    f t.out_dst.(k) t.out_eid.(k)
-  done
-
-let iter_preds t v f =
-  for k = t.in_idx.(v) to t.in_idx.(v + 1) - 1 do
-    f t.in_src.(k) t.in_eid.(k)
-  done
-
-let find_edge t ~src ~dst =
-  (* Binary search over the sorted out-row of [src]. *)
-  let lo = ref t.out_idx.(src) and hi = ref (t.out_idx.(src + 1) - 1) in
-  let found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let d = t.out_dst.(mid) in
-    if d = dst then found := Some t.out_eid.(mid)
-    else if d < dst then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
-
-let edge_src t e = t.edge_src.(e)
-let edge_dst t e = t.edge_dst.(e)
-let edge_n_inter t e = t.edge_ptr.(e + 1) - t.edge_ptr.(e)
-let edge_time t e k = Float.Array.get t.inter_time (t.edge_ptr.(e) + k)
-let edge_qty t e k = Float.Array.get t.inter_qty (t.edge_ptr.(e) + k)
-
-let iter_edge_inter t e f =
-  for k = t.edge_ptr.(e) to t.edge_ptr.(e + 1) - 1 do
-    f (Float.Array.get t.inter_time k) (Float.Array.get t.inter_qty k)
-  done
-
-let interaction_list t e =
-  List.init (edge_n_inter t e) (fun k ->
-      Interaction.unchecked ~time:(edge_time t e k) ~qty:(edge_qty t e k))
-
-let interactions t e = Array.of_list (interaction_list t e)
-
-let edge_total_qty t e =
-  let acc = ref 0.0 in
-  for k = t.edge_ptr.(e) to t.edge_ptr.(e + 1) - 1 do
-    acc := !acc +. Float.Array.get t.inter_qty k
-  done;
-  !acc
-
-let edges_to_graph t eids =
-  let seen = Hashtbl.create 16 in
-  List.fold_left
-    (fun g eid ->
-      if Hashtbl.mem seen eid then g
-      else begin
-        Hashtbl.add seen eid ();
-        Graph.add_edge g
-          ~src:(label t t.edge_src.(eid))
-          ~dst:(label t t.edge_dst.(eid))
-          (interaction_list t eid)
-      end)
-    Graph.empty eids
-
-let to_graph t = edges_to_graph t (List.init (n_edges t) Fun.id)
-
-let vertices t = Seq.init (n_vertices t) Fun.id
-
-let of_compact c =
-  if Compact.has_self_loops c then invalid_arg "Static.of_compact: self-loop";
-  let label_index = Hashtbl.create 1024 in
-  let labels = ref [] in
-  let intern l =
-    match Hashtbl.find_opt label_index l with
-    | Some v -> v
-    | None ->
-        let v = Hashtbl.length label_index in
-        Hashtbl.add label_index l v;
-        labels := l :: !labels;
-        v
-  in
-  let m = Compact.n_edges c in
-  (* First-appearance interning over the compact edge order (source
-     before destination), matching the id-assignment policy of
-     [of_list]; isolated vertices follow in label order.  Compact has
-     already merged duplicate (src, dst) pairs and time-sorted each
-     edge, so the per-edge slices copy over verbatim. *)
-  let epairs =
-    Array.init m (fun e ->
-        let s = intern (Compact.label c (Compact.edge_src c e)) in
-        let d = intern (Compact.label c (Compact.edge_dst c e)) in
-        (s, d, e))
-  in
-  for v = 0 to Compact.n_vertices c - 1 do
-    if Compact.out_degree c v = 0 && Compact.in_degree c v = 0 then
-      ignore (intern (Compact.label c v))
-  done;
-  let n = Hashtbl.length label_index in
-  let labels = Array.of_list (List.rev !labels) in
-  Array.sort (fun (a, b, _) (x, y, _) -> compare (a, b) (x, y)) epairs;
-  let edge_src = Array.make m 0
-  and edge_dst = Array.make m 0
-  and edge_ptr = Array.make (m + 1) 0 in
-  let total = Compact.n_interactions c in
-  let inter_time = Float.Array.create total and inter_qty = Float.Array.create total in
-  let pos = ref 0 in
-  Array.iteri
-    (fun eid (s, d, ce) ->
-      edge_src.(eid) <- s;
-      edge_dst.(eid) <- d;
-      for k = 0 to Compact.edge_n_inter c ce - 1 do
-        let j = Compact.edge_inter c ce k in
-        Float.Array.set inter_time !pos (Compact.inter_time c j);
-        Float.Array.set inter_qty !pos (Compact.inter_qty c j);
-        incr pos
-      done;
-      edge_ptr.(eid + 1) <- !pos)
-    epairs;
-  let out_idx, out_dst, out_eid, in_idx, in_src, in_eid = adjacency ~n ~edge_src ~edge_dst in
-  {
-    labels;
-    label_index;
-    out_idx;
-    out_dst;
-    out_eid;
-    in_idx;
-    in_src;
-    in_eid;
-    edge_src;
-    edge_dst;
-    edge_ptr;
-    inter_time;
-    inter_qty;
-  }
+let interactions t e = Array.of_list (edge_interactions t e)

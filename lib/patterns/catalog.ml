@@ -197,8 +197,8 @@ let chain_flow net eids = Interaction.total_qty (Tables.chain_arrivals net eids)
 
 (* Maximum flow of a cyclic instance anchored at [anchor]. *)
 let cyclic_instance_flow net eids ~anchor =
-  let g = Static.edges_to_graph net eids in
-  let ep = Endpoints.split g ~vertex:(Static.label net anchor) in
+  let g = Compact.edges_to_graph net eids in
+  let ep = Endpoints.split g ~vertex:(Compact.label net anchor) in
   Pipeline.max_flow ep.Endpoints.graph ~source:ep.Endpoints.source ~sink:ep.Endpoints.sink
 
 (* ------------------------------------------------------------------ *)
@@ -254,7 +254,7 @@ let gb_with ?jobs ?(limit = max_int) ?time_budget_ms net pat flow_of =
     Pattern.browse ~should_stop:(check_stop sh) ~anchor:a net pat
       (fun mu -> add sh local (flow_of mu))
   in
-  search ?jobs sh ~name:pat.Pattern.name ~n:(Static.n_vertices net) body
+  search ?jobs sh ~name:pat.Pattern.name ~n:(Compact.n_vertices net) body
 
 let gb_custom ?jobs ?limit ?time_budget_ms ?tables net pat =
   gb_with ?jobs ?limit ?time_budget_ms net pat (instance_flow_fn ?tables net pat)
@@ -282,9 +282,9 @@ let gb_relaxed ?jobs ?(limit = max_int) ?time_budget_ms net r =
             fun () -> if stop () then raise Done
           in
           let flow = ref 0.0 and found = ref false in
-          Static.iter_succs net a (fun b e_ab ->
+          Compact.iter_succs net a (fun b e_ab ->
               poll ();
-              match Static.find_edge net ~src:b ~dst:a with
+              match Compact.find_edge net ~src:b ~dst:a with
               | Some e_ba ->
                   found := true;
                   flow := !flow +. chain_flow net [ e_ab; e_ba ]
@@ -297,12 +297,12 @@ let gb_relaxed ?jobs ?(limit = max_int) ?time_budget_ms net r =
             fun () -> if stop () then raise Done
           in
           let flow = ref 0.0 and found = ref false in
-          Static.iter_succs net a (fun b e_ab ->
+          Compact.iter_succs net a (fun b e_ab ->
               if b <> a then
-                Static.iter_succs net b (fun c e_bc ->
+                Compact.iter_succs net b (fun c e_bc ->
                     poll ();
                     if c <> a && c <> b then
-                      match Static.find_edge net ~src:c ~dst:a with
+                      match Compact.find_edge net ~src:c ~dst:a with
                       | Some e_ca ->
                           found := true;
                           flow := !flow +. chain_flow net [ e_ab; e_bc; e_ca ]
@@ -316,8 +316,8 @@ let gb_relaxed ?jobs ?(limit = max_int) ?time_budget_ms net r =
           in
           (* Aggregate 2-hop chain flows per final vertex c. *)
           let per_c = Hashtbl.create 16 in
-          Static.iter_succs net a (fun b e_ab ->
-              Static.iter_succs net b (fun c e_bc ->
+          Compact.iter_succs net a (fun b e_ab ->
+              Compact.iter_succs net b (fun c e_bc ->
                   poll ();
                   if c <> a && c <> b then begin
                     let f = chain_flow net [ e_ab; e_bc ] in
@@ -329,7 +329,7 @@ let gb_relaxed ?jobs ?(limit = max_int) ?time_budget_ms net r =
           |> List.sort compare
           |> List.iter (fun (_, f) -> add sh local f)
   in
-  search ?jobs sh ~name:(pattern_name (Relaxed r)) ~n:(Static.n_vertices net) body
+  search ?jobs sh ~name:(pattern_name (Relaxed r)) ~n:(Compact.n_vertices net) body
 
 let gb ?jobs ?limit ?time_budget_ms ?tables net = function
   | Rigid r -> gb_rigid ?jobs ?limit ?time_budget_ms ?tables net r
@@ -345,7 +345,7 @@ let require_chains tables =
   | None -> invalid_arg "Catalog.pb: pattern needs the 2-hop chain table (precompute ~with_chains:true)"
 
 let edge_exn net ~src ~dst =
-  match Static.find_edge net ~src ~dst with
+  match Compact.find_edge net ~src ~dst with
   | Some e -> e
   | None -> assert false (* table rows are real paths *)
 
@@ -383,7 +383,7 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
           Tables.iter_start tables.l3 a (fun r ->
               poll ();
               let b = r.Tables.verts.(1) and c = r.Tables.verts.(2) in
-              match Static.find_edge net ~src:b ~dst:a with
+              match Compact.find_edge net ~src:b ~dst:a with
               | Some e_ba ->
                   let eids =
                     [
@@ -419,7 +419,7 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
           Tables.iter_start tables.l3 a (fun r ->
               poll ();
               let b = r.Tables.verts.(1) and c = r.Tables.verts.(2) in
-              match (Static.find_edge net ~src:a ~dst:c, Static.find_edge net ~src:b ~dst:a) with
+              match (Compact.find_edge net ~src:a ~dst:c, Compact.find_edge net ~src:b ~dst:a) with
               | Some e_ac, Some e_ba ->
                   let eids =
                     [
@@ -452,4 +452,4 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
           let flow = ref 0.0 in
           if sum_start tables.l3 a flow then add sh local !flow
   in
-  search ?jobs sh ~name:(pattern_name pattern) ~n:(Static.n_vertices net) body
+  search ?jobs sh ~name:(pattern_name pattern) ~n:(Compact.n_vertices net) body

@@ -18,7 +18,13 @@
     parallel paths, flows aggregated per anchor:
     - [RP1] all 2-hop chains [a→*→c], grouped per (a, c)
     - [RP2] all 2-hop cycles at [a], grouped per [a]
-    - [RP3] all 3-hop cycles at [a], grouped per [a] *)
+    - [RP3] all 3-hop cycles at [a], grouped per [a]
+
+    Both strategies run on the {!Compact} substrate and visit anchors
+    in ascending id order, which is ascending label order: a search
+    that stops at [limit] keeps the same instances for a CSV file and
+    its [.tinb] snapshot, and float totals accumulate in the same
+    order. *)
 
 type rigid = P1 | P2 | P3 | P4 | P5 | P6
 type relaxed = RP1 | RP2 | RP3
@@ -51,7 +57,7 @@ val avg_flow : result -> float
 type tables = { l2 : Tables.t; l3 : Tables.t; c2 : Tables.t option }
 (** Precomputed tables: cycles are always built, chains optionally. *)
 
-val precompute : ?jobs:int -> ?with_chains:bool -> Static.t -> tables
+val precompute : ?jobs:int -> ?with_chains:bool -> Compact.t -> tables
 (** [jobs] (default 1) shards the per-start-vertex table construction
     across OCaml domains; the tables are identical for every job
     count. *)
@@ -61,7 +67,7 @@ val gb :
   ?limit:int ->
   ?time_budget_ms:float ->
   ?tables:tables ->
-  Static.t ->
+  Compact.t ->
   pattern ->
   result
 (** Graph-browsing enumeration with per-instance flow computation.
@@ -88,7 +94,7 @@ val pb :
   ?jobs:int ->
   ?limit:int ->
   ?time_budget_ms:float ->
-  Static.t ->
+  Compact.t ->
   tables ->
   pattern ->
   result
@@ -101,7 +107,7 @@ val gb_custom :
   ?limit:int ->
   ?time_budget_ms:float ->
   ?tables:tables ->
-  Static.t ->
+  Compact.t ->
   Pattern.t ->
   result
 (** Graph-browsing enumeration of an arbitrary user pattern (e.g. one
@@ -113,7 +119,7 @@ val gb_with :
   ?jobs:int ->
   ?limit:int ->
   ?time_budget_ms:float ->
-  Static.t ->
+  Compact.t ->
   Pattern.t ->
   (Pattern.mapping -> float) ->
   result

@@ -5,7 +5,7 @@ module Obs = Tin_obs.Obs
 let c_applies = Obs.Counter.make "delta.applies"
 let c_rows = Obs.Counter.make "delta.rows_recomputed"
 
-type t = { net : Static.t; tables : Catalog.tables; rows_recomputed : int }
+type t = { net : Compact.t; tables : Catalog.tables; rows_recomputed : int }
 
 let create ?with_chains net =
   { net; tables = Catalog.precompute ?with_chains net; rows_recomputed = 0 }
@@ -16,31 +16,31 @@ module PairSet = Set.Make (struct
   let compare = compare
 end)
 
-(* Rebuild the grown Static and translate a vertex of the old compact
-   space into the new one (label spaces are shared; compact ids are
-   not, because interning order may shift). *)
+(* Rebuild the grown network and translate a vertex of the old id
+   space into the new one (label spaces are shared; ids are label
+   ranks, so a new vertex shifts every larger label's id). *)
 let grow old_net additions =
-  let old_edges =
-    List.init (Static.n_edges old_net) (fun e ->
-        ( Static.label old_net (Static.edge_src old_net e),
-          Static.label old_net (Static.edge_dst old_net e),
-          Array.to_list (Static.interactions old_net e) ))
-  in
-  let net = Static.of_list (old_edges @ additions) in
+  let entries = ref additions in
+  for e = Compact.n_edges old_net - 1 downto 0 do
+    let s = Compact.label old_net (Compact.edge_src old_net e)
+    and d = Compact.label old_net (Compact.edge_dst old_net e) in
+    List.iter (fun i -> entries := (s, d, i) :: !entries) (Compact.edge_interactions old_net e)
+  done;
+  let net = Compact.of_entries !entries in
   let translate v_old =
-    match Static.vertex_of_label net (Static.label old_net v_old) with
+    match Compact.vertex_of_label net (Compact.label old_net v_old) with
     | Some v -> v
     | None -> assert false (* old edges are all preserved *)
   in
   (net, translate)
 
-let edge_exists net u v = Static.find_edge net ~src:u ~dst:v <> None
+let edge_exists net u v = Compact.find_edge net ~src:u ~dst:v <> None
 
 (* New-space rebuild of one row.  The vertex list alone is ambiguous
    (a chain (a,b,c) may coexist with the cycle (a,b,c)), so the table
    kind decides the edge list. *)
 let rebuild_row ~kind net verts =
-  let e a b = Option.get (Static.find_edge net ~src:a ~dst:b) in
+  let e a b = Option.get (Compact.find_edge net ~src:a ~dst:b) in
   let eids =
     match (kind, Array.to_list verts) with
     | `Cycle2, [ a; b ] -> [ e a b; e b a ]
@@ -86,7 +86,7 @@ let update_table ~kind ~net ~translate ~touched ~uses_touched ~discover table =
         keep := rebuild_row ~kind net verts :: !keep
       end)
     candidates;
-  (Tables.of_rows ~n_vertices:(Static.n_vertices net) !keep, !count)
+  (Tables.of_rows ~n_vertices:(Compact.n_vertices net) !keep, !count)
 
 let apply t ~additions =
   List.iter
@@ -96,7 +96,7 @@ let apply t ~additions =
   let touched =
     List.fold_left
       (fun acc (s, d, _) ->
-        match (Static.vertex_of_label net s, Static.vertex_of_label net d) with
+        match (Compact.vertex_of_label net s, Compact.vertex_of_label net d) with
         | Some u, Some v -> PairSet.add (u, v) acc
         | _ -> acc)
       PairSet.empty additions
@@ -121,7 +121,7 @@ let apply t ~additions =
     if not (edge_exists net u v) then []
     else begin
       let out = ref [] in
-      Static.iter_succs net v (fun w _ ->
+      Compact.iter_succs net v (fun w _ ->
           if w <> u && w <> v && edge_exists net w u then
             out := [| u; v; w |] :: [| v; w; u |] :: [| w; u; v |] :: !out);
       !out
@@ -137,8 +137,8 @@ let apply t ~additions =
     if not (edge_exists net u v) then []
     else begin
       let out = ref [] in
-      Static.iter_succs net v (fun w _ -> if w <> u && w <> v then out := [| u; v; w |] :: !out);
-      Static.iter_preds net u (fun w _ -> if w <> u && w <> v then out := [| w; u; v |] :: !out);
+      Compact.iter_succs net v (fun w _ -> if w <> u && w <> v then out := [| u; v; w |] :: !out);
+      Compact.iter_preds net u (fun w _ -> if w <> u && w <> v then out := [| w; u; v |] :: !out);
       !out
     end
   in

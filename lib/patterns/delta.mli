@@ -18,16 +18,18 @@
     suite, and the speed difference by the [ablation] benchmark. *)
 
 type t = private {
-  net : Static.t;
+  net : Compact.t;
   tables : Catalog.tables;
   rows_recomputed : int;  (** Across all [apply] calls so far. *)
 }
 
-val create : ?with_chains:bool -> Static.t -> t
+val create : ?with_chains:bool -> Compact.t -> t
 (** Initial precomputation (delegates to {!Catalog.precompute}). *)
 
-val apply : t -> additions:(int * int * Interaction.t list) list -> t
+val apply : t -> additions:(int * int * Interaction.t) list -> t
 (** [apply t ~additions] returns the state for the grown network.
-    Additions are [(src_label, dst_label, interactions)] in the
-    network's original label space; new vertices are allowed,
-    self-loops are not.  The input state is unchanged. *)
+    Additions are [(src_label, dst_label, interaction)] entries in the
+    network's original label space, in any order and with any number
+    per directed pair (the shape of {!Compact.of_entries}); new
+    vertices are allowed, self-loops are not.  The input state is
+    unchanged. *)

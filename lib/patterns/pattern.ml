@@ -56,7 +56,7 @@ let source _ = 0
 let sink t = t.sink
 let is_cyclic_shape t = t.labels.(0) = t.labels.(t.sink)
 
-type mapping = Static.vertex array
+type mapping = Compact.vertex array
 
 exception Stop
 
@@ -115,8 +115,8 @@ let browse ?should_stop ?anchor net t f =
   in
   let check v (j, dir) =
     match dir with
-    | `Edge_from_k -> Static.find_edge net ~src:v ~dst:mu.(j) <> None
-    | `Edge_to_k -> Static.find_edge net ~src:mu.(j) ~dst:v <> None
+    | `Edge_from_k -> Compact.find_edge net ~src:v ~dst:mu.(j) <> None
+    | `Edge_to_k -> Compact.find_edge net ~src:mu.(j) ~dst:v <> None
   in
   (* Verify every adjacency constraint except the (physically equal)
      cell that generated the candidate. *)
@@ -160,24 +160,24 @@ let browse ?should_stop ?anchor net t f =
         in
         let generate ((j, dir) as g) =
           match dir with
-          | `Edge_to_k -> Static.iter_succs net mu.(j) (fun v _ -> try_candidate g v)
-          | `Edge_from_k -> Static.iter_preds net mu.(j) (fun v _ -> try_candidate g v)
+          | `Edge_to_k -> Compact.iter_succs net mu.(j) (fun v _ -> try_candidate g v)
+          | `Edge_from_k -> Compact.iter_preds net mu.(j) (fun v _ -> try_candidate g v)
         in
         match step.adjacent with
         | [] -> (
             (* Only k = 0: the enumeration root. *)
             match anchor with
-            | Some a -> if a >= 0 && a < Static.n_vertices net then try_candidate no_skip a
+            | Some a -> if a >= 0 && a < Compact.n_vertices net then try_candidate no_skip a
             | None ->
-                for v = 0 to Static.n_vertices net - 1 do
+                for v = 0 to Compact.n_vertices net - 1 do
                   try_candidate no_skip v
                 done)
         | [ g ] -> generate g
         | first :: rest ->
             let row_size (j, dir) =
               match dir with
-              | `Edge_to_k -> Static.out_degree net mu.(j)
-              | `Edge_from_k -> Static.in_degree net mu.(j)
+              | `Edge_to_k -> Compact.out_degree net mu.(j)
+              | `Edge_from_k -> Compact.in_degree net mu.(j)
             in
             generate
               (List.fold_left (fun b c -> if row_size c < row_size b then c else b) first rest)
@@ -189,23 +189,23 @@ let browse ?should_stop ?anchor net t f =
 let instance_edges net t mu =
   List.map
     (fun (i, j) ->
-      match Static.find_edge net ~src:mu.(i) ~dst:mu.(j) with
+      match Compact.find_edge net ~src:mu.(i) ~dst:mu.(j) with
       | Some e -> e
       | None -> invalid_arg "Pattern.instance_edges: mapping is not an instance")
     t.edges
 
 let instance_flow net t mu =
   let eids = instance_edges net t mu in
-  let g = Static.edges_to_graph net eids in
+  let g = Compact.edges_to_graph net eids in
   if is_cyclic_shape t then begin
-    let ep = Tin_core.Endpoints.split g ~vertex:(Static.label net mu.(0)) in
+    let ep = Tin_core.Endpoints.split g ~vertex:(Compact.label net mu.(0)) in
     Tin_core.Pipeline.max_flow ep.Tin_core.Endpoints.graph ~source:ep.Tin_core.Endpoints.source
       ~sink:ep.Tin_core.Endpoints.sink
   end
   else
     Tin_core.Pipeline.max_flow g
-      ~source:(Static.label net mu.(0))
-      ~sink:(Static.label net mu.(sink t))
+      ~source:(Compact.label net mu.(0))
+      ~sink:(Compact.label net mu.(sink t))
 
 (* --- textual pattern descriptions --- *)
 

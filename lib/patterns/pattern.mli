@@ -43,17 +43,20 @@ val sink : t -> int
 val is_cyclic_shape : t -> bool
 (** Whether source and sink carry the same label. *)
 
-type mapping = Static.vertex array
-(** [mapping.(i)] is the graph vertex instantiating pattern vertex
-    [i]. *)
+type mapping = Compact.vertex array
+(** [mapping.(i)] is the graph vertex (a {!Compact} id, i.e. a label
+    rank) instantiating pattern vertex [i]. *)
 
 exception Stop
 (** Raise from the callback to abort enumeration early. *)
 
 val browse :
-  ?should_stop:(unit -> bool) -> ?anchor:Static.vertex -> Static.t -> t -> (mapping -> unit) -> unit
+  ?should_stop:(unit -> bool) -> ?anchor:Compact.vertex -> Compact.t -> t -> (mapping -> unit) -> unit
 (** Enumerates every instance, invoking the callback with a mapping
-    (the array is reused — copy it to retain).  Deterministic order.
+    (the array is reused — copy it to retain).  Deterministic order:
+    candidates are tried in ascending id, i.e. label, order, whichever
+    file format the network was loaded from.  The network must have no
+    self-loops ({!Io.load} guarantees it).
     [should_stop] is polled periodically {e between candidates} (not
     only between instances), so a time budget also interrupts long dry
     spells on hub vertices — the situation behind the paper's
@@ -67,7 +70,7 @@ val browse :
     browsing every anchor in ascending order reproduces the unanchored
     enumeration exactly. *)
 
-val instance_edges : Static.t -> t -> mapping -> Static.edge_id list
+val instance_edges : Compact.t -> t -> mapping -> Compact.edge_id list
 (** Graph edges realising each pattern edge.  @raise Invalid_argument
     if the mapping is not an instance. *)
 
@@ -84,7 +87,7 @@ val of_string : string -> t
 val to_string : t -> string
 (** Round-trips through {!of_string} (canonical vertex names). *)
 
-val instance_flow : Static.t -> t -> mapping -> float
+val instance_flow : Compact.t -> t -> mapping -> float
 (** Maximum flow of the instance: the mapped subgraph is built, the
     shared source/sink vertex is split for cyclic shapes, and the
     [Pre_sim] pipeline of Section 4 computes the flow. *)

@@ -1,6 +1,6 @@
 module Simplify = Tin_core.Simplify
 
-type row = { verts : Static.vertex array; arrivals : Interaction.t list; flow : float }
+type row = { verts : Compact.vertex array; arrivals : Interaction.t list; flow : float }
 
 type t = { rows : row array; offsets : int array (* per vertex, length n+1 *) }
 
@@ -63,20 +63,21 @@ let build n_vertices collected =
   { rows; offsets }
 
 let chain_arrivals net eids =
-  (* Gather the chain's interactions straight out of the Static columns
-     and run the flat Lemma-3 reduction; the chain is positional, so
-     vertex identity (including a = final vertex for cycles) is
-     irrelevant here. *)
+  (* Gather the chain's interactions straight out of the Compact
+     columns and run the flat Lemma-3 reduction; the chain is
+     positional, so vertex identity (including a = final vertex for
+     cycles) is irrelevant here. *)
   let k = List.length eids in
-  let total = List.fold_left (fun acc e -> acc + Static.edge_n_inter net e) 0 eids in
+  let total = List.fold_left (fun acc e -> acc + Compact.edge_n_inter net e) 0 eids in
   let times = Float.Array.create total and qtys = Float.Array.create total in
   let pos = Array.make total 0 in
   let off = ref 0 in
   List.iteri
     (fun p e ->
-      for j = 0 to Static.edge_n_inter net e - 1 do
-        Float.Array.set times !off (Static.edge_time net e j);
-        Float.Array.set qtys !off (Static.edge_qty net e j);
+      for j = 0 to Compact.edge_n_inter net e - 1 do
+        let i = Compact.edge_inter net e j in
+        Float.Array.set times !off (Compact.inter_time net i);
+        Float.Array.set qtys !off (Compact.inter_qty net i);
         pos.(!off) <- p;
         incr off
       done)
@@ -93,7 +94,7 @@ let path_row net verts eids =
    anchor order, so the reversed list handed to the counting-sort
    [build] is identical to the sequential one for any job count. *)
 let per_anchor ?(jobs = 1) net collect =
-  let n = Static.n_vertices net in
+  let n = Compact.n_vertices net in
   let collected =
     Tin_core.Batch.map_reduce ~jobs ~chunk:32 ~n
       ~init:(fun () -> ref [])
@@ -106,25 +107,25 @@ let per_anchor ?(jobs = 1) net collect =
 
 let cycles2 ?jobs net =
   per_anchor ?jobs net (fun a emit ->
-      Static.iter_succs net a (fun b e_ab ->
-          match Static.find_edge net ~src:b ~dst:a with
+      Compact.iter_succs net a (fun b e_ab ->
+          match Compact.find_edge net ~src:b ~dst:a with
           | Some e_ba -> emit (path_row net [| a; b |] [ e_ab; e_ba ])
           | None -> ()))
 
 let cycles3 ?jobs net =
   per_anchor ?jobs net (fun a emit ->
-      Static.iter_succs net a (fun b e_ab ->
+      Compact.iter_succs net a (fun b e_ab ->
           if b <> a then
-            Static.iter_succs net b (fun c e_bc ->
+            Compact.iter_succs net b (fun c e_bc ->
                 if c <> a && c <> b then
-                  match Static.find_edge net ~src:c ~dst:a with
+                  match Compact.find_edge net ~src:c ~dst:a with
                   | Some e_ca -> emit (path_row net [| a; b; c |] [ e_ab; e_bc; e_ca ])
                   | None -> ())))
 
 let chains2 ?jobs net =
   per_anchor ?jobs net (fun a emit ->
-      Static.iter_succs net a (fun b e_ab ->
-          Static.iter_succs net b (fun c e_bc ->
+      Compact.iter_succs net a (fun b e_ab ->
+          Compact.iter_succs net b (fun c e_bc ->
               if c <> a && c <> b then emit (path_row net [| a; b; c |] [ e_ab; e_bc ]))))
 
 let memory_rows t =

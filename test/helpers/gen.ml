@@ -94,9 +94,8 @@ let random_lemma2 ?(max_v = 8) ?(max_inter = 3) rng =
   done;
   (!g, 0, sink)
 
-(* A random small Static network with reciprocal edges for pattern
-   tests. *)
-let random_static ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =
+(* A random small network with reciprocal edges for pattern tests. *)
+let random_net ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =
   let acc = ref [] in
   for _ = 1 to edges do
     let i = Prng.int rng n and j = Prng.int rng n in
@@ -109,7 +108,7 @@ let random_static ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =
               ~time:(float_of_int (Prng.int rng 20))
               ~qty:(float_of_int (1 + Prng.int rng 9)))
       in
-      acc := (i, j, is) :: !acc;
+      acc := List.map (fun x -> (i, j, x)) is @ !acc;
       if Prng.bool rng then begin
         let back =
           List.init
@@ -119,13 +118,13 @@ let random_static ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =
                 ~time:(float_of_int (Prng.int rng 20))
                 ~qty:(float_of_int (1 + Prng.int rng 9)))
         in
-        acc := (j, i, back) :: !acc
+        acc := List.map (fun x -> (j, i, x)) back @ !acc
       end
     end
   done;
-  (* Guarantee at least one edge so Static.of_list is non-trivial. *)
-  if !acc = [] then acc := [ (0, 1, [ Interaction.make ~time:1.0 ~qty:1.0 ]) ];
-  Static.of_list !acc
+  (* Guarantee at least one edge so the network is non-trivial. *)
+  if !acc = [] then acc := [ (0, 1, Interaction.make ~time:1.0 ~qty:1.0) ];
+  Compact.of_entries !acc
 
 (* Random valid pattern for DSL round-trip tests: a forward chain
    0→1→…→n-1 (so the enumeration-order and unique-sink requirements of

@@ -27,15 +27,15 @@ let net = Generator.generate ~seed:7 tiny
 
 let test_generator_deterministic () =
   let a = Generator.generate ~seed:11 tiny and b = Generator.generate ~seed:11 tiny in
-  Alcotest.(check int) "same edges" (Static.n_edges a) (Static.n_edges b);
-  Alcotest.(check int) "same interactions" (Static.n_interactions a) (Static.n_interactions b);
+  Alcotest.(check int) "same edges" (Compact.n_edges a) (Compact.n_edges b);
+  Alcotest.(check int) "same interactions" (Compact.n_interactions a) (Compact.n_interactions b);
   let sa = Generator.stats a and sb = Generator.stats b in
   Alcotest.(check (float 1e-12)) "same avg qty" sa.Generator.avg_qty sb.Generator.avg_qty
 
 let test_generator_seed_matters () =
   let a = Generator.generate ~seed:1 tiny and b = Generator.generate ~seed:2 tiny in
   Alcotest.(check bool) "different networks" true
-    (Static.n_interactions a <> Static.n_interactions b
+    (Compact.n_interactions a <> Compact.n_interactions b
     || Generator.stats a <> Generator.stats b)
 
 let test_generator_shape () =
@@ -55,8 +55,8 @@ let test_generator_has_cycles () =
 let test_generator_hub_skew () =
   (* Zipf endpoints: the hottest vertex should see far more edges than
      the median vertex. *)
-  let n = Static.n_vertices net in
-  let deg = Array.init n (fun v -> Static.out_degree net v + Static.in_degree net v) in
+  let n = Compact.n_vertices net in
+  let deg = Array.init n (fun v -> Compact.out_degree net v + Compact.in_degree net v) in
   Array.sort compare deg;
   let hottest = deg.(n - 1) and median = deg.(n / 2) in
   Alcotest.(check bool) "skewed degrees" true (hottest > 5 * (max 1 median))
@@ -76,6 +76,16 @@ let test_extract_finds_subgraphs () =
       Alcotest.(check bool) "greedy <= max" true (greedy <= best +. 1e-6))
     problems
 
+let test_extract_seed_order () =
+  (* Seeds come in increasing label order whatever order the network
+     was built in. *)
+  let seeds = List.map (fun p -> p.Extract.seed) (Extract.extract net) in
+  let rec increasing = function a :: (b :: _ as rest) -> a < b && increasing rest | _ -> true in
+  Alcotest.(check bool)
+    (Printf.sprintf "strictly increasing: %s"
+       (String.concat " " (List.map string_of_int (List.filteri (fun i _ -> i < 6) seeds))))
+    true (increasing seeds)
+
 let test_extract_respects_caps () =
   let all = Extract.extract net in
   let capped = Extract.extract ~max_subgraphs:3 net in
@@ -88,20 +98,20 @@ let test_extract_respects_caps () =
 let test_extract_none_for_acyclic_seed () =
   (* A pure DAG network has no cyclic seeds at all. *)
   let dag =
-    Static.of_list
+    Compact.of_entries
       [
-        (0, 1, [ Interaction.make ~time:1.0 ~qty:1.0 ]);
-        (1, 2, [ Interaction.make ~time:2.0 ~qty:1.0 ]);
+        (0, 1, Interaction.make ~time:1.0 ~qty:1.0);
+        (1, 2, Interaction.make ~time:2.0 ~qty:1.0);
       ]
   in
   Alcotest.(check int) "nothing extracted" 0 (List.length (Extract.extract dag))
 
 let test_extract_2cycle_seed () =
   let net2 =
-    Static.of_list
+    Compact.of_entries
       [
-        (10, 20, [ Interaction.make ~time:1.0 ~qty:5.0 ]);
-        (20, 10, [ Interaction.make ~time:2.0 ~qty:3.0 ]);
+        (10, 20, Interaction.make ~time:1.0 ~qty:5.0);
+        (20, 10, Interaction.make ~time:2.0 ~qty:3.0);
       ]
   in
   match Extract.extract net2 with
@@ -146,6 +156,7 @@ let () =
       ( "extract",
         [
           Alcotest.test_case "finds valid problems" `Quick test_extract_finds_subgraphs;
+          Alcotest.test_case "seeds in label order" `Quick test_extract_seed_order;
           Alcotest.test_case "respects caps" `Quick test_extract_respects_caps;
           Alcotest.test_case "acyclic network" `Quick test_extract_none_for_acyclic_seed;
           Alcotest.test_case "2-cycle seed" `Quick test_extract_2cycle_seed;

@@ -14,7 +14,7 @@ let i_ t q = Interaction.make ~time:t ~qty:q
 let normalized net table =
   Array.to_list (Tables.rows table)
   |> List.map (fun r ->
-         ( Array.to_list (Array.map (Static.label net) r.Tables.verts),
+         ( Array.to_list (Array.map (Compact.label net) r.Tables.verts),
            r.Tables.flow ))
   |> List.sort compare
 
@@ -34,16 +34,16 @@ let check_state_matches_full msg (d : Delta.t) =
 
 let test_new_cycle_appears () =
   (* 0->1 exists; adding 1->0 creates the 2-cycle (both anchors). *)
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 5.0) ] in
   let d = Delta.create ~with_chains:true net in
   Alcotest.(check int) "no cycles yet" 0 (Tables.n_rows d.Delta.tables.Catalog.l2);
-  let d = Delta.apply d ~additions:[ (1, 0, [ i_ 2.0 3.0 ]) ] in
+  let d = Delta.apply d ~additions:[ (1, 0, i_ 2.0 3.0) ] in
   Alcotest.(check int) "two anchored rows" 2 (Tables.n_rows d.Delta.tables.Catalog.l2);
   check_state_matches_full "new cycle" d
 
 let test_existing_row_refreshed () =
   (* A second interaction on 0->1 changes the cycle's flow. *)
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]); (1, 0, [ i_ 2.0 3.0 ]) ] in
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 5.0); (1, 0, i_ 2.0 3.0) ] in
   let d = Delta.create net in
   let flow_before =
     (Tables.rows d.Delta.tables.Catalog.l2).(0).Tables.flow
@@ -51,11 +51,11 @@ let test_existing_row_refreshed () =
   Alcotest.(check (float 1e-9)) "initial cycle flow" 3.0 flow_before;
   (* New early interaction on the return edge raises the flow: 0->1
      delivers 5 at t=1; 1->0 can now return at t=2 (3) and t=4 (2). *)
-  let d = Delta.apply d ~additions:[ (1, 0, [ i_ 4.0 2.0 ]) ] in
+  let d = Delta.apply d ~additions:[ (1, 0, i_ 4.0 2.0) ] in
   check_state_matches_full "refresh" d;
   let row =
     Array.to_list (Tables.rows d.Delta.tables.Catalog.l2)
-    |> List.find (fun r -> Static.label d.Delta.net r.Tables.verts.(0) = 0)
+    |> List.find (fun r -> Compact.label d.Delta.net r.Tables.verts.(0) = 0)
   in
   Alcotest.(check (float 1e-9)) "updated flow" 5.0 row.Tables.flow;
   Alcotest.(check bool) "rows were recomputed" true (d.Delta.rows_recomputed > 0)
@@ -63,46 +63,46 @@ let test_existing_row_refreshed () =
 let test_untouched_rows_survive () =
   (* A disjoint cycle must not be recomputed. *)
   let net =
-    Static.of_list
+    Compact.of_entries
       [
-        (0, 1, [ i_ 1.0 5.0 ]);
-        (1, 0, [ i_ 2.0 3.0 ]);
-        (10, 11, [ i_ 1.0 7.0 ]);
-        (11, 10, [ i_ 2.0 7.0 ]);
+        (0, 1, i_ 1.0 5.0);
+        (1, 0, i_ 2.0 3.0);
+        (10, 11, i_ 1.0 7.0);
+        (11, 10, i_ 2.0 7.0);
       ]
   in
   let d = Delta.create net in
-  let d = Delta.apply d ~additions:[ (0, 1, [ i_ 5.0 1.0 ]) ] in
+  let d = Delta.apply d ~additions:[ (0, 1, i_ 5.0 1.0) ] in
   check_state_matches_full "disjoint survives" d;
   (* Only the touched cycle's two anchored rows get rebuilt. *)
   Alcotest.(check int) "two rows recomputed" 2 d.Delta.rows_recomputed
 
 let test_new_vertices () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 5.0) ] in
   let d = Delta.create ~with_chains:true net in
   let d =
-    Delta.apply d ~additions:[ (1, 7, [ i_ 2.0 4.0 ]); (7, 0, [ i_ 3.0 4.0 ]) ]
+    Delta.apply d ~additions:[ (1, 7, i_ 2.0 4.0); (7, 0, i_ 3.0 4.0) ]
   in
   Alcotest.(check int) "3-cycle found (3 rotations)" 3 (Tables.n_rows d.Delta.tables.Catalog.l3);
   check_state_matches_full "new vertices" d
 
 let test_self_loop_rejected () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]) ] in
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 5.0) ] in
   let d = Delta.create net in
   Alcotest.check_raises "self loop" (Invalid_argument "Delta.apply: self-loop addition")
-    (fun () -> ignore (Delta.apply d ~additions:[ (2, 2, [ i_ 1.0 1.0 ]) ]))
+    (fun () -> ignore (Delta.apply d ~additions:[ (2, 2, i_ 1.0 1.0) ]))
 
 let test_input_state_unchanged () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 5.0 ]); (1, 0, [ i_ 2.0 3.0 ]) ] in
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 5.0); (1, 0, i_ 2.0 3.0) ] in
   let d0 = Delta.create net in
   let rows_before = Tables.n_rows d0.Delta.tables.Catalog.l2 in
-  let _ = Delta.apply d0 ~additions:[ (0, 2, [ i_ 1.0 1.0 ]); (2, 0, [ i_ 2.0 1.0 ]) ] in
+  let _ = Delta.apply d0 ~additions:[ (0, 2, i_ 1.0 1.0); (2, 0, i_ 2.0 1.0) ] in
   Alcotest.(check int) "persistent" rows_before (Tables.n_rows d0.Delta.tables.Catalog.l2)
 
 let prop_delta_equals_full rng =
   (* Random base network, random addition batches: after each batch
      the incremental tables equal a full precomputation. *)
-  let net = Gen.random_static ~n:8 ~edges:14 rng in
+  let net = Gen.random_net ~n:8 ~edges:14 rng in
   let d = ref (Delta.create ~with_chains:true net) in
   let ok = ref true in
   for _ = 1 to 3 do
@@ -114,11 +114,9 @@ let prop_delta_equals_full rng =
           let t = if t = s then (t + 1) mod 10 else t in
           ( s,
             t,
-            [
-              Interaction.make
-                ~time:(float_of_int (Prng.int rng 20))
-                ~qty:(float_of_int (1 + Prng.int rng 9));
-            ] ))
+            Interaction.make
+              ~time:(float_of_int (Prng.int rng 20))
+              ~qty:(float_of_int (1 + Prng.int rng 9)) ))
     in
     d := Delta.apply !d ~additions;
     let full = Catalog.precompute ~with_chains:true !d.Delta.net in

@@ -152,39 +152,50 @@ let test_topo_restrict () =
   Alcotest.(check bool) "y gone" false (Graph.mem_vertex sub Paper_examples.y);
   Alcotest.(check int) "edges adjusted" 2 (Graph.n_edges sub)
 
-let test_static_roundtrip () =
+let test_compact_roundtrip () =
   let g = Paper_examples.fig7 in
-  let net = Static.of_graph g in
-  Alcotest.(check int) "vertices" (Graph.n_vertices g) (Static.n_vertices net);
-  Alcotest.(check int) "edges" (Graph.n_edges g) (Static.n_edges net);
-  Alcotest.(check int) "interactions" (Graph.n_interactions g) (Static.n_interactions net);
-  Alcotest.check Check.graph "roundtrip" g (Static.to_graph net)
+  let net = Compact.of_graph g in
+  Alcotest.(check int) "vertices" (Graph.n_vertices g) (Compact.n_vertices net);
+  Alcotest.(check int) "edges" (Graph.n_edges g) (Compact.n_edges net);
+  Alcotest.(check int) "interactions" (Graph.n_interactions g) (Compact.n_interactions net);
+  Alcotest.check Check.graph "roundtrip" g (Compact.to_graph net)
 
-let test_static_lookup () =
+let test_compact_lookup () =
   let net =
-    Static.of_list
-      [ (10, 20, [ i_ 1.0 1.0 ]); (20, 30, [ i_ 2.0 2.0 ]); (10, 30, [ i_ 3.0 3.0 ]) ]
+    Compact.of_entries [ (10, 20, i_ 1.0 1.0); (20, 30, i_ 2.0 2.0); (10, 30, i_ 3.0 3.0) ]
   in
-  let v10 = Option.get (Static.vertex_of_label net 10) in
-  let v20 = Option.get (Static.vertex_of_label net 20) in
-  let v30 = Option.get (Static.vertex_of_label net 30) in
-  Alcotest.(check int) "out degree" 2 (Static.out_degree net v10);
-  Alcotest.(check int) "in degree" 2 (Static.in_degree net v30);
-  Alcotest.(check bool) "find_edge hit" true (Static.find_edge net ~src:v10 ~dst:v20 <> None);
-  Alcotest.(check bool) "find_edge miss" true (Static.find_edge net ~src:v30 ~dst:v10 = None);
-  Alcotest.(check int) "labels roundtrip" 10 (Static.label net v10)
+  let v10 = Option.get (Compact.vertex_of_label net 10) in
+  let v20 = Option.get (Compact.vertex_of_label net 20) in
+  let v30 = Option.get (Compact.vertex_of_label net 30) in
+  Alcotest.(check int) "out degree" 2 (Compact.out_degree net v10);
+  Alcotest.(check int) "in degree" 2 (Compact.in_degree net v30);
+  Alcotest.(check bool) "find_edge hit" true (Compact.find_edge net ~src:v10 ~dst:v20 <> None);
+  Alcotest.(check bool) "find_edge miss" true (Compact.find_edge net ~src:v30 ~dst:v10 = None);
+  Alcotest.(check int) "labels roundtrip" 10 (Compact.label net v10);
+  (* Neighbours come in ascending id order, each with the edge that
+     find_edge returns for the pair. *)
+  let row iter v =
+    let acc = ref [] in
+    iter net v (fun u e -> acc := (u, e) :: !acc);
+    List.rev !acc
+  in
+  let e a b = Option.get (Compact.find_edge net ~src:a ~dst:b) in
+  Alcotest.(check (list (pair int int))) "iter_succs" [ (v20, e v10 v20); (v30, e v10 v30) ]
+    (row Compact.iter_succs v10);
+  Alcotest.(check (list (pair int int))) "iter_preds" [ (v10, e v10 v30); (v20, e v20 v30) ]
+    (row Compact.iter_preds v30)
 
-let test_static_merges_duplicates () =
-  let net = Static.of_list [ (0, 1, [ i_ 2.0 1.0 ]); (0, 1, [ i_ 1.0 5.0 ]) ] in
-  Alcotest.(check int) "one edge" 1 (Static.n_edges net);
-  let is = Static.interactions net 0 in
-  Alcotest.(check int) "both interactions" 2 (Array.length is);
-  Alcotest.(check (float 0.0)) "sorted" 1.0 (Interaction.time is.(0))
+let test_compact_merges_duplicates () =
+  let net = Compact.of_entries [ (0, 1, i_ 2.0 1.0); (0, 1, i_ 1.0 5.0) ] in
+  Alcotest.(check int) "one edge" 1 (Compact.n_edges net);
+  let is = Compact.edge_interactions net 0 in
+  Alcotest.(check int) "both interactions" 2 (List.length is);
+  Alcotest.(check (float 0.0)) "sorted" 1.0 (Interaction.time (List.hd is))
 
-let test_static_edges_to_graph_dedups () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 1.0 ]); (1, 2, [ i_ 2.0 2.0 ]) ] in
-  let e01 = Option.get (Static.find_edge net ~src:0 ~dst:1) in
-  let g = Static.edges_to_graph net [ e01; e01 ] in
+let test_compact_edges_to_graph_dedups () =
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 1.0); (1, 2, i_ 2.0 2.0) ] in
+  let e01 = Option.get (Compact.find_edge net ~src:0 ~dst:1) in
+  let g = Compact.edges_to_graph net [ e01; e01 ] in
   Alcotest.(check int) "no duplication" 1 (Graph.n_interactions g)
 
 let test_csv_roundtrip () =
@@ -291,12 +302,12 @@ let () =
           Alcotest.test_case "dagify" `Quick test_topo_dagify;
           Alcotest.test_case "restrict" `Quick test_topo_restrict;
         ] );
-      ( "static",
+      ( "compact",
         [
-          Alcotest.test_case "roundtrip" `Quick test_static_roundtrip;
-          Alcotest.test_case "lookups" `Quick test_static_lookup;
-          Alcotest.test_case "duplicate merge" `Quick test_static_merges_duplicates;
-          Alcotest.test_case "edges_to_graph dedup" `Quick test_static_edges_to_graph_dedups;
+          Alcotest.test_case "roundtrip" `Quick test_compact_roundtrip;
+          Alcotest.test_case "lookups" `Quick test_compact_lookup;
+          Alcotest.test_case "duplicate merge" `Quick test_compact_merges_duplicates;
+          Alcotest.test_case "edges_to_graph dedup" `Quick test_compact_edges_to_graph_dedups;
         ] );
       ( "io",
         [

@@ -10,7 +10,7 @@ module Fcmp = Tin_util.Fcmp
 let i_ t q = Interaction.make ~time:t ~qty:q
 
 (* The Figure 2(a) transaction network (u1..u4 as 1..4). *)
-let fig2a_net = Static.of_graph Paper_examples.fig2a
+let fig2a_net = Compact.of_graph Paper_examples.fig2a
 
 let test_pattern_validation () =
   Alcotest.check_raises "same-label adjacency"
@@ -36,14 +36,14 @@ let test_browse_p3_on_fig2a () =
   let p = Catalog.rigid_pattern Catalog.P3 in
   let found = ref [] in
   Pattern.browse fig2a_net p (fun mu -> found := Array.copy mu :: !found);
-  let labels mu = Array.to_list (Array.map (Static.label fig2a_net) mu) in
+  let labels mu = Array.to_list (Array.map (Compact.label fig2a_net) mu) in
   Alcotest.(check (list (list int)))
     "all three rotations"
     [ [ 1; 2; 3; 1 ]; [ 2; 3; 1; 2 ]; [ 3; 1; 2; 3 ] ]
     (List.sort compare (List.map labels !found));
   (* The paper's Figure 2(c) instance is the one anchored at u1; its
      flow is $5. *)
-  let mu1 = List.find (fun mu -> Static.label fig2a_net mu.(0) = 1) !found in
+  let mu1 = List.find (fun mu -> Compact.label fig2a_net mu.(0) = 1) !found in
   Check.check_flow "flow anchored at u1 = 5" 5.0 (Pattern.instance_flow fig2a_net p mu1)
 
 let test_browse_p2_on_fig2a () =
@@ -53,14 +53,14 @@ let test_browse_p2_on_fig2a () =
   let p = Catalog.rigid_pattern Catalog.P2 in
   let found = ref [] in
   Pattern.browse fig2a_net p (fun mu ->
-      found := (Static.label fig2a_net mu.(0), Static.label fig2a_net mu.(1)) :: !found);
+      found := (Compact.label fig2a_net mu.(0), Compact.label fig2a_net mu.(1)) :: !found);
   Alcotest.(check (list (pair int int))) "anchored both ways" [ (1, 4); (4, 1) ]
     (List.sort compare !found)
 
 let test_browse_respects_distinctness () =
   (* Graph 0->1->0 only; P3 (needs three distinct vertices) must find
      nothing even though 0->1->0->1... walks exist. *)
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 1.0 ]); (1, 0, [ i_ 2.0 1.0 ]) ] in
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 1.0); (1, 0, i_ 2.0 1.0) ] in
   let p = Catalog.rigid_pattern Catalog.P3 in
   let count = ref 0 in
   Pattern.browse net p (fun _ -> incr count);
@@ -78,7 +78,7 @@ let test_tables_cycles2 () =
   let t = Tables.cycles2 fig2a_net in
   (* 2-cycles: 1->4->1 and 4->1->4. *)
   Alcotest.(check int) "two rows" 2 (Tables.n_rows t);
-  let starts = List.map (Static.label fig2a_net) (Tables.starts t) in
+  let starts = List.map (Compact.label fig2a_net) (Tables.starts t) in
   Alcotest.(check (list int)) "starts" [ 1; 4 ] (List.sort compare starts)
 
 let test_tables_cycles3_flow () =
@@ -86,12 +86,12 @@ let test_tables_cycles3_flow () =
   let row =
     Array.to_list (Tables.rows t)
     |> List.find (fun r ->
-           Array.map (Static.label fig2a_net) r.Tables.verts = [| 1; 2; 3 |])
+           Array.map (Compact.label fig2a_net) r.Tables.verts = [| 1; 2; 3 |])
   in
   Alcotest.(check (float 1e-9)) "precomputed flow = 5" 5.0 row.Tables.flow
 
 let test_tables_chains2 () =
-  let net = Static.of_list [ (0, 1, [ i_ 1.0 4.0 ]); (1, 2, [ i_ 2.0 9.0 ]) ] in
+  let net = Compact.of_entries [ (0, 1, i_ 1.0 4.0); (1, 2, i_ 2.0 9.0) ] in
   let t = Tables.chains2 net in
   Alcotest.(check int) "one chain" 1 (Tables.n_rows t);
   Alcotest.(check (float 1e-9)) "flow min(4,9) with time order" 4.0 (Tables.rows t).(0).Tables.flow;
@@ -99,13 +99,13 @@ let test_tables_chains2 () =
 
 let test_tables_for_start () =
   let t = Tables.cycles2 fig2a_net in
-  let v1 = Option.get (Static.vertex_of_label fig2a_net 1) in
+  let v1 = Option.get (Compact.vertex_of_label fig2a_net 1) in
   Alcotest.(check int) "one cycle at u1" 1 (Array.length (Tables.for_start t v1))
 
 (* GB/PB agreement on random reciprocal graphs: same instance counts
    and total flows for every catalog pattern. *)
 let prop_gb_eq_pb rng =
-  let net = Gen.random_static rng in
+  let net = Gen.random_net rng in
   let tables = Catalog.precompute ~with_chains:true net in
   List.for_all
     (fun pattern ->
@@ -120,7 +120,7 @@ let prop_gb_eq_pb rng =
    flags, and bit-identical flow totals (the per-anchor accumulators
    merge in a fixed chunk order regardless of jobs). *)
 let prop_jobs_deterministic rng =
-  let net = Gen.random_static rng in
+  let net = Gen.random_net rng in
   let tables = Catalog.precompute ~with_chains:true net in
   let tables3 = Catalog.precompute ~jobs:3 ~with_chains:true net in
   List.for_all
@@ -139,7 +139,7 @@ let prop_jobs_deterministic rng =
    plain GB on the whole catalog — the lookup-eligible patterns read
    the same greedy reduction the tables stored, the rest fall back. *)
 let prop_hybrid_gb_eq_plain rng =
-  let net = Gen.random_static rng in
+  let net = Gen.random_net rng in
   let tables = Catalog.precompute ~with_chains:true net in
   List.for_all
     (fun pattern ->
@@ -191,7 +191,7 @@ let prop_dsl_roundtrip rng =
 
 (* Parallel table construction is exactly the sequential one. *)
 let prop_parallel_tables rng =
-  let net = Gen.random_static rng in
+  let net = Gen.random_net rng in
   List.for_all
     (fun build -> List.for_all (fun jobs -> build ~jobs net = build ~jobs:1 net) [ 2; 3; 5 ])
     [
@@ -221,7 +221,7 @@ let test_time_budget () =
   (* An (effectively) zero budget forces a timeout on a network large
      enough to exceed one polling interval. *)
   let rng = Tin_util.Prng.create ~seed:5 in
-  let net = Gen.random_static ~n:60 ~edges:700 rng in
+  let net = Gen.random_net ~n:60 ~edges:700 rng in
   let r = Catalog.gb ~time_budget_ms:0.0 net (Catalog.Rigid Catalog.P3) in
   Alcotest.(check bool) "timed out or finished instantly" true
     (r.Catalog.timed_out || r.Catalog.instances >= 0);
@@ -242,7 +242,7 @@ let test_deadline_overshoot_bounded () =
   let module Obs = Tin_obs.Obs in
   let module Timer = Tin_util.Timer in
   let rng = Tin_util.Prng.create ~seed:11 in
-  let net = Gen.random_static ~n:40 ~edges:400 rng in
+  let net = Gen.random_net ~n:40 ~edges:400 rng in
   let p2 = Catalog.rigid_pattern Catalog.P2 in
   (* Premise guard: plenty of candidates beyond what fits the budget. *)
   let total = (Catalog.gb_with net p2 (fun _ -> 1.0)).Catalog.instances in
@@ -331,12 +331,12 @@ let test_gb_custom_diamond () =
      a hand-built net with one instance the flow is the sum of the two
      disjoint branch bottlenecks. *)
   let net =
-    Static.of_list
+    Compact.of_entries
       [
-        (0, 1, [ i_ 1.0 5.0 ]);
-        (1, 3, [ i_ 2.0 2.0 ]);
-        (0, 2, [ i_ 1.0 5.0 ]);
-        (2, 3, [ i_ 2.0 4.0 ]);
+        (0, 1, i_ 1.0 5.0);
+        (1, 3, i_ 2.0 2.0);
+        (0, 2, i_ 1.0 5.0);
+        (2, 3, i_ 2.0 4.0);
       ]
   in
   let p = Pattern.of_string "a->b, b->d, a->c, c->d" in
@@ -351,14 +351,14 @@ let test_relaxed_rp2_semantics () =
   (* Two parallel 2-cycles at vertex 0: one relaxed instance whose
      flow is the sum of both cycles' flows. *)
   let net =
-    Static.of_list
+    Compact.of_entries
       [
-        (0, 1, [ i_ 1.0 5.0 ]);
-        (1, 0, [ i_ 2.0 3.0 ]);
-        (0, 2, [ i_ 3.0 4.0 ]);
-        (2, 0, [ i_ 4.0 4.0 ]);
+        (0, 1, i_ 1.0 5.0);
+        (1, 0, i_ 2.0 3.0);
+        (0, 2, i_ 3.0 4.0);
+        (2, 0, i_ 4.0 4.0);
         (* a stray edge that is no cycle *)
-        (0, 3, [ i_ 5.0 9.0 ]);
+        (0, 3, i_ 5.0 9.0);
       ]
   in
   let r = Catalog.gb net (Catalog.Relaxed Catalog.RP2) in
@@ -373,13 +373,13 @@ let test_p5_flower_flow_adds () =
   (* One 2-cycle and one 3-cycle sharing anchor 0, disjoint
      intermediates: P5 flow = sum of both cycle flows. *)
   let net =
-    Static.of_list
+    Compact.of_entries
       [
-        (0, 1, [ i_ 1.0 5.0 ]);
-        (1, 0, [ i_ 2.0 3.0 ]);
-        (0, 2, [ i_ 1.0 6.0 ]);
-        (2, 3, [ i_ 2.0 4.0 ]);
-        (3, 0, [ i_ 3.0 4.0 ]);
+        (0, 1, i_ 1.0 5.0);
+        (1, 0, i_ 2.0 3.0);
+        (0, 2, i_ 1.0 6.0);
+        (2, 3, i_ 2.0 4.0);
+        (3, 0, i_ 3.0 4.0);
       ]
   in
   let gb = Catalog.gb net (Catalog.Rigid Catalog.P5) in
@@ -395,17 +395,17 @@ let test_p6_needs_lp () =
      a->y->z->a plus chords a->z and y->a.  After splitting a it is
      exactly Figure 3, so the maximum flow is 5 while greedy gives 1. *)
   let net =
-    Static.of_list
+    Compact.of_entries
       [
-        (0, 1, [ i_ 1.0 5.0 ]);
+        (0, 1, i_ 1.0 5.0);
         (* a->y *)
-        (1, 2, [ i_ 3.0 5.0 ]);
+        (1, 2, i_ 3.0 5.0);
         (* y->z *)
-        (2, 0, [ i_ 5.0 1.0 ]);
+        (2, 0, i_ 5.0 1.0);
         (* z->a *)
-        (0, 2, [ i_ 2.0 3.0 ]);
+        (0, 2, i_ 2.0 3.0);
         (* a->z chord *)
-        (1, 0, [ i_ 4.0 4.0 ]);
+        (1, 0, i_ 4.0 4.0);
         (* y->a chord *)
       ]
   in

@@ -238,7 +238,7 @@ let test_daemon_eviction () =
 let normalized net table =
   Array.to_list (Tables.rows table)
   |> List.map (fun r ->
-         (Array.to_list (Array.map (Static.label net) r.Tables.verts), r.Tables.flow))
+         (Array.to_list (Array.map (Compact.label net) r.Tables.verts), r.Tables.flow))
   |> List.sort compare
 
 let tables_match_precompute msg (d : Delta.t) =

@@ -191,7 +191,7 @@ let test_io_autodetect_ignores_extension () =
       Alcotest.check compact "load_compact" c (Io.load_compact path);
       Alcotest.check Check.graph "load_graph" g (Io.load_graph path);
       let net = Io.load path in
-      Alcotest.(check int) "load (static)" (Graph.n_interactions g) (Static.n_interactions net))
+      Alcotest.(check int) "load" (Graph.n_interactions g) (Compact.n_interactions net))
 
 let test_io_load_graph_rejects_self_loop_snapshot () =
   let c = Compact.of_entries [ (3, 3, i_ 1.0 2.0) ] in
@@ -199,12 +199,17 @@ let test_io_load_graph_rejects_self_loop_snapshot () =
       (* The compact target accepts it... *)
       Alcotest.(check bool) "load_compact ok" true
         (Compact.equal c (Io.load_compact path));
-      (* ...the persistent-graph target cannot represent it. *)
-      match Io.load_graph_result path with
-      | Ok _ -> Alcotest.fail "expected self-loop rejection"
-      | Error e ->
-          Alcotest.(check int) "whole-file error" 0 e.Io.line;
-          Alcotest.(check bool) "mentions self-loop" true (contains e.Io.message "self-loop"))
+      (* ...the persistent-graph target cannot represent it, and the
+         pattern/extraction loader refuses it. *)
+      let rejected what = function
+        | Ok _ -> Alcotest.failf "%s: expected self-loop rejection" what
+        | Error e ->
+            Alcotest.(check int) (what ^ ": whole-file error") 0 e.Io.line;
+            Alcotest.(check bool) (what ^ ": mentions self-loop") true
+              (contains e.Io.message "self-loop")
+      in
+      rejected "load_graph_result" (Io.load_graph_result path);
+      rejected "load_result" (Io.load_result path))
 
 let prop_io_csv_and_snapshot_agree rng =
   (* The two on-disk formats load to equal substrates through the

@@ -1,7 +1,8 @@
 (* Ablation benchmarks for the design choices DESIGN.md calls out:
 
    A. Static solver on the time-expanded network: Edmonds-Karp vs
-      Dinic vs push-relabel (the PTIME route of Section 4.2.1).
+      Dinic vs push-relabel (the PTIME route of Section 4.2.1), which
+      must agree on every problem timed.
    B. Path-table maintenance: full precomputation vs delta updates
       (the paper's footnote-2 suggestion) for a batch of fresh
       interactions. *)
@@ -12,11 +13,18 @@ module Table = Tin_util.Table
 module Timer = Tin_util.Timer
 module Stats = Tin_util.Stats
 module Prng = Tin_util.Prng
+module Fcmp = Tin_util.Fcmp
 
+let static_solvers =
+  [ ("Edmonds-Karp", `Edmonds_karp); ("Dinic", `Dinic); ("Push-relabel", `Push_relabel) ]
+
+(* Times every solver on each problem and fails on the first problem
+   where they disagree beyond the flow tolerance. *)
 let static_solver_ablation datasets =
   let rows =
     List.map
       (fun d ->
+        let name = d.Workload.spec.Tin_datasets.Spec.name in
         (* The 20 largest problems per dataset. *)
         let problems =
           List.sort
@@ -25,29 +33,37 @@ let static_solver_ablation datasets =
             d.Workload.problems
           |> List.filteri (fun i _ -> i < 20)
         in
-        let time algo =
-          Stats.mean
-            (List.map
-               (fun (p : Extract.problem) ->
-                 let _, ms =
-                   Timer.time_ms (fun () ->
-                       TE.max_flow ~algo p.Extract.graph ~source:p.Extract.source
-                         ~sink:p.Extract.sink)
-                 in
-                 ms)
-               problems)
+        let times =
+          List.map
+            (fun (p : Extract.problem) ->
+              let runs =
+                List.map
+                  (fun (_, algo) ->
+                    Timer.time_ms (fun () ->
+                        TE.max_flow ~algo p.Extract.graph ~source:p.Extract.source
+                          ~sink:p.Extract.sink))
+                  static_solvers
+              in
+              let reference = fst (List.hd runs) in
+              List.iter2
+                (fun (solver, _) (v, _) ->
+                  if not (Fcmp.approx_eq reference v) then
+                    failwith
+                      (Printf.sprintf "ablation A: %s gives %.17g, Edmonds-Karp %.17g (%s, seed %d)"
+                         solver v reference name p.Extract.seed))
+                static_solvers runs;
+              List.map snd runs)
+            problems
         in
-        [
-          d.Workload.spec.Tin_datasets.Spec.name;
-          Table.fmt_ms (time `Edmonds_karp);
-          Table.fmt_ms (time `Dinic);
-          Table.fmt_ms (time `Push_relabel);
-        ])
+        name
+        :: List.mapi
+             (fun k _ -> Table.fmt_ms (Stats.mean (List.map (fun ms -> List.nth ms k) times)))
+             static_solvers)
       datasets
   in
   Table.print
     ~title:"Ablation A: static max-flow solver on the time-expanded network (20 largest subgraphs)"
-    ~header:[ "Dataset"; "Edmonds-Karp"; "Dinic"; "Push-relabel" ]
+    ~header:("Dataset" :: List.map fst static_solvers)
     rows;
   print_newline ()
 

@@ -23,55 +23,31 @@ type usage = {
 
 let eps = Tin_util.Fcmp.(default_policy.pivot_eps)
 
-(* Interactions are numbered in the global scan order — sort the
-   expanded network's interaction arcs with the same comparator as
-   [Graph.interactions_sorted] (and the [Compact] table): time, then
-   quantity, then src, then dst.  Fully identical interactions compare
-   equal; their ids are interchangeable because every observable field
-   coincides. *)
-let number_interactions interaction_arcs =
-  let a = Array.of_list interaction_arcs in
-  Array.sort
-    (fun (_, (s1, d1, i1)) (_, (s2, d2, i2)) ->
-      match Interaction.compare i1 i2 with
-      | 0 -> ( match Int.compare s1 s2 with 0 -> Int.compare d1 d2 | c -> c)
-      | c -> c)
-    a;
-  let info = Hashtbl.create 256 in
-  Array.iteri (fun k (arc, (src, dst, i)) -> Hashtbl.replace info arc (k, src, dst, i)) a;
-  info
-
 let max_flow_paths g ~source ~sink =
   let te = TE.build g ~source ~sink in
   let net = te.TE.net in
   let value = Dinic.max_flow net ~source:te.TE.source_node ~sink:te.TE.sink_node in
-  (* Remaining (not yet peeled) flow per forward arc, and the
-     interaction each arc realises (holdover arcs map to None). *)
-  let remaining = Hashtbl.create 256 in
-  let info = number_interactions te.TE.interaction_arcs in
-  let n_arcs = Net.n_arcs net in
-  for k = 0 to n_arcs - 1 do
-    let a = 2 * k in
-    let f = Net.flow net a in
-    if f > eps then Hashtbl.replace remaining a f
-  done;
-  (* Positive-flow adjacency: node -> arcs with remaining flow. *)
-  let adj = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun a _ ->
-      let from_node = Net.dst net (Net.twin a) in
-      let existing = match Hashtbl.find_opt adj from_node with Some l -> l | None -> [] in
-      Hashtbl.replace adj from_node (a :: existing))
-    remaining;
+  (* Remaining (not yet peeled) flow per slot, kept either above [eps]
+     or at 0: only forward arcs carry positive flow, since a residual
+     twin's is minus its forward arc's. *)
+  let remaining =
+    Array.init (Array.length net.Net.res) (fun a ->
+        let f = Net.flow net a in
+        if f > eps then f else 0.0)
+  in
+  (* Scan-order index of the interaction each slot realises; -1 for
+     holdover arcs and residual twins. *)
+  let inter_of = Array.make (Array.length net.Net.res) (-1) in
+  Array.iteri (fun k a -> if a >= 0 then inter_of.(a) <- k) te.TE.interaction_arcs;
+  (* Next slot to try per node: remaining flow only decreases, so a slot
+     once at 0 is passed for good. *)
+  let cursor = Array.sub net.Net.first 0 net.Net.n in
   let pick_arc node =
-    let rec first = function
-      | [] -> None
-      | a :: rest -> (
-          match Hashtbl.find_opt remaining a with
-          | Some f when f > eps -> Some (a, f)
-          | _ -> first rest)
-    in
-    first (match Hashtbl.find_opt adj node with Some l -> l | None -> [])
+    let stop = net.Net.first.(node + 1) in
+    while cursor.(node) < stop && remaining.(cursor.(node)) = 0.0 do
+      cursor.(node) <- cursor.(node) + 1
+    done;
+    if cursor.(node) < stop then Some cursor.(node) else None
   in
   (* Walk S -> T along positive arcs.  The expanded graph is a DAG, so
      a walk either reaches T or dead-ends at a node whose outgoing
@@ -84,7 +60,7 @@ let max_flow_paths g ~source ~sink =
     else
       match pick_arc node with
       | None -> `Stuck acc (* reversed: head = arc into the dead end *)
-      | Some (a, f) -> walk (Net.dst net a) (a :: acc) (Float.min bottleneck f)
+      | Some a -> walk net.Net.head.(a) (a :: acc) (Float.min bottleneck remaining.(a))
   in
   let paths = ref [] in
   let continue = ref true in
@@ -98,37 +74,26 @@ let max_flow_paths g ~source ~sink =
            other paths.  Stopping the whole loop here — the old
            behaviour — abandoned arbitrarily large flow still waiting on
            sibling branches. *)
-        Hashtbl.remove remaining last;
-        continue := true
-    | `Complete (arcs, bottleneck) when bottleneck > eps ->
+        remaining.(last) <- 0.0
+    | `Complete (arcs, bottleneck) ->
+        (* Every picked arc is above [eps], so the bottleneck is too, and
+           peeling it zeroes at least the bottleneck arc. *)
         List.iter
           (fun a ->
-            let f = Hashtbl.find remaining a in
-            let f' = f -. bottleneck in
-            if f' > eps then Hashtbl.replace remaining a f' else Hashtbl.remove remaining a)
+            let f' = remaining.(a) -. bottleneck in
+            remaining.(a) <- (if f' > eps then f' else 0.0))
           arcs;
         let legs =
           List.filter_map
             (fun a ->
-              match Hashtbl.find_opt info a with
-              | Some (inter, src, dst, i) ->
-                  Some
-                    { src; dst; time = Interaction.time i; offered = Interaction.qty i; inter }
-              | None -> None (* holdover arc: waiting, not a transfer *))
+              let inter = inter_of.(a) in
+              if inter < 0 then None (* holdover arc: waiting, not a transfer *)
+              else
+                let src, dst, i = te.TE.interactions.(inter) in
+                Some { src; dst; time = Interaction.time i; offered = Interaction.qty i; inter })
             arcs
         in
         paths := { legs; amount = bottleneck } :: !paths
-    | `Complete (arcs, _) ->
-        (* Unreachable today ([pick_arc] only returns arcs above [eps],
-           so a complete walk's bottleneck exceeds [eps]), but kept as a
-           progress guarantee: drop the bottleneck-sized arcs instead of
-           aborting the loop. *)
-        List.iter
-          (fun a ->
-            match Hashtbl.find_opt remaining a with
-            | Some f when f <= eps -> Hashtbl.remove remaining a
-            | _ -> ())
-          arcs
   done;
   (value, List.rev !paths)
 

@@ -1,52 +1,53 @@
 let eps = Tin_util.Fcmp.(default_policy.path_eps)
 
-let max_flow net ~source ~sink =
+let max_flow (net : Net.t) ~source ~sink =
   if source = sink then invalid_arg "Edmonds_karp.max_flow: source = sink";
-  let n = Net.n_nodes net in
+  let { Net.n; first; head; twin; res; _ } = net in
   let pred = Array.make n (-1) in
   (* pred.(v) = arc that reached v *)
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
   let total = ref 0.0 in
-  let rec round () =
+  let found = ref true in
+  while !found do
     Array.fill pred 0 n (-1);
-    Queue.clear queue;
-    Queue.add source queue;
     pred.(source) <- -2;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      let arcs = Net.adj net v in
-      let k = ref 0 in
-      while (not !found) && !k < Array.length arcs do
-        let a = arcs.(!k) in
-        incr k;
-        let u = Net.dst net a in
-        if pred.(u) = -1 && Net.residual net a > eps then begin
-          pred.(u) <- a;
-          if u = sink then found := true else Queue.add u queue
-        end
+    queue.(0) <- source;
+    let qh = ref 0 and qt = ref 1 in
+    found := false;
+    while (not !found) && !qh < !qt do
+      let v = queue.(!qh) in
+      incr qh;
+      let a = ref first.(v) and stop = first.(v + 1) in
+      while (not !found) && !a < stop do
+        let u = head.(!a) in
+        if pred.(u) = -1 && res.(!a) > eps then begin
+          pred.(u) <- !a;
+          if u = sink then found := true
+          else begin
+            queue.(!qt) <- u;
+            incr qt
+          end
+        end;
+        incr a
       done
     done;
     if !found then begin
-      (* Bottleneck along the predecessor chain. *)
-      let rec bottleneck v acc =
-        if v = source then acc
-        else
-          let a = pred.(v) in
-          bottleneck (Net.dst net (Net.twin a)) (Float.min acc (Net.residual net a))
-      in
-      let f = bottleneck sink infinity in
-      let rec push v =
-        if v <> source then begin
-          let a = pred.(v) in
-          Net.augment net a f;
-          push (Net.dst net (Net.twin a))
-        end
-      in
-      push sink;
-      total := !total +. f;
-      round ()
+      (* Bottleneck along the predecessor chain, then push it. *)
+      let f = ref infinity and v = ref sink in
+      while !v <> source do
+        let a = pred.(!v) in
+        if res.(a) < !f then f := res.(a);
+        v := head.(twin.(a))
+      done;
+      v := sink;
+      while !v <> source do
+        let a = pred.(!v) in
+        let b = twin.(a) in
+        res.(a) <- res.(a) -. !f;
+        res.(b) <- res.(b) +. !f;
+        v := head.(b)
+      done;
+      total := !total +. !f
     end
-  in
-  round ();
+  done;
   !total

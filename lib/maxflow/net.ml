@@ -1,109 +1,58 @@
 type arc = int
 
 type t = {
-  mutable n : int;
-  mutable m : int; (* arc slots in use (forward + residual) *)
-  mutable arc_dst : int array;
-  mutable arc_res : float array;
-  mutable arc_cap : float array; (* original capacity; 0 for residual twins *)
-  mutable adj_lists : arc list array; (* per node, reversed insertion order *)
-  mutable adj_cache : arc array array option;
+  n : int;
+  first : int array;
+  head : int array;
+  twin : arc array;
+  cap : float array;
+  res : float array;
+  fwd : arc array;
 }
 
-let create ~n =
-  {
-    n;
-    m = 0;
-    arc_dst = Array.make 16 0;
-    arc_res = Array.make 16 0.0;
-    arc_cap = Array.make 16 0.0;
-    adj_lists = Array.make (max n 1) [];
-    adj_cache = None;
-  }
+(* Counting sort of the 2m slots by the node they leave.  Input arc k
+   contributes its forward slot (leaving [src.(k)]) then its twin
+   (leaving [dst.(k)]); filling in input order keeps each node's slots
+   in the order the arcs were given. *)
+let of_arcs ~n ~src ~dst ~cap =
+  let m = Array.length src in
+  if Array.length dst <> m || Array.length cap <> m then invalid_arg "Net.of_arcs: length mismatch";
+  let first = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    let s = src.(k) and d = dst.(k) and c = cap.(k) in
+    if Float.is_nan c || c < 0.0 then invalid_arg "Net.of_arcs: bad capacity";
+    if s < 0 || s >= n || d < 0 || d >= n then invalid_arg "Net.of_arcs: node out of range";
+    first.(s + 1) <- first.(s + 1) + 1;
+    first.(d + 1) <- first.(d + 1) + 1
+  done;
+  for v = 1 to n do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
+  let next = Array.sub first 0 n in
+  let head = Array.make (2 * m) 0
+  and twin = Array.make (2 * m) 0
+  and cap_of = Array.make (2 * m) 0.0
+  and fwd = Array.make m 0 in
+  for k = 0 to m - 1 do
+    let s = src.(k) and d = dst.(k) in
+    let a = next.(s) in
+    next.(s) <- a + 1;
+    let r = next.(d) in
+    next.(d) <- r + 1;
+    head.(a) <- d;
+    head.(r) <- s;
+    twin.(a) <- r;
+    twin.(r) <- a;
+    cap_of.(a) <- cap.(k);
+    fwd.(k) <- a
+  done;
+  { n; first; head; twin; cap = cap_of; res = Array.copy cap_of; fwd }
 
-let add_node t =
-  let id = t.n in
-  t.n <- t.n + 1;
-  if t.n > Array.length t.adj_lists then begin
-    let grown = Array.make (2 * t.n) [] in
-    Array.blit t.adj_lists 0 grown 0 (Array.length t.adj_lists);
-    t.adj_lists <- grown
-  end;
-  t.adj_cache <- None;
-  id
-
-let ensure_arc_room t =
-  if t.m + 2 > Array.length t.arc_dst then begin
-    let cap = 2 * (t.m + 2) in
-    let grow_i a =
-      let g = Array.make cap 0 in
-      Array.blit a 0 g 0 t.m;
-      g
-    and grow_f a =
-      let g = Array.make cap 0.0 in
-      Array.blit a 0 g 0 t.m;
-      g
-    in
-    t.arc_dst <- grow_i t.arc_dst;
-    t.arc_res <- grow_f t.arc_res;
-    t.arc_cap <- grow_f t.arc_cap
-  end
-
-let add_arc t ~src ~dst ~cap =
-  if Float.is_nan cap || cap < 0.0 then invalid_arg "Net.add_arc: bad capacity";
-  if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
-    invalid_arg "Net.add_arc: node out of range";
-  ensure_arc_room t;
-  let a = t.m in
-  t.arc_dst.(a) <- dst;
-  t.arc_res.(a) <- cap;
-  t.arc_cap.(a) <- cap;
-  t.arc_dst.(a + 1) <- src;
-  t.arc_res.(a + 1) <- 0.0;
-  t.arc_cap.(a + 1) <- 0.0;
-  t.m <- t.m + 2;
-  t.adj_lists.(src) <- a :: t.adj_lists.(src);
-  t.adj_lists.(dst) <- (a + 1) :: t.adj_lists.(dst);
-  t.adj_cache <- None;
-  a
-
-let n_nodes t = t.n
-let n_arcs t = t.m / 2
-let capacity t a = t.arc_cap.(a)
-
+(* Flow on a forward arc equals the residual capacity accumulated on
+   its twin. *)
 let flow t a =
-  (* Flow on a forward arc equals the residual capacity accumulated on
-     its twin. *)
-  t.arc_res.(a lxor 1) -. t.arc_cap.(a lxor 1)
+  let r = t.twin.(a) in
+  t.res.(r) -. t.cap.(r)
 
-let copy t =
-  {
-    t with
-    arc_dst = Array.copy t.arc_dst;
-    arc_res = Array.copy t.arc_res;
-    arc_cap = Array.copy t.arc_cap;
-    adj_lists = Array.copy t.adj_lists;
-    adj_cache = None;
-  }
-
-let reset t =
-  Array.blit t.arc_cap 0 t.arc_res 0 t.m
-
-let dst t a = t.arc_dst.(a)
-let twin a = a lxor 1
-let residual t a = t.arc_res.(a)
-
-let augment t a f =
-  t.arc_res.(a) <- t.arc_res.(a) -. f;
-  t.arc_res.(a lxor 1) <- t.arc_res.(a lxor 1) +. f
-
-let adj t v =
-  let cache =
-    match t.adj_cache with
-    | Some c when Array.length c = t.n -> c
-    | _ ->
-        let c = Array.init t.n (fun v -> Array.of_list (List.rev t.adj_lists.(v))) in
-        t.adj_cache <- Some c;
-        c
-  in
-  cache.(v)
+let copy t = { t with res = Array.copy t.res }
+let reset t = Array.blit t.cap 0 t.res 0 (Array.length t.cap)

@@ -1,62 +1,46 @@
-(** Capacitated flow network with residual arcs.
+(** Capacitated flow network with residual arcs, in compressed sparse
+    row (CSR) form.
 
     The classic static max-flow substrate.  The paper's maximum-flow
     problem reduces to static max flow on a time-expanded network
     (Akrida et al., CIAC 2017); {!Time_expand} builds that network and
-    {!Edmonds_karp} / {!Dinic} solve it, giving an oracle that is
-    independent of the LP path.
+    {!Edmonds_karp} / {!Dinic} / {!Push_relabel} solve it, giving an
+    oracle that is independent of the LP path.
 
-    Arcs are stored in pairs: arc [2k] is the forward arc, arc
-    [2k + 1] its residual twin; solvers mutate residual capacities in
-    place.  Capacities may be [infinity] (holdover arcs). *)
+    The shape is fixed when the network is built: {!of_arcs} takes
+    every arc at once.  Each input arc becomes two {e slots}, its
+    forward arc and a zero-capacity residual twin, and the slots are
+    grouped by the node they leave: the slots leaving node [v] are
+    [first.(v) .. first.(v + 1) - 1], in input order.  Solvers read the
+    arrays directly and mutate [res] in place.  Capacities may be
+    [infinity] (holdover arcs). *)
 
-type t
 type arc = int
+(** A slot index, [0 .. 2m - 1] for [m] input arcs. *)
 
-val create : n:int -> t
-(** Network with [n] nodes ([0 .. n-1]) and no arcs. *)
+type t = private {
+  n : int;  (** Nodes [0 .. n - 1]. *)
+  first : int array;  (** Length [n + 1]: the slots leaving each node. *)
+  head : int array;  (** Node each slot enters. *)
+  twin : arc array;  (** The paired slot: a forward arc's residual twin, and back. *)
+  cap : float array;  (** Original capacity; 0 for residual twins. *)
+  res : float array;  (** Remaining capacity in the residual graph; solvers write it. *)
+  fwd : arc array;  (** Slot of the forward arc of each input arc. *)
+}
 
-val add_node : t -> int
-(** Adds a node, returning its id. *)
-
-val add_arc : t -> src:int -> dst:int -> cap:float -> arc
-(** Adds a forward arc and its zero-capacity residual twin; returns the
-    forward arc id.  @raise Invalid_argument on negative or NaN
-    capacity, or node ids out of range. *)
-
-val n_nodes : t -> int
-val n_arcs : t -> int
-(** Number of forward arcs. *)
-
-val capacity : t -> arc -> float
-(** Original capacity of a forward arc. *)
+val of_arcs : n:int -> src:int array -> dst:int array -> cap:float array -> t
+(** Network with [n] nodes and arc [k] from [src.(k)] to [dst.(k)] of
+    capacity [cap.(k)]; its forward slot is [fwd.(k)].
+    @raise Invalid_argument if the arrays differ in length, a capacity
+    is negative or NaN, or a node id is out of range. *)
 
 val flow : t -> arc -> float
-(** Current flow on a forward arc (0 before any solver ran). *)
+(** Current flow on a forward slot (0 before any solver ran); on a
+    residual twin, minus the flow of its forward arc. *)
 
 val copy : t -> t
-(** Deep copy, so several solvers can run on the same network. *)
+(** Copy with its own residual capacities, so several solvers can run
+    on the same network. *)
 
 val reset : t -> unit
 (** Zeroes all flow. *)
-
-(** {1 Residual-graph access (used by the solvers)} *)
-
-val dst : t -> arc -> int
-(** Destination node of an arc (for residual twins: the original
-    source). *)
-
-val twin : arc -> arc
-(** The paired residual arc ([a lxor 1]). *)
-
-val residual : t -> arc -> float
-(** Remaining capacity of an arc in the residual graph. *)
-
-val augment : t -> arc -> float -> unit
-(** [augment net a f] pushes [f] units along [a]: decreases its
-    residual capacity and increases the twin's. *)
-
-val adj : t -> int -> arc array
-(** All arcs (forward and residual) leaving a node in the residual
-    graph.  The array is cached; do not add arcs between solver runs
-    without rebuilding. *)

@@ -4,12 +4,16 @@ let eps = Tin_util.Fcmp.(default_policy.path_eps)
    source is initialised by saturating its outgoing arcs; nodes with
    positive excess (except source/sink) are kept in per-height
    buckets. *)
-let max_flow net ~source ~sink =
+let max_flow (net : Net.t) ~source ~sink =
   if source = sink then invalid_arg "Push_relabel.max_flow: source = sink";
-  let n = Net.n_nodes net in
+  let { Net.n; first; head; twin; res; _ } = net in
+  let augment a f =
+    res.(a) <- res.(a) -. f;
+    res.(twin.(a)) <- res.(twin.(a)) +. f
+  in
   let height = Array.make n 0 in
   let excess = Array.make n 0.0 in
-  let current = Array.make n 0 in
+  let current = Array.sub first 0 n in
   (* arc cursor per node *)
   (* Buckets of active nodes by height; [highest] tracks the topmost
      non-empty bucket. *)
@@ -30,36 +34,34 @@ let max_flow net ~source ~sink =
   height.(source) <- n;
   Array.iteri (fun v _ -> if v <> source then height_count.(height.(v)) <- height_count.(height.(v)) + 1) height;
   (* Saturate source arcs. *)
-  Array.iter
-    (fun a ->
-      let r = Net.residual net a in
-      if r > eps then begin
-        let u = Net.dst net a in
-        Net.augment net a r;
-        excess.(u) <- excess.(u) +. r;
-        excess.(source) <- excess.(source) -. r
-      end)
-    (Net.adj net source);
+  for a = first.(source) to first.(source + 1) - 1 do
+    let r = res.(a) in
+    if r > eps then begin
+      let u = head.(a) in
+      augment a r;
+      excess.(u) <- excess.(u) +. r;
+      excess.(source) <- excess.(source) -. r
+    end
+  done;
   Array.iteri (fun v _ -> activate v) height;
   let relabel v =
     (* Find the lowest admissible height among residual arcs. *)
     let old = height.(v) in
     let best = ref max_int in
-    Array.iter
-      (fun a ->
-        if Net.residual net a > eps then begin
-          let h = height.(Net.dst net a) in
-          (* Parked neighbours (height > 2n) lead nowhere. *)
-          if h <= 2 * n && h < !best then best := h
-        end)
-      (Net.adj net v);
+    for a = first.(v) to first.(v + 1) - 1 do
+      if res.(a) > eps then begin
+        let h = height.(head.(a)) in
+        (* Parked neighbours (height > 2n) lead nowhere. *)
+        if h <= 2 * n && h < !best then best := h
+      end
+    done;
     if !best < max_int then begin
       (* Theory bounds heights by 2n - 1 for nodes holding excess, so
          no cap is needed. *)
       height_count.(old) <- height_count.(old) - 1;
       height.(v) <- !best + 1;
       height_count.(height.(v)) <- height_count.(height.(v)) + 1;
-      current.(v) <- 0;
+      current.(v) <- first.(v);
       (* Gap heuristic: if no node remains at [old], every node above
          [old] (below n) can never push to the sink again — lift them
          past n at once. *)
@@ -80,17 +82,16 @@ let max_flow net ~source ~sink =
     end
   in
   let discharge v =
-    let arcs = Net.adj net v in
-    let m = Array.length arcs in
+    let stop = first.(v + 1) in
     while excess.(v) > eps && height.(v) <= 2 * n do
-      if current.(v) >= m then relabel v
+      if current.(v) >= stop then relabel v
       else begin
-        let a = arcs.(current.(v)) in
-        let u = Net.dst net a in
-        let r = Net.residual net a in
+        let a = current.(v) in
+        let u = head.(a) in
+        let r = res.(a) in
         if r > eps && height.(v) = height.(u) + 1 then begin
           let f = Float.min excess.(v) r in
-          Net.augment net a f;
+          augment a f;
           excess.(v) <- excess.(v) -. f;
           let was_inactive = excess.(u) <= eps in
           excess.(u) <- excess.(u) +. f;

@@ -3,20 +3,35 @@
     Section 4.2.1 of the paper shows its maximum-flow problem is
     equivalent to maximum flow in temporal networks with ephemeral
     edges, which in turn reduces to *static* maximum flow on a
-    time-expanded graph.  This module performs that reduction:
+    time-expanded graph.  This module performs that reduction in one
+    pass over the interactions in scan order
+    ({!Graph.interactions_sorted}), numbering the event nodes in time
+    order after [S] and [T] (below):
 
-    - one node per (vertex, event time) pair — an event time of a
-      vertex is any timestamp at which it sends or receives;
-    - infinite-capacity holdover arcs between consecutive event nodes
-      of the same vertex (buffering);
+    - a vertex with an unbounded buffer (the paper's model) gets one
+      node per event time — a timestamp at which it sends or receives.
+      The node holds what the vertex has after that event: arrivals at
+      the event land in it, and departures at the vertex's next event
+      draw from it, so quantity is only relayed strictly later.  An
+      infinite-capacity holdover arc joins consecutive event nodes;
+    - a vertex with a finite buffer capacity [c] gets two nodes per
+      event time after its first: the buffer just before the event,
+      which departures draw from, fed from the previous event's node by
+      a carry arc of capacity [c], and the state just after it, joined
+      to the buffer by an infinite arc.  Contracting each carry arc
+      when [c] is infinite gives the unbounded layout, so the two
+      agree;
     - for each interaction [(t, q)] on edge [(v, u)], an arc of
-      capacity [q] leaving the node of [v] that holds the quantity
-      available {e strictly before} [t] and entering the node of [u]
-      that is available strictly after [t] — the same strict-time
-      semantics as the LP's constraint (2);
+      capacity [q] from the node of [v] that holds the quantity
+      available {e strictly before} [t] to the node of [u] that holds
+      it just after [t] — the same strict-time semantics as the LP's
+      constraint (2).  Departures at a vertex's first event have no
+      arc: nothing is buffered before it;
     - interactions leaving the designated source draw from a master
       source node [S] (infinite buffer), and interactions entering the
-      designated sink deposit into a master sink node [T].
+      designated sink deposit into a master sink node [T].  The source
+      and sink get no event nodes, so interactions entering the source
+      or leaving the sink have no arc either.
 
     The maximum [S]→[T] flow equals the paper's maximum flow.  The
     node count is O(#interactions), so solving with {!Dinic} realises
@@ -29,13 +44,15 @@
 
 type t = private {
   net : Net.t;
-  source_node : int;
-  sink_node : int;
-  n_event_nodes : int;
-  interaction_arcs : (Net.arc * (Graph.vertex * Graph.vertex * Interaction.t)) list;
-      (** Which network arc realises which interaction (dead
-          interactions have no arc).  Holdover arcs are absent: they
-          only model buffering.  Used by flow decomposition. *)
+  source_node : int;  (** [S], node 0. *)
+  sink_node : int;  (** [T], node 1. *)
+  n_event_nodes : int;  (** Nodes other than [S] and [T]. *)
+  interactions : (Graph.vertex * Graph.vertex * Interaction.t) array;
+      (** {!Graph.interactions_sorted}: every interaction in scan order. *)
+  interaction_arcs : Net.arc array;
+      (** Slot of the arc that realises [interactions.(k)], or [-1] when
+          it has none (see above).  Holdover and carry arcs are absent:
+          they only model buffering.  Used by flow decomposition. *)
 }
 
 val build :
@@ -67,8 +84,8 @@ type solution = {
   value : float;
   interaction_flows : ((Graph.vertex * Graph.vertex * Interaction.t) * float) list;
       (** Flow routed over each interaction's arc, read back from the
-          solved residual network.  Dead interactions (never reachable
-          — no arc in the expansion) are absent; they carry zero. *)
+          solved residual network, in scan order.  Interactions with no
+          arc in the expansion are absent; they carry zero. *)
 }
 
 val max_flow_detailed :

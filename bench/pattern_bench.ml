@@ -193,6 +193,15 @@ let sweep_dataset scale d =
     obs = obs_snapshot scale d tables budget_ms;
   }
 
+(* On a single domain a jobs > 1 run time-slices that one domain, so
+   its wall time is scheduling noise: as in the solver benchmark, such
+   rows are refused rather than recorded.  The runs still happen, so
+   the multi-domain code path is still exercised. *)
+let refused jobs = jobs > 1 && Batch.recommended_jobs () = 1
+
+let skipped_row ~indent jobs =
+  Printf.sprintf "%s{ \"jobs\": %d, \"skipped\": \"single_domain\" }" indent jobs
+
 let per_s instances ms = if ms > 0.0 then float_of_int instances /. (ms /. 1000.0) else 0.0
 
 let speedup_vs_1 points point value_of =
@@ -233,10 +242,13 @@ let write_json path ~scale_name results =
       let pre1 = try List.assoc 1 r.precompute_ms with Not_found -> 0.0 in
       List.iteri
         (fun j (jobs, ms) ->
-          add "        { \"jobs\": %d, \"wall_ms\": %s, \"speedup_vs_1\": %s }%s\n" jobs
-            (json_float ms)
-            (json_float (if ms > 0.0 && pre1 > 0.0 then pre1 /. ms else 1.0))
-            (if j < List.length r.precompute_ms - 1 then "," else ""))
+          let sep = if j < List.length r.precompute_ms - 1 then "," else "" in
+          if refused jobs then add "%s%s\n" (skipped_row ~indent:"        " jobs) sep
+          else
+            add "        { \"jobs\": %d, \"wall_ms\": %s, \"speedup_vs_1\": %s }%s\n" jobs
+              (json_float ms)
+              (json_float (if ms > 0.0 && pre1 > 0.0 then pre1 /. ms else 1.0))
+              sep)
         r.precompute_ms;
       add "      ],\n";
       add "      \"patterns\": [\n";
@@ -245,17 +257,20 @@ let write_json path ~scale_name results =
           add "        { \"name\": \"%s\", \"runs\": [\n" (json_escape s.pattern);
           List.iteri
             (fun k p ->
+              let sep = if k < List.length s.points - 1 then "," else "" in
               let gb_per_s = per_s p.gb_instances p.gb_ms in
               let pb_per_s = per_s p.pb_instances p.pb_ms in
-              add
-                "          { \"jobs\": %d, \"gb_ms\": %s, \"gb_instances\": %d, \
-                 \"gb_truncated\": %b, \"gb_per_s\": %s, \"gb_speedup_vs_1\": %s, \"pb_ms\": \
-                 %s, \"pb_instances\": %d, \"pb_per_s\": %s, \"pb_speedup_vs_1\": %s }%s\n"
-                p.jobs (json_float p.gb_ms) p.gb_instances p.gb_truncated (json_float gb_per_s)
-                (json_float (speedup_vs_1 s.points p (fun q -> per_s q.gb_instances q.gb_ms)))
-                (json_float p.pb_ms) p.pb_instances (json_float pb_per_s)
-                (json_float (speedup_vs_1 s.points p (fun q -> per_s q.pb_instances q.pb_ms)))
-                (if k < List.length s.points - 1 then "," else ""))
+              if refused p.jobs then add "%s%s\n" (skipped_row ~indent:"          " p.jobs) sep
+              else
+                add
+                  "          { \"jobs\": %d, \"gb_ms\": %s, \"gb_instances\": %d, \
+                   \"gb_truncated\": %b, \"gb_per_s\": %s, \"gb_speedup_vs_1\": %s, \"pb_ms\": \
+                   %s, \"pb_instances\": %d, \"pb_per_s\": %s, \"pb_speedup_vs_1\": %s }%s\n"
+                  p.jobs (json_float p.gb_ms) p.gb_instances p.gb_truncated (json_float gb_per_s)
+                  (json_float (speedup_vs_1 s.points p (fun q -> per_s q.gb_instances q.gb_ms)))
+                  (json_float p.pb_ms) p.pb_instances (json_float pb_per_s)
+                  (json_float (speedup_vs_1 s.points p (fun q -> per_s q.pb_instances q.pb_ms)))
+                  sep)
             s.points;
           add "        ] }%s\n" (if j < List.length r.sweeps - 1 then "," else ""))
         r.sweeps;
@@ -279,15 +294,20 @@ let sweep_table r =
        (fun s ->
          List.map
            (fun p ->
-             [
-               s.pattern;
-               string_of_int p.jobs;
-               Table.fmt_ms p.gb_ms;
-               Printf.sprintf "%.0f" (per_s p.gb_instances p.gb_ms);
-               Printf.sprintf "%.2fx" (speedup_vs_1 s.points p (fun q -> per_s q.gb_instances q.gb_ms));
-               Table.fmt_ms p.pb_ms;
-               Printf.sprintf "%.2fx" (speedup_vs_1 s.points p (fun q -> per_s q.pb_instances q.pb_ms));
-             ])
+             if refused p.jobs then
+               [ s.pattern; string_of_int p.jobs; "skipped"; "(single domain)"; "-"; "-"; "-" ]
+             else
+               [
+                 s.pattern;
+                 string_of_int p.jobs;
+                 Table.fmt_ms p.gb_ms;
+                 Printf.sprintf "%.0f" (per_s p.gb_instances p.gb_ms);
+                 Printf.sprintf "%.2fx"
+                   (speedup_vs_1 s.points p (fun q -> per_s q.gb_instances q.gb_ms));
+                 Table.fmt_ms p.pb_ms;
+                 Printf.sprintf "%.2fx"
+                   (speedup_vs_1 s.points p (fun q -> per_s q.pb_instances q.pb_ms));
+               ])
            s.points)
        r.sweeps)
 

@@ -35,12 +35,11 @@ let () =
     (Tables.n_rows l3);
   let roundtrip = Hashtbl.create 256 in
   let add t =
-    Array.iter
-      (fun r ->
-        let a = r.Tables.verts.(0) in
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt roundtrip a) in
-        Hashtbl.replace roundtrip a (prev +. r.Tables.flow))
-      (Tables.rows t)
+    for r = 0 to Tables.n_rows t - 1 do
+      let a = Tables.vert t r 0 in
+      let prev = Option.value ~default:0.0 (Hashtbl.find_opt roundtrip a) in
+      Hashtbl.replace roundtrip a (prev +. Tables.flow t r)
+    done
   in
   add l2;
   add l3;

@@ -54,12 +54,11 @@ let () =
   (* Rank users by relaxed round-trip flow (RP2 + RP3 aggregation). *)
   let per_user = Hashtbl.create 128 in
   let tally table =
-    Array.iter
-      (fun r ->
-        let a = r.Tables.verts.(0) in
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_user a) in
-        Hashtbl.replace per_user a (prev +. r.Tables.flow))
-      (Tables.rows table)
+    for r = 0 to Tables.n_rows table - 1 do
+      let a = Tables.vert table r 0 in
+      let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_user a) in
+      Hashtbl.replace per_user a (prev +. Tables.flow table r)
+    done
   in
   tally tables.Catalog.l2;
   tally tables.Catalog.l3;

@@ -45,7 +45,7 @@ val arrivals_at_sink : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> In
 (** The interactions (time, moved quantity) that increased the sink's
     buffer, in time order, zero-moves dropped.  This is the interaction
     sequence that the simplification pass (Lemma 3) installs on the
-    replacement edge, and that the pattern path tables store. *)
+    replacement edge; the pattern path tables store its total. *)
 
 val buffers : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> (Graph.vertex * float) list
 (** Final buffer of every vertex after the scan (the source reports

@@ -22,17 +22,3 @@ type result = {
 val run : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> result
 (** Simplifies a DAG.  The input is unchanged.
     @raise Invalid_argument if the graph is cyclic or [source = sink]. *)
-
-val reduce_chain_cols :
-  k:int -> times:floatarray -> qtys:floatarray -> pos:int array -> Interaction.t list
-(** [reduce_chain_cols ~k ~times ~qtys ~pos] collapses a free-standing
-    [k]-edge chain [0 → 1 → … → k] into the interaction sequence of
-    its replacement edge (Lemma 3): interaction [j] has timestamp
-    [times.(j)], quantity [qtys.(j)] and sits on chain edge
-    [pos.(j) → pos.(j) + 1] ([0 ≤ pos.(j) < k]; any order; the three
-    arrays must have equal length).  The result equals
-    {!Greedy.arrivals_at_sink} on that positional chain graph
-    (property-tested), computed without building a graph or boxing
-    interactions — the pattern-table candidate scan
-    ({!Tin_patterns.Tables}), which extends precomputed paths one edge
-    at a time (Section 5.1), calls this once per candidate. *)

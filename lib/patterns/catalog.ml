@@ -190,11 +190,6 @@ let search ?jobs sh ~name ~n body =
     timed_out = Atomic.get sh.timed_out;
   }
 
-(* Greedy flow along a free-standing chain of edges given by edge ids
-   (used by the on-the-fly GB paths: same semantics as the table
-   rows). *)
-let chain_flow net eids = Interaction.total_qty (Tables.chain_arrivals net eids)
-
 (* Maximum flow of a cyclic instance anchored at [anchor]. *)
 let cyclic_instance_flow net eids ~anchor =
   let g = Compact.edges_to_graph net eids in
@@ -223,7 +218,7 @@ let simple_shape (pat : Pattern.t) =
 let instance_flow_fn ?tables net pat =
   let fallback mu = Pattern.instance_flow net pat mu in
   let lookup tbl key_of mu =
-    match Tables.find tbl (key_of mu) with Some r -> r.Tables.flow | None -> fallback mu
+    match Tables.find tbl (key_of mu) with Some r -> Tables.flow tbl r | None -> fallback mu
   in
   match tables with
   | None -> fallback
@@ -245,7 +240,7 @@ let p5_hybrid_flow net tb pat mu =
   match
     (Tables.find tb.l2 [| mu.(0); mu.(1) |], Tables.find tb.l3 [| mu.(0); mu.(2); mu.(3) |])
   with
-  | Some r2, Some r3 -> r2.Tables.flow +. r3.Tables.flow
+  | Some r2, Some r3 -> Tables.flow tb.l2 r2 +. Tables.flow tb.l3 r3
   | _ -> Pattern.instance_flow net pat mu
 
 let gb_with ?jobs ?(limit = max_int) ?time_budget_ms net pat flow_of =
@@ -287,7 +282,7 @@ let gb_relaxed ?jobs ?(limit = max_int) ?time_budget_ms net r =
               match Compact.find_edge net ~src:b ~dst:a with
               | Some e_ba ->
                   found := true;
-                  flow := !flow +. chain_flow net [ e_ab; e_ba ]
+                  flow := !flow +. Tables.chain_flow net [| e_ab; e_ba |]
               | None -> ());
           if !found then add sh local !flow
     | RP3 ->
@@ -305,7 +300,7 @@ let gb_relaxed ?jobs ?(limit = max_int) ?time_budget_ms net r =
                       match Compact.find_edge net ~src:c ~dst:a with
                       | Some e_ca ->
                           found := true;
-                          flow := !flow +. chain_flow net [ e_ab; e_bc; e_ca ]
+                          flow := !flow +. Tables.chain_flow net [| e_ab; e_bc; e_ca |]
                       | None -> ()));
           if !found then add sh local !flow
     | RP1 ->
@@ -320,7 +315,7 @@ let gb_relaxed ?jobs ?(limit = max_int) ?time_budget_ms net r =
               Compact.iter_succs net b (fun c e_bc ->
                   poll ();
                   if c <> a && c <> b then begin
-                    let f = chain_flow net [ e_ab; e_bc ] in
+                    let f = Tables.chain_flow net [| e_ab; e_bc |] in
                     let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_c c) in
                     Hashtbl.replace per_c c (prev +. f)
                   end));
@@ -355,7 +350,7 @@ let sum_start tbl a flow =
   let found = ref false in
   Tables.iter_start tbl a (fun r ->
       found := true;
-      flow := !flow +. r.Tables.flow);
+      flow := !flow +. Tables.flow tbl r);
   !found
 
 let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
@@ -368,9 +363,13 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
     match pattern with
     | Rigid P1 ->
         let c2 = require_chains tables in
-        fun local a -> Tables.iter_start c2 a (fun r -> add sh local r.Tables.flow)
-    | Rigid P2 -> fun local a -> Tables.iter_start tables.l2 a (fun r -> add sh local r.Tables.flow)
-    | Rigid P3 -> fun local a -> Tables.iter_start tables.l3 a (fun r -> add sh local r.Tables.flow)
+        fun local a -> Tables.iter_start c2 a (fun r -> add sh local (Tables.flow c2 r))
+    | Rigid P2 ->
+        let l2 = tables.l2 in
+        fun local a -> Tables.iter_start l2 a (fun r -> add sh local (Tables.flow l2 r))
+    | Rigid P3 ->
+        let l3 = tables.l3 in
+        fun local a -> Tables.iter_start l3 a (fun r -> add sh local (Tables.flow l3 r))
     | Rigid P4 ->
         (* 3-hop cycle + chord b→a: the precomputed flow is unusable
            (the cycle is not isolated in the instance); the instance
@@ -382,7 +381,7 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
           in
           Tables.iter_start tables.l3 a (fun r ->
               poll ();
-              let b = r.Tables.verts.(1) and c = r.Tables.verts.(2) in
+              let b = Tables.vert tables.l3 r 1 and c = Tables.vert tables.l3 r 2 in
               match Compact.find_edge net ~src:b ~dst:a with
               | Some e_ba ->
                   let eids =
@@ -404,12 +403,13 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
             let stop = stopper sh in
             fun () -> if stop () then raise Done
           in
-          Tables.iter_start tables.l2 a (fun r2 ->
-              let b = r2.Tables.verts.(1) in
-              Tables.iter_start tables.l3 a (fun r3 ->
+          let l2 = tables.l2 and l3 = tables.l3 in
+          Tables.iter_start l2 a (fun r2 ->
+              let b = Tables.vert l2 r2 1 in
+              Tables.iter_start l3 a (fun r3 ->
                   poll ();
-                  let c = r3.Tables.verts.(1) and e = r3.Tables.verts.(2) in
-                  if b <> c && b <> e then add sh local (r2.Tables.flow +. r3.Tables.flow)))
+                  let c = Tables.vert l3 r3 1 and e = Tables.vert l3 r3 2 in
+                  if b <> c && b <> e then add sh local (Tables.flow l2 r2 +. Tables.flow l3 r3)))
     | Rigid P6 ->
         fun local a ->
           let poll =
@@ -418,7 +418,7 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
           in
           Tables.iter_start tables.l3 a (fun r ->
               poll ();
-              let b = r.Tables.verts.(1) and c = r.Tables.verts.(2) in
+              let b = Tables.vert tables.l3 r 1 and c = Tables.vert tables.l3 r 2 in
               match (Compact.find_edge net ~src:a ~dst:c, Compact.find_edge net ~src:b ~dst:a) with
               | Some e_ac, Some e_ba ->
                   let eids =
@@ -437,9 +437,9 @@ let pb ?jobs ?(limit = max_int) ?time_budget_ms net tables pattern =
         fun local a ->
           let per_c = Hashtbl.create 16 in
           Tables.iter_start c2 a (fun r ->
-              let c = r.Tables.verts.(2) in
+              let c = Tables.vert c2 r 2 in
               let prev = Option.value ~default:0.0 (Hashtbl.find_opt per_c c) in
-              Hashtbl.replace per_c c (prev +. r.Tables.flow));
+              Hashtbl.replace per_c c (prev +. Tables.flow c2 r));
           Hashtbl.fold (fun c f l -> (c, f) :: l) per_c []
           |> List.sort compare
           |> List.iter (fun (_, f) -> add sh local f)

@@ -36,57 +36,70 @@ let grow old_net additions =
 
 let edge_exists net u v = Compact.find_edge net ~src:u ~dst:v <> None
 
-(* New-space rebuild of one row.  The vertex list alone is ambiguous
-   (a chain (a,b,c) may coexist with the cycle (a,b,c)), so the table
+(* New-space flow of one row.  The vertex list alone is ambiguous (a
+   chain (a,b,c) may coexist with the cycle (a,b,c)), so the table
    kind decides the edge list. *)
-let rebuild_row ~kind net verts =
+let row_flow ~kind net verts =
   let e a b = Option.get (Compact.find_edge net ~src:a ~dst:b) in
   let eids =
-    match (kind, Array.to_list verts) with
-    | `Cycle2, [ a; b ] -> [ e a b; e b a ]
-    | `Cycle3, [ a; b; c ] -> [ e a b; e b c; e c a ]
-    | `Chain2, [ a; b; c ] -> [ e a b; e b c ]
+    match (kind, verts) with
+    | `Cycle2, [| a; b |] -> [| e a b; e b a |]
+    | `Cycle3, [| a; b; c |] -> [| e a b; e b c; e c a |]
+    | `Chain2, [| a; b; c |] -> [| e a b; e b c |]
     | _ -> assert false
   in
-  Tables.path_row net verts eids
+  Tables.chain_flow net eids
 
 (* Update one table.  [touched] is the set of directed new-space
    pairs with modified interaction sequences; [uses_touched] decides
    row staleness; [discover] enumerates candidate new rows per touched
-   pair. *)
+   pair, every one of which uses that pair.  Ids are label ranks, so
+   [translate] is increasing and the kept rows stay sorted in the new
+   id space: only the rebuilt rows are sorted, then merged in. *)
 let update_table ~kind ~net ~translate ~touched ~uses_touched ~discover table =
-  let rebuilt = Hashtbl.create 64 in
-  let count = ref 0 in
-  let keep = ref [] in
-  Array.iter
-    (fun r ->
-      let verts = Array.map translate r.Tables.verts in
-      if uses_touched verts then () (* stale: rebuilt below if still valid *)
-      else keep := { r with Tables.verts } :: !keep)
-    (Tables.rows table);
+  let width = Tables.width table and n_old = Tables.n_rows table in
+  let lex a b =
+    let rec go i =
+      if i = width then 0
+      else
+        let c = Int.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+  in
+  let old =
+    Array.init n_old (fun r -> Array.init width (fun i -> translate (Tables.vert table r i)))
+  in
+  let stale = Array.map uses_touched old in
   (* Candidates: stale old rows plus brand-new rows through touched
-     pairs. *)
-  let candidates = Hashtbl.create 64 in
-  Array.iter
-    (fun r ->
-      let verts = Array.map translate r.Tables.verts in
-      if uses_touched verts then Hashtbl.replace candidates (Array.to_list verts) verts)
-    (Tables.rows table);
-  PairSet.iter
-    (fun (u, v) ->
-      List.iter
-        (fun verts -> Hashtbl.replace candidates (Array.to_list verts) verts)
-        (discover u v))
-    touched;
-  Hashtbl.iter
-    (fun key verts ->
-      if not (Hashtbl.mem rebuilt key) then begin
-        Hashtbl.add rebuilt key ();
-        incr count;
-        keep := rebuild_row ~kind net verts :: !keep
-      end)
-    candidates;
-  (Tables.of_rows ~n_vertices:(Compact.n_vertices net) !keep, !count)
+     pairs, each rebuilt once. *)
+  let candidates = ref [] in
+  Array.iteri (fun r verts -> if stale.(r) then candidates := verts :: !candidates) old;
+  PairSet.iter (fun (u, v) -> candidates := List.rev_append (discover u v) !candidates) touched;
+  let fresh = Array.of_list (List.sort_uniq lex !candidates) in
+  let fresh_flows = Array.map (row_flow ~kind net) fresh in
+  let count = Array.length fresh in
+  let rows = Array.fold_left (fun n s -> if s then n else n + 1) count stale in
+  let verts = Array.make (rows * width) 0 and flows = Float.Array.create rows in
+  let emit out row flow =
+    Array.blit row 0 verts (out * width) width;
+    Float.Array.set flows out flow
+  in
+  let r = ref 0 and f = ref 0 in
+  for out = 0 to rows - 1 do
+    while !r < n_old && stale.(!r) do
+      incr r
+    done;
+    if !r < n_old && (!f = count || lex old.(!r) fresh.(!f) < 0) then begin
+      emit out old.(!r) (Tables.flow table !r);
+      incr r
+    end
+    else begin
+      emit out fresh.(!f) fresh_flows.(!f);
+      incr f
+    end
+  done;
+  (Tables.of_sorted ~n_vertices:(Compact.n_vertices net) ~width verts flows, count)
 
 let apply t ~additions =
   List.iter

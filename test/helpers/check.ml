@@ -9,6 +9,10 @@ let flow = approx ()
 
 let check_flow msg expected actual = Alcotest.check flow msg expected actual
 
+(* Bit-for-bit float equality, printed in hex so that a one-ulp
+   difference shows. *)
+let exact = Alcotest.testable (fun ppf f -> Format.fprintf ppf "%h" f) Float.equal
+
 let graph =
   Alcotest.testable (fun ppf g -> Graph.pp ppf g) Graph.equal
 

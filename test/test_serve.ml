@@ -236,16 +236,16 @@ let test_daemon_eviction () =
 
 (* Normalize a table into label space (same idiom as test_delta). *)
 let normalized net table =
-  Array.to_list (Tables.rows table)
-  |> List.map (fun r ->
-         (Array.to_list (Array.map (Compact.label net) r.Tables.verts), r.Tables.flow))
+  List.init (Tables.n_rows table) (fun r ->
+      ( List.init (Tables.width table) (fun i -> Compact.label net (Tables.vert table r i)),
+        Tables.flow table r ))
   |> List.sort compare
 
 let tables_match_precompute msg (d : Delta.t) =
   let with_chains = d.Delta.tables.Catalog.c2 <> None in
   let full = Catalog.precompute ~with_chains d.Delta.net in
   let check part a b =
-    Alcotest.(check (list (pair (list int) (float 1e-9))))
+    Alcotest.(check (list (pair (list int) Check.exact)))
       (msg ^ ": " ^ part)
       (normalized d.Delta.net b) (normalized d.Delta.net a)
   in

@@ -6,6 +6,7 @@ module Simplify = Tin_core.Simplify
 module Lp_flow = Tin_core.Lp_flow
 module Pipeline = Tin_core.Pipeline
 module Greedy = Tin_core.Greedy
+module Tables = Tin_patterns.Tables
 module Prng = Tin_util.Prng
 module P = Paper_examples
 
@@ -99,19 +100,28 @@ let test_cyclic_rejected () =
   Alcotest.check_raises "cycle" (Invalid_argument "Simplify.run: graph has a cycle") (fun () ->
       ignore (Simplify.run g ~source:0 ~sink:1))
 
-(* The pattern tables' chain reduction, fed the chain whose edge [e]
-   carries the interactions [edges.(e)], rows in the given order. *)
-let reduce_chain rows ~k =
-  let rows = Array.of_list rows in
-  let n = Array.length rows in
-  Simplify.reduce_chain_cols ~k
-    ~times:(Float.Array.init n (fun j -> Interaction.time (snd rows.(j))))
-    ~qtys:(Float.Array.init n (fun j -> Interaction.qty (snd rows.(j))))
-    ~pos:(Array.map fst rows)
+(* The pattern tables' chain reduction over the positional chain
+   0 → 1 → … → k whose hop [p] carries the interactions [edges.(p)]. *)
+let chain_flow edges =
+  let net =
+    Compact.of_entries
+      (List.concat (List.mapi (fun p is -> List.map (fun i -> (p, p + 1, i)) is) edges))
+  in
+  Tables.chain_flow net
+    (Array.of_list
+       (List.mapi (fun p _ -> Option.get (Compact.find_edge net ~src:p ~dst:(p + 1))) edges))
 
-let chain_rows edges = List.concat (List.mapi (fun e is -> List.map (fun i -> (e, i)) is) edges)
+(* Its exactness oracle: the total of what the greedy kernel delivers
+   at the end of the same chain, as a graph. *)
+let greedy_chain_flow edges =
+  let g, k =
+    List.fold_left
+      (fun (g, p) is -> (Graph.add_edge g ~src:p ~dst:(p + 1) is, p + 1))
+      (Graph.empty, 0) edges
+  in
+  Interaction.total_qty (Greedy.arrivals_at_sink g ~source:0 ~sink:k)
 
-let test_reduce_chain_cols_fig5a () =
+let test_chain_flow_fig5a () =
   let edges =
     [
       Graph.edge P.fig5a ~src:P.s ~dst:P.x;
@@ -119,17 +129,16 @@ let test_reduce_chain_cols_fig5a () =
       Graph.edge P.fig5a ~src:P.y ~dst:P.t;
     ]
   in
-  Alcotest.check Check.interactions "reduced edge of Figure 5(a)" P.fig5a_reduced_edge
-    (reduce_chain (chain_rows edges) ~k:3)
+  Alcotest.check Check.exact "flow of Figure 5(a)'s reduced edge"
+    (Interaction.total_qty P.fig5a_reduced_edge) (chain_flow edges)
 
-let test_reduce_chain_cols_empty () =
-  Alcotest.check Check.interactions "empty chain" [] (reduce_chain [] ~k:0)
+let test_chain_flow_empty () = Alcotest.check Check.exact "empty chain" 0.0 (chain_flow [])
 
-(* Reference check for the separate chain loop: it must give what the
-   greedy kernel gives on the equivalent positional chain graph.  Small
-   time and quantity ranges force duplicate timestamps and zero
-   quantities; rows reach it shuffled, since it accepts any order. *)
-let prop_reduce_chain_cols_is_greedy rng =
+(* Bit-identity with the oracle, no tolerance.  Small time and
+   quantity ranges force duplicate timestamps, duplicate and zero
+   quantities — the ties the runs' merge must order as the scan does;
+   tenths make the float sums order-sensitive. *)
+let prop_chain_flow_is_greedy rng =
   let k = 1 + Prng.int rng 5 in
   let edges =
     List.init k (fun _ ->
@@ -138,18 +147,9 @@ let prop_reduce_chain_cols_is_greedy rng =
           (fun _ ->
             Interaction.make
               ~time:(float_of_int (Prng.int rng 6))
-              ~qty:(float_of_int (Prng.int rng 5))))
+              ~qty:(float_of_int (Prng.int rng 5) /. 10.0)))
   in
-  let g, _ =
-    List.fold_left
-      (fun (g, e) is -> (Graph.add_edge g ~src:e ~dst:(e + 1) is, e + 1))
-      (Graph.empty, 0) edges
-  in
-  let rows = Array.of_list (chain_rows edges) in
-  Prng.shuffle rng rows;
-  List.equal Interaction.equal
-    (reduce_chain (Array.to_list rows) ~k)
-    (Greedy.arrivals_at_sink g ~source:0 ~sink:k)
+  Float.equal (chain_flow edges) (greedy_chain_flow edges)
 
 let () =
   Alcotest.run "simplify"
@@ -169,8 +169,8 @@ let () =
           Alcotest.test_case "parallel edge merge" `Quick test_parallel_edge_merge;
           Alcotest.test_case "whole graph collapses" `Quick test_whole_graph_collapses;
           Alcotest.test_case "cycle rejected" `Quick test_cyclic_rejected;
-          Alcotest.test_case "chain helper" `Quick test_reduce_chain_cols_fig5a;
-          Alcotest.test_case "empty chain helper" `Quick test_reduce_chain_cols_empty;
-          Check.seeded_property "chain helper = greedy arrivals" prop_reduce_chain_cols_is_greedy;
+          Alcotest.test_case "chain helper" `Quick test_chain_flow_fig5a;
+          Alcotest.test_case "empty chain helper" `Quick test_chain_flow_empty;
+          Check.seeded_property "chain helper = greedy arrivals" prop_chain_flow_is_greedy;
         ] );
     ]

@@ -37,8 +37,6 @@ module Batch = Tin_core.Batch
 let guard_pct = 2.0
 let max_problems = 50
 
-let solvers : Tin_lp.Problem.solver list = [ `Bounded; `Sparse ]
-
 (* ns per disabled Counter.incr, measured over a long tight loop. *)
 let disabled_incr_ns () =
   let c = Obs.Counter.make "bench.obs.disabled_probe" in
@@ -76,11 +74,7 @@ let flight_span_ns () =
 let solve_all problems =
   List.iter
     (fun (p : Extract.problem) ->
-      List.iter
-        (fun solver ->
-          ignore
-            (Lp_flow.solve ~solver p.Extract.graph ~source:p.Extract.source ~sink:p.Extract.sink))
-        solvers)
+      ignore (Lp_flow.solve p.Extract.graph ~source:p.Extract.source ~sink:p.Extract.sink))
     problems
 
 (* Trace a real multi-domain Batch run and assert the analyzer on it:
@@ -157,8 +151,8 @@ let run datasets =
   in
   if problems = [] then print_endline "obs: no extracted subgraphs to benchmark"
   else begin
-    Printf.printf "Observability disabled-path overhead guard (%d subgraphs x %d solvers)\n%!"
-      (List.length problems) (List.length solvers);
+    Printf.printf "Observability disabled-path overhead guard (%d subgraph LPs)\n%!"
+      (List.length problems);
     let ns_per_op = disabled_incr_ns () in
     let ns_per_flight_span = flight_span_ns () in
     (* Count the counter operations and spans the workload performs. *)

@@ -1,63 +1,49 @@
-(* Solver benchmark: bounded tableau vs sparse revised simplex on the
-   extracted flow LPs (per difficulty class), plus multicore batch
-   throughput across Domains.  Results are printed as tables and
-   written machine-readable to a JSON file (default BENCH_flow.json)
-   for regression tracking. *)
+(* Solver benchmark: the sparse revised simplex on the extracted flow
+   LPs (per difficulty class), plus multicore batch throughput across
+   Domains.  Results are printed as tables and written
+   machine-readable to a JSON file (default BENCH_flow.json) for
+   regression tracking. *)
 
 module Pipeline = Tin_core.Pipeline
 module Lp_flow = Tin_core.Lp_flow
 module Batch = Tin_core.Batch
 module Extract = Tin_datasets.Extract
+module TE = Tin_maxflow.Time_expand
 module Table = Tin_util.Table
 module Timer = Tin_util.Timer
 module Stats = Tin_util.Stats
 module Fcmp = Tin_util.Fcmp
 
-let solvers : (string * Tin_lp.Problem.solver) list =
-  [ ("bounded", `Bounded); ("sparse", `Sparse) ]
+(* The JSON key of the timed LP solver. *)
+let solver = "sparse"
 
-type measured = {
-  cls : Pipeline.cls;
-  times : (string * float) list; (* solver name -> ms *)
-}
+type measured = { cls : Pipeline.cls; ms : float }
 
-(* One problem, all solvers, with a value-agreement guard: the simplex
-   variants must produce the same flow — any gap is a solver bug, not
-   noise. *)
+(* One problem's LP solve, timed, with an agreement guard against
+   Dinic on the time-expanded network — the other formulation of the
+   same maximum flow, so any gap is a bug, not noise. *)
 let measure_problem (p : Extract.problem) =
   let g = p.Extract.graph and source = p.Extract.source and sink = p.Extract.sink in
   let cls = Pipeline.classify g ~source ~sink in
-  let runs =
-    List.map
-      (fun (name, solver) ->
-        let v, ms = Timer.time_ms (fun () -> Lp_flow.solve ~solver g ~source ~sink) in
-        let v =
-          match v with
-          | Ok v -> v
-          | Error _ -> failwith (Printf.sprintf "solver %s failed on seed %d" name p.Extract.seed)
-        in
-        (name, v, ms))
-      solvers
+  let v, ms = Timer.time_ms (fun () -> Lp_flow.solve g ~source ~sink) in
+  let v =
+    match v with
+    | Ok v -> v
+    | Error _ -> failwith (Printf.sprintf "LP solver failed on seed %d" p.Extract.seed)
   in
-  let _, v0, _ = List.hd runs in
-  List.iter
-    (fun (name, v, _) ->
-      if not (Fcmp.approx_eq ~eps:1e-6 v0 v) then
-        failwith
-          (Printf.sprintf "solver disagreement on seed %d: bounded=%g %s=%g" p.Extract.seed v0
-             name v))
-    runs;
-  { cls; times = List.map (fun (name, _, ms) -> (name, ms)) runs }
+  let reference = TE.max_flow g ~source ~sink in
+  if not (Fcmp.approx_eq reference v) then
+    failwith
+      (Printf.sprintf "LP/Dinic disagreement on seed %d: LP=%.17g Dinic=%.17g" p.Extract.seed v
+         reference);
+  { cls; ms }
 
-let avg_times measured =
-  List.map
-    (fun (name, _) -> (name, Stats.mean (List.map (fun r -> List.assoc name r.times) measured)))
-    solvers
-
-type class_summary = { label : string; count : int; solver_ms : (string * float) list }
+type class_summary = { label : string; count : int; avg_ms : float }
 
 let class_summaries measured =
-  let bucket label rows = { label; count = List.length rows; solver_ms = avg_times rows } in
+  let bucket label rows =
+    { label; count = List.length rows; avg_ms = Stats.mean (List.map (fun r -> r.ms) rows) }
+  in
   let cls c = List.filter (fun r -> r.cls = c) measured in
   [
     bucket "All" measured;
@@ -128,20 +114,16 @@ let measure_batch problems =
 module Obs = Tin_obs.Obs
 
 (* The timed runs above execute with observability disabled so the
-   measurements stay clean; this re-runs each (problem, solver) pair
-   once with counters on and reports the totals (LP iterations,
-   pivots, bound flips, refactorizations, ...) so BENCH_flow.json
-   tracks algorithmic work alongside wall time. *)
+   measurements stay clean; this re-runs each problem's LP once with
+   counters on and reports the totals (LP iterations, pivots, bound
+   flips, refactorizations, ...) so BENCH_flow.json tracks
+   algorithmic work alongside wall time. *)
 let obs_snapshot problems =
   Obs.reset ();
   Obs.enable ();
   List.iter
     (fun (p : Extract.problem) ->
-      List.iter
-        (fun (_, solver) ->
-          ignore
-            (Lp_flow.solve ~solver p.Extract.graph ~source:p.Extract.source ~sink:p.Extract.sink))
-        solvers)
+      ignore (Lp_flow.solve p.Extract.graph ~source:p.Extract.source ~sink:p.Extract.sink))
     problems;
   Obs.disable ();
   let counters = List.filter (fun (_, v) -> v > 0) (Obs.counters ()) in
@@ -189,12 +171,8 @@ let write_json path ~scale_name results =
       add "      \"classes\": [\n";
       List.iteri
         (fun j c ->
-          add "        { \"class\": \"%s\", \"count\": %d, \"solver_avg_ms\": { %s } }%s\n"
-            (json_escape c.label) c.count
-            (String.concat ", "
-               (List.map
-                  (fun (name, ms) -> Printf.sprintf "\"%s\": %s" name (json_float ms))
-                  c.solver_ms))
+          add "        { \"class\": \"%s\", \"count\": %d, \"solver_avg_ms\": { \"%s\": %s } }%s\n"
+            (json_escape c.label) c.count solver (json_float c.avg_ms)
             (if j < List.length r.classes - 1 then "," else ""))
         r.classes;
       add "      ],\n";
@@ -230,13 +208,11 @@ let write_json path ~scale_name results =
 let solver_table name classes =
   Table.print
     ~title:(Printf.sprintf "LP solver runtime for %s subgraphs (avg per subgraph)" name)
-    ~header:("Subgraphs" :: List.map (fun (n, _) -> n) solvers)
+    ~header:[ "Subgraphs"; solver ]
     (List.map
        (fun c ->
-         if c.count = 0 then (c.label ^ " (0)") :: List.map (fun _ -> "-") solvers
-         else
-           Printf.sprintf "%s (%d)" c.label c.count
-           :: List.map (fun (_, ms) -> Table.fmt_ms ms) c.solver_ms)
+         if c.count = 0 then [ c.label ^ " (0)"; "-" ]
+         else [ Printf.sprintf "%s (%d)" c.label c.count; Table.fmt_ms c.avg_ms ])
        classes)
 
 let batch_table name runs =
@@ -252,8 +228,7 @@ let batch_table name runs =
        runs)
 
 let run ?(json = "BENCH_flow.json") ~scale_name datasets =
-  Printf.printf "Comparing LP solvers (%s) and batch scaling on %d domains...\n%!"
-    (String.concat "/" (List.map fst solvers))
+  Printf.printf "Timing the %s LP solver and batch scaling on %d domains...\n%!" solver
     (Batch.recommended_jobs ());
   let results =
     List.map
@@ -261,7 +236,7 @@ let run ?(json = "BENCH_flow.json") ~scale_name datasets =
         let name = d.Workload.spec.Tin_datasets.Spec.name in
         Printf.printf "  %s: %d subgraphs%!" name (List.length d.Workload.problems);
         let measured = List.map measure_problem d.Workload.problems in
-        Printf.printf " ... solvers done%!";
+        Printf.printf " ... LPs done%!";
         let batch = measure_batch d.Workload.problems in
         Printf.printf ", batch done\n%!";
         let obs = obs_snapshot d.Workload.problems in

@@ -868,8 +868,9 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Differentially test every flow oracle (greedy, LP solvers, time-expanded algorithms, \
-          accelerated pipeline) against each other on randomized or given networks")
+         "Differentially test every flow oracle (greedy, the LP, time-expanded Dinic, the \
+          accelerated pipeline, flow decomposition, provenance) against each other on randomized \
+          or given networks")
     Term.(const run $ network $ source $ sink $ seed $ cases $ inject $ dump $ obs_serve_term)
 
 (* --- generate --- *)

@@ -143,8 +143,8 @@ let map_reduce ?jobs ?(chunk = 16) ?stop ~n ~init ~body ~merge () =
    syscall-free. *)
 let h_solve_ms = Obs.Histogram.make "batch_solve_ms"
 
-let max_flows ?jobs ?chunk ?solver ?(method_ = Pipeline.Pre_sim) problems =
-  let compute { graph; source; sink } = Pipeline.compute ?solver method_ graph ~source ~sink in
+let max_flows ?jobs ?chunk ?solver:_ ?(method_ = Pipeline.Pre_sim) problems =
+  let compute { graph; source; sink } = Pipeline.compute method_ graph ~source ~sink in
   let compute =
     if Atomic.get Obs.enabled then fun p ->
       let t0 = Tin_util.Timer.now_ns () in

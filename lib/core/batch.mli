@@ -29,13 +29,14 @@ type problem = { graph : Graph.t; source : Graph.vertex; sink : Graph.vertex }
 val max_flows :
   ?jobs:int ->
   ?chunk:int ->
-  ?solver:Tin_lp.Problem.solver ->
+  ?solver:[ `Auto ] ->
   ?method_:Pipeline.method_ ->
   problem list ->
   float list
 (** Flow value of every problem, in order, computed across domains.
-    [method_] defaults to {!Pipeline.Pre_sim}; [solver] is passed to
-    the LP stages (default [`Auto]).
+    [method_] defaults to {!Pipeline.Pre_sim}.  [solver] is accepted
+    and ignored, as in {!Lp_flow.solve}: the end-to-end benchmark under
+    [perfbench/] still passes [~solver:`Auto].
     @raise Pipeline.Solver_failure as {!Pipeline.compute}. *)
 
 val map_reduce :

@@ -148,20 +148,20 @@ let assignments lp value =
          { src; dst; interaction; amount = Interaction.qty interaction })
        lp.fixed_interactions)
 
-let solve_lp ?solver ?eps ?max_iters lp =
+let solve_lp ?eps ?max_iters lp =
   if lp.n_vars = 0 then Ok (lp.fixed_into_sink, assignments lp (fun _ -> 0.0))
   else
-    let sol = Problem.solve ?solver ?eps ?max_iters lp.problem in
+    let sol = Problem.solve ?eps ?max_iters lp.problem in
     match sol.Problem.status with
     | `Optimal ->
         Ok (sol.Problem.objective +. lp.fixed_into_sink, assignments lp sol.Problem.value)
     | (`Unbounded | `Iteration_limit) as e -> Error e
 
-let solve_detailed ?solver ?eps ?max_iters g ~source ~sink =
-  solve_lp ?solver ?eps ?max_iters (build g ~source ~sink)
+let solve_detailed ?eps ?max_iters g ~source ~sink =
+  solve_lp ?eps ?max_iters (build g ~source ~sink)
 
-let solve ?solver ?eps ?max_iters g ~source ~sink =
-  Result.map fst (solve_detailed ?solver ?eps ?max_iters g ~source ~sink)
+let solve ?solver:_ ?eps ?max_iters g ~source ~sink =
+  Result.map fst (solve_detailed ?eps ?max_iters g ~source ~sink)
 
 let n_variables g ~source =
   Graph.fold_edges

@@ -43,24 +43,24 @@ val build : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> lp
     @raise Invalid_argument if [source = sink]. *)
 
 val solve :
-  ?solver:Tin_lp.Problem.solver ->
+  ?solver:[ `Auto ] ->
   ?eps:float ->
   ?max_iters:int ->
   Graph.t ->
   source:Graph.vertex ->
   sink:Graph.vertex ->
   (float, [ `Unbounded | `Iteration_limit ]) Stdlib.result
-(** Builds and solves; [Ok flow] on success.  The LP is always
+(** Builds and solves with the sparse revised simplex
+    ({!Tin_lp.Problem.solve}); [Ok flow] on success.  The LP is always
     feasible ([x = 0] satisfies every row), and [`Unbounded] happens
-    only on graphs with an all-infinite source→sink path.  [solver]
-    selects the simplex variant (default [`Auto], which routes on
-    size: the sparse revised simplex for constraint matrices of at
-    least 4096 cells, the dense bounded tableau below);
-    [`Sparse]/[`Bounded] force one of them, the configurations
-    compared by the solver benchmark ([bench/main.exe solvers]). *)
+    only on graphs with an all-infinite source→sink path.
+
+    [solver] is accepted and ignored: there is one LP solver, and the
+    end-to-end benchmark under [perfbench/] still passes
+    [~solver:`Auto].  The parameter goes when that harness drops the
+    argument. *)
 
 val solve_detailed :
-  ?solver:Tin_lp.Problem.solver ->
   ?eps:float ->
   ?max_iters:int ->
   Graph.t ->

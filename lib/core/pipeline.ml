@@ -71,8 +71,8 @@ type report = {
 
 exception Solver_failure of string
 
-let solve_lp ?solver g ~source ~sink =
-  match Lp_flow.solve ?solver g ~source ~sink with
+let solve_lp g ~source ~sink =
+  match Lp_flow.solve g ~source ~sink with
   | Ok v -> v
   | Error `Unbounded -> raise (Solver_failure "LP unbounded (all-infinite source-sink path?)")
   | Error `Iteration_limit -> raise (Solver_failure "LP iteration limit reached")
@@ -82,7 +82,7 @@ let solve_lp ?solver g ~source ~sink =
    [report].  Each stage runs inside an observability span carrying the
    input graph size; the preprocess/simplify spans additionally feed
    the [pipeline.*_removed] reduction counters. *)
-let staged ?solver ~simplify g ~source ~sink =
+let staged ~simplify g ~source ~sink =
   let ((_, _, stage, _) as result) =
     if Solubility.soluble g ~source ~sink then
       ( span "pipeline.greedy" (graph_args g) (fun () -> Greedy.flow g ~source ~sink),
@@ -135,7 +135,7 @@ let staged ?solver ~simplify g ~source ~sink =
             Soluble_after_simplify,
             0 )
         else
-          ( span "pipeline.lp" (graph_args g') (fun () -> solve_lp ?solver g' ~source ~sink),
+          ( span "pipeline.lp" (graph_args g') (fun () -> solve_lp g' ~source ~sink),
             C,
             Lp_solve,
             Lp_flow.n_variables g' ~source )
@@ -145,19 +145,26 @@ let staged ?solver ~simplify g ~source ~sink =
   count_stage stage;
   result
 
-let compute ?solver method_ g ~source ~sink =
+let compute method_ g ~source ~sink =
   match method_ with
   | Greedy -> Greedy.flow g ~source ~sink
-  | Lp -> solve_lp ?solver g ~source ~sink
+  | Lp -> solve_lp g ~source ~sink
   | Pre ->
-      let v, _, _, _ = staged ?solver ~simplify:false g ~source ~sink in
+      let v, _, _, _ = staged ~simplify:false g ~source ~sink in
       v
   | Pre_sim ->
-      let v, _, _, _ = staged ?solver ~simplify:true g ~source ~sink in
+      let v, _, _, _ = staged ~simplify:true g ~source ~sink in
       v
   | Time_expanded -> Tin_maxflow.Time_expand.max_flow g ~source ~sink
 
-let max_flow ?solver g ~source ~sink = compute ?solver Pre_sim g ~source ~sink
+(* Lemma 2's greedy where it holds, as in [staged]; otherwise Dinic,
+   which needs neither a DAG nor an LP. *)
+let max_flow g ~source ~sink =
+  if Solubility.soluble g ~source ~sink then
+    span "pipeline.greedy" (graph_args g) (fun () -> Greedy.flow g ~source ~sink)
+  else
+    span "pipeline.time_expand" (graph_args g) (fun () ->
+        Tin_maxflow.Time_expand.max_flow g ~source ~sink)
 
 let classify g ~source ~sink =
   if Solubility.soluble g ~source ~sink then A
@@ -168,7 +175,7 @@ let classify g ~source ~sink =
     else C
   end
 
-let report ?solver ?(simplify = true) g ~source ~sink =
+let report ?solver:_ ?(simplify = true) g ~source ~sink =
   let lp_vars_before = Lp_flow.n_variables g ~source in
-  let value, cls, stage, lp_vars_after = staged ?solver ~simplify g ~source ~sink in
+  let value, cls, stage, lp_vars_after = staged ~simplify g ~source ~sink in
   { value; cls; stage; lp_vars_before; lp_vars_after }

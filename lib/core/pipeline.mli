@@ -51,36 +51,31 @@ exception Solver_failure of string
 (** Raised when the LP solver reports unbounded/iteration-limit —
     does not happen on well-formed finite problems. *)
 
-val compute :
-  ?solver:Tin_lp.Problem.solver ->
-  method_ ->
-  Graph.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  float
+val compute : method_ -> Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> float
 (** Flow value from [source] to [sink] by the given method.  For
     [Greedy] this is the greedy flow; for all other methods the
     maximum flow.  On cyclic graphs [Pre]/[Pre_sim] skip the DAG-only
     accelerators and fall back to the time-expanded reduction (which,
-    like [Lp] and [Time_expanded], is structure-agnostic).  [solver]
-    selects the simplex variant for the LP stages of [Lp], [Pre] and
-    [Pre_sim] (default [`Auto]); [Greedy] and [Time_expanded] ignore
-    it.
+    like [Lp] and [Time_expanded], is structure-agnostic).  The LP
+    stages of [Lp], [Pre] and [Pre_sim] run the sparse revised simplex
+    ({!Lp_flow.solve}).
     @raise Solver_failure on solver breakdown. *)
 
-val max_flow :
-  ?solver:Tin_lp.Problem.solver ->
-  Graph.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  float
-(** [compute Pre_sim] — the recommended entry point. *)
+val max_flow : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> float
+(** Maximum flow by the cheapest exact route: the greedy scan when
+    Lemma 2's test ({!Solubility.soluble}) holds — the same stage, and
+    so the same bits, as [compute Pre_sim] — and Dinic on the
+    time-expanded network ([Time_expanded]) otherwise.  Neither needs a
+    DAG, and no LP is built; pattern-instance flows take this route.
+    It records a ["pipeline.greedy"] or ["pipeline.time_expand"] span
+    but no [pipeline.stage.*] count, which belongs to the [Pre_sim]
+    pipeline. *)
 
 val classify : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> cls
 (** Difficulty class of a DAG (used to bucket benchmark subgraphs). *)
 
 val report :
-  ?solver:Tin_lp.Problem.solver ->
+  ?solver:[ `Auto ] ->
   ?simplify:bool ->
   Graph.t ->
   source:Graph.vertex ->
@@ -89,4 +84,6 @@ val report :
 (** Full [Pre_sim] run with classification, stage and problem-size
     accounting.  [~simplify:false] toggles the Algorithm-2 stage off
     (the [Pre] pipeline) — the knob the verifier uses to check each
-    preprocessing stage independently. *)
+    preprocessing stage independently.  [solver] is accepted and
+    ignored, as in {!Lp_flow.solve}: the end-to-end benchmark under
+    [perfbench/] still passes [~solver:`Auto]. *)

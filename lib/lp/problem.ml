@@ -1,5 +1,5 @@
-let h_solve_ms_fam = Tin_obs.Obs.Histogram.make_labeled "lp_solve_ms" ~labels:[ "solver" ]
-let h_solve_ms solver = Tin_obs.Obs.Histogram.labeled h_solve_ms_fam [ solver ]
+let h_solve_ms =
+  Tin_obs.Obs.Histogram.(labeled (make_labeled "lp_solve_ms" ~labels:[ "solver" ]) [ "sparse" ])
 
 type var = int
 
@@ -49,66 +49,37 @@ let add_le t terms rhs =
 let n_vars t = t.nvars
 let n_constraints t = t.nrows
 
-type solver = [ `Auto | `Bounded | `Sparse ]
-
-(* `Auto sends a problem to `Sparse once its constraint matrix has this
-   many cells.  Size alone decides: the cumulative buffer rows of a flow
-   LP repeat every earlier variable of their vertex, so large flow LPs
-   are often denser than 0.25 and still solve faster on `Sparse. *)
-let sparse_min_cells = 4096
-
-let solve ?(solver = `Auto) ?eps ?max_iters ?metrics t =
+let solve ?eps ?max_iters ?metrics t =
   t.frozen <- true;
   let n = t.nvars and m = t.nrows in
   let c = Array.init n (fun j -> t.vars.(j).obj) in
   let upper = Array.init n (fun j -> t.vars.(j).ub) in
-  let choice =
-    match solver with
-    | `Auto -> if m * n >= sparse_min_cells then `Sparse else `Bounded
-    | (`Bounded | `Sparse) as s -> s
-  in
   let compute () =
-    match choice with
-    | `Sparse -> (
-        (* CSC storage straight from the term lists, never densified.
-           [t.rows] is reversed, so row [k] of the list is constraint
-           [m - 1 - k]; duplicate terms give duplicate (row, coef)
-           entries, which the solver sums. *)
-        let rhs = Array.make m 0.0 in
-        let cols = Array.make n [] in
-        List.iteri
-          (fun k (terms, b) ->
-            let i = m - 1 - k in
-            List.iter (fun (coef, v) -> cols.(v) <- (i, coef) :: cols.(v)) terms;
-            rhs.(i) <- b)
-          t.rows;
-        match Sparse.solve ?eps ?max_iters ?metrics ~c ~upper ~rhs ~cols () with
-        | Sparse.Optimal { solution; _ } -> `Optimal solution
-        | Sparse.Unbounded -> `Unbounded
-        | Sparse.Iteration_limit -> `Iteration_limit)
-    | `Bounded -> (
-        let rows =
-          List.rev_map
-            (fun (terms, b) ->
-              let coefs = Array.make n 0.0 in
-              List.iter (fun (coef, v) -> coefs.(v) <- coefs.(v) +. coef) terms;
-              (coefs, b))
-            t.rows
-        in
-        match Bounded.solve ?eps ?max_iters ?metrics ~c ~upper ~rows () with
-        | Bounded.Optimal { solution; _ } -> `Optimal solution
-        | Bounded.Unbounded -> `Unbounded
-        | Bounded.Iteration_limit -> `Iteration_limit)
+    (* CSC storage straight from the term lists, never densified.
+       [t.rows] is reversed, so row [k] of the list is constraint
+       [m - 1 - k]; duplicate terms give duplicate (row, coef)
+       entries, which the solver sums. *)
+    let rhs = Array.make m 0.0 in
+    let cols = Array.make n [] in
+    List.iteri
+      (fun k (terms, b) ->
+        let i = m - 1 - k in
+        List.iter (fun (coef, v) -> cols.(v) <- (i, coef) :: cols.(v)) terms;
+        rhs.(i) <- b)
+      t.rows;
+    match Sparse.solve ?eps ?max_iters ?metrics ~c ~upper ~rhs ~cols () with
+    | Sparse.Optimal { solution; _ } -> `Optimal solution
+    | Sparse.Unbounded -> `Unbounded
+    | Sparse.Iteration_limit -> `Iteration_limit
   in
-  let solver_name = match choice with `Sparse -> "sparse" | `Bounded -> "bounded" in
-  (* Latency histogram per backend; the clock reads are gated so the
-     disabled path stays syscall-free. *)
+  (* Latency histogram; the clock reads are gated so the disabled path
+     stays syscall-free. *)
   let compute =
     if Atomic.get Tin_obs.Obs.enabled then fun () ->
       let t0 = Tin_util.Timer.now_ns () in
       let outcome = compute () in
       let dt_ms = Int64.to_float (Int64.sub (Tin_util.Timer.now_ns ()) t0) /. 1e6 in
-      Tin_obs.Obs.Histogram.observe (h_solve_ms solver_name) dt_ms;
+      Tin_obs.Obs.Histogram.observe h_solve_ms dt_ms;
       outcome
     else compute
   in
@@ -117,7 +88,7 @@ let solve ?(solver = `Auto) ?eps ?max_iters ?metrics t =
   let outcome =
     if Tin_obs.Obs.recording () then
       Tin_obs.Obs.Span.with_ "lp.solve"
-        ~args:[ ("solver", solver_name); ("vars", string_of_int n); ("rows", string_of_int m) ]
+        ~args:[ ("solver", "sparse"); ("vars", string_of_int n); ("rows", string_of_int m) ]
         compute
     else compute ()
   in

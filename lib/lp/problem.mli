@@ -4,7 +4,7 @@
     (the paper's implementation used lpsolve), restricted to the one
     shape the flow LP has: maximize [c·x] subject to [A x ≤ b] with
     [b ≥ 0] and [0 ≤ x_i ≤ u_i].  The origin is always feasible, so
-    both box-bounded solvers ({!Bounded}, {!Sparse}) take every problem
+    the box-bounded revised simplex ({!Sparse}) takes every problem
     this builder accepts, and no solve can end infeasible. *)
 
 type t
@@ -37,20 +37,15 @@ val add_le : t -> (float * var) list -> float -> unit
 val n_vars : t -> int
 val n_constraints : t -> int
 
-type solver = [ `Auto | `Bounded | `Sparse ]
-(** [`Bounded] is the bounded-variable simplex on a dense tableau
-    ({!Bounded}); [`Sparse] the bounded-variable {e revised} simplex
-    ({!Sparse}: column-wise sparse storage built straight from the
-    term lists and an eta-file basis inverse, no tableau).  [`Auto]
-    picks [`Sparse] when the constraint matrix has
-    [rows × cols ≥ 4096] cells and [`Bounded] otherwise. *)
+val solve : ?eps:float -> ?max_iters:int -> ?metrics:Solver_metrics.t -> t -> solution
+(** Solves the problem with the sparse bounded-variable revised simplex
+    ({!Sparse}: column-wise storage built straight from the term lists
+    and an eta-file basis inverse, no tableau).  The builder is frozen
+    afterwards.
 
-val solve :
-  ?solver:solver -> ?eps:float -> ?max_iters:int -> ?metrics:Solver_metrics.t -> t -> solution
-(** Solves the problem.  The builder is frozen afterwards.
-
-    [metrics] accumulates the backend's work counts (iterations,
+    [metrics] accumulates the solver's work counts (iterations,
     pivots, bound flips, refactorizations) into the given record; the
-    same counts always feed the [lp_*] observability counters, and the
-    whole call is wrapped in an ["lp.solve"] span (with solver, vars
-    and rows args) when {!Tin_obs.Obs} tracing is enabled. *)
+    same counts always feed the [lp_*{solver="sparse"}] observability
+    counters, and the whole call is wrapped in an ["lp.solve"] span
+    (with solver, vars and rows args) when {!Tin_obs.Obs} tracing is
+    enabled. *)

@@ -60,7 +60,9 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
     (fun u -> if Float.is_nan u || u < 0.0 then invalid_arg "Sparse.solve: bad upper bound")
     upper;
   Array.iter
-    (fun b -> if b < 0.0 then invalid_arg "Sparse.solve: negative rhs (origin must be feasible)")
+    (fun b ->
+      if not (b >= 0.0) then
+        invalid_arg "Sparse.solve: negative or NaN rhs (origin must be feasible)")
     rhs;
   let cols =
     Array.map
@@ -300,8 +302,7 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
         scatter q w;
         ftran w;
         let sigma = if at_upper.(q) then -1.0 else 1.0 in
-        (* Bounded ratio test over z_i = sigma * w_i (same rules and
-           tie-breaks as Bounded.solve). *)
+        (* Bounded ratio test over z_i = sigma * w_i. *)
         let t_star = ref (bound q) in
         let block = ref (-1) in
         let block_at_upper = ref false in

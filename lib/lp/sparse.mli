@@ -1,12 +1,16 @@
 (** Sparse bounded-variable revised simplex.
 
-    Solves [max c·x  s.t.  A x ≤ rhs,  0 ≤ x ≤ upper] — the same shape
-    as {!Bounded} — but stores [A] column-wise as sparse (row, coef)
-    lists and never materializes a tableau.  The basis inverse is kept
-    in product form (an eta file) with periodic refactorization, so one
-    iteration costs O(nnz) plus the eta-file work instead of the dense
-    tableau's O(m·(n+m)).  Pricing is Dantzig over a candidate list
-    (partial pricing) with a Bland fallback against cycling.
+    Solves [max c·x  s.t.  A x ≤ rhs,  0 ≤ x ≤ upper] — the shape of
+    the paper's flow LP, feasible at the origin — and stores [A]
+    column-wise as sparse (row, coef) lists, never materializing a
+    tableau.  Upper bounds are native: a nonbasic variable sits at
+    either bound and moves between them by a bound flip, without a
+    pivot, so the basis has one row per buffer constraint only.  The
+    basis inverse is kept in product form (an eta file) with periodic
+    refactorization, so one iteration costs O(nnz) plus the eta-file
+    work instead of a dense tableau's O(m·(n+m)).  Pricing is Dantzig
+    over a candidate list (partial pricing) with a Bland fallback
+    against cycling.
 
     Flow LPs (one column per interaction, one row per distinct sending
     timestamp, ±1 coefficients) are the intended workload; any
@@ -32,8 +36,8 @@ val solve :
     [A x ≤ rhs] and [0 ≤ x ≤ upper], where column [j] of [A] is given
     by [cols.(j)] as a list of [(row, coef)] pairs.  Duplicate [(row,
     coef)] entries within a column are summed.  [rhs] entries must be
-    non-negative (the origin must be feasible, as in {!Bounded}) and
-    [upper] entries non-negative ([infinity] allowed).
+    non-negative (the origin must be feasible) and [upper] entries
+    non-negative ([infinity] allowed); NaN is refused in both.
     [refactor_every] bounds the eta-file length between
     refactorizations (default 64; mainly a testing knob).
 
@@ -45,5 +49,5 @@ val solve :
     the [lp_iters] / [lp_pivots] / [lp_bound_flips] /
     [lp_refactorizations] / [lp_eta_resets] labeled observability
     counters with [solver="sparse"] ({!Tin_obs.Obs}).
-    @raise Invalid_argument on arity mismatches, negative [rhs] or
-    [upper], or out-of-range row indices. *)
+    @raise Invalid_argument on arity mismatches, negative or NaN [rhs]
+    or [upper] entries, or out-of-range row indices. *)

@@ -53,6 +53,3 @@ let of_arcs ~n ~src ~dst ~cap =
 let flow t a =
   let r = t.twin.(a) in
   t.res.(r) -. t.cap.(r)
-
-let copy t = { t with res = Array.copy t.res }
-let reset t = Array.blit t.cap 0 t.res 0 (Array.length t.cap)

@@ -4,15 +4,15 @@
     The classic static max-flow substrate.  The paper's maximum-flow
     problem reduces to static max flow on a time-expanded network
     (Akrida et al., CIAC 2017); {!Time_expand} builds that network and
-    {!Edmonds_karp} / {!Dinic} / {!Push_relabel} solve it, giving an
-    oracle that is independent of the LP path.
+    {!Dinic} solves it, giving an oracle that is independent of the LP
+    path.
 
     The shape is fixed when the network is built: {!of_arcs} takes
     every arc at once.  Each input arc becomes two {e slots}, its
     forward arc and a zero-capacity residual twin, and the slots are
     grouped by the node they leave: the slots leaving node [v] are
-    [first.(v) .. first.(v + 1) - 1], in input order.  Solvers read the
-    arrays directly and mutate [res] in place.  Capacities may be
+    [first.(v) .. first.(v + 1) - 1], in input order.  {!Dinic} reads
+    the arrays directly and mutates [res] in place.  Capacities may be
     [infinity] (holdover arcs). *)
 
 type arc = int
@@ -37,10 +37,3 @@ val of_arcs : n:int -> src:int array -> dst:int array -> cap:float array -> t
 val flow : t -> arc -> float
 (** Current flow on a forward slot (0 before any solver ran); on a
     residual twin, minus the flow of its forward arc. *)
-
-val copy : t -> t
-(** Copy with its own residual capacities, so several solvers can run
-    on the same network. *)
-
-val reset : t -> unit
-(** Zeroes all flow. *)

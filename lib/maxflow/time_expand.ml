@@ -134,24 +134,18 @@ let build ?(buffer_capacity = fun _ -> infinity) g ~source ~sink =
     interaction_arcs = Array.map (fun k -> if k < 0 then -1 else net.Net.fwd.(k)) interaction_arcs;
   }
 
-let solve_net ~algo net ~source ~sink =
-  match algo with
-  | `Dinic -> Dinic.max_flow net ~source ~sink
-  | `Edmonds_karp -> Edmonds_karp.max_flow net ~source ~sink
-  | `Push_relabel -> Push_relabel.max_flow net ~source ~sink
-
-let max_flow ?(algo = `Dinic) ?buffer_capacity g ~source ~sink =
+let max_flow ?buffer_capacity g ~source ~sink =
   let { net; source_node; sink_node; _ } = build ?buffer_capacity g ~source ~sink in
-  solve_net ~algo net ~source:source_node ~sink:sink_node
+  Dinic.max_flow net ~source:source_node ~sink:sink_node
 
 type solution = {
   value : float;
   interaction_flows : ((Graph.vertex * Graph.vertex * Interaction.t) * float) list;
 }
 
-let max_flow_detailed ?(algo = `Dinic) ?buffer_capacity g ~source ~sink =
+let max_flow_detailed ?buffer_capacity g ~source ~sink =
   let te = build ?buffer_capacity g ~source ~sink in
-  let value = solve_net ~algo te.net ~source:te.source_node ~sink:te.sink_node in
+  let value = Dinic.max_flow te.net ~source:te.source_node ~sink:te.sink_node in
   let flows = ref [] in
   for k = Array.length te.interactions - 1 downto 0 do
     let a = te.interaction_arcs.(k) in

@@ -72,13 +72,12 @@ val build :
     absent from a non-empty graph, or a capacity is negative/NaN. *)
 
 val max_flow :
-  ?algo:[ `Dinic | `Edmonds_karp | `Push_relabel ] ->
   ?buffer_capacity:(Graph.vertex -> float) ->
   Graph.t ->
   source:Graph.vertex ->
   sink:Graph.vertex ->
   float
-(** Builds and solves in one go (default [`Dinic]). *)
+(** Builds the network and solves it with {!Dinic}. *)
 
 type solution = {
   value : float;
@@ -89,7 +88,6 @@ type solution = {
 }
 
 val max_flow_detailed :
-  ?algo:[ `Dinic | `Edmonds_karp | `Push_relabel ] ->
   ?buffer_capacity:(Graph.vertex -> float) ->
   Graph.t ->
   source:Graph.vertex ->

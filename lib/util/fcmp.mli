@@ -13,11 +13,11 @@ type policy = {
           agreement, conservation/capacity residual audits, solubility
           consistency.  Default [1e-6]. *)
   pivot_eps : float;
-      (** Simplex pivot/zero tolerance used inside the LP solvers
-          ([Tin_lp.Bounded]/[Sparse]).  Default [1e-9]. *)
+      (** Simplex pivot/zero tolerance used inside the LP solver
+          ([Tin_lp.Sparse]).  Default [1e-9]. *)
   path_eps : float;
-      (** Augmenting-path residual threshold of the static max-flow
-          algorithms and the flow decomposition.  Default [1e-12]. *)
+      (** Augmenting-path residual threshold of Dinic's static max
+          flow ([Tin_maxflow.Dinic]).  Default [1e-12]. *)
 }
 (** The single tolerance policy threaded through every numeric layer.
     The three levels are deliberately ordered

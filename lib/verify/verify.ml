@@ -135,17 +135,8 @@ let audit ~eps ~what ~source ~sink ~value transfers add =
 
 (* --- the differential check ----------------------------------------- *)
 
-let lp_solvers : (string * Tin_lp.Problem.solver) list =
-  [ ("lp:bounded", `Bounded); ("lp:sparse", `Sparse) ]
-
-let te_algos : (string * [ `Dinic | `Edmonds_karp | `Push_relabel ]) list =
-  [ ("te:dinic", `Dinic); ("te:edmonds-karp", `Edmonds_karp); ("te:push-relabel", `Push_relabel) ]
-
 let oracle_names =
-  [ "greedy" ]
-  @ List.map fst lp_solvers
-  @ List.map fst te_algos
-  @ [ "pipeline:pre"; "pipeline:presim" ]
+  [ "greedy"; "lp:sparse"; "te:dinic"; "pipeline:pre"; "pipeline:presim" ]
   @ [ "decomp"; "prov:lrb"; "prov:mrb"; "prov:prop" ]
 
 let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
@@ -192,76 +183,50 @@ let check ?(policy = Fcmp.default_policy) ?(extra = []) g ~source ~sink =
         audit ~eps ~what:"greedy" ~source ~sink ~value transfers add;
         value)
   in
-  (* Every LP solver, each audited through its solution vector. *)
-  List.iter
-    (fun (name, solver) ->
-      match
-        guarded name (fun () ->
-            match Lp_flow.solve_detailed ~solver ~eps:policy.Fcmp.pivot_eps g ~source ~sink with
-            | Error e ->
-                failwith
-                  (match e with `Unbounded -> "unbounded" | `Iteration_limit -> "iteration limit")
-            | Ok (value, assigns) ->
-                let transfers =
-                  List.map
-                    (fun (a : Lp_flow.assignment) ->
-                      {
-                        t_src = a.Lp_flow.src;
-                        t_dst = a.Lp_flow.dst;
-                        t_time = Interaction.time a.Lp_flow.interaction;
-                        t_qty = Interaction.qty a.Lp_flow.interaction;
-                        t_amount = a.Lp_flow.amount;
-                      })
-                    assigns
-                in
-                audit ~eps ~what:name ~source ~sink ~value transfers add;
-                value)
-      with
-      | Some v -> record name v
-      | None -> ())
-    lp_solvers;
-  (* The three static max-flow algorithms over the time-expanded
-     reduction; Dinic additionally audited through its arc flows. *)
-  List.iter
-    (fun (name, algo) ->
-      match
-        guarded name (fun () ->
-            match algo with
-            | `Dinic ->
-                let sol = TE.max_flow_detailed ~algo g ~source ~sink in
-                let transfers =
-                  List.map
-                    (fun ((v, u, i), f) ->
-                      {
-                        t_src = v;
-                        t_dst = u;
-                        t_time = Interaction.time i;
-                        t_qty = Interaction.qty i;
-                        t_amount = f;
-                      })
-                    sol.TE.interaction_flows
-                in
-                audit ~eps ~what:name ~source ~sink ~value:sol.TE.value transfers add;
-                sol.TE.value
-            | _ -> TE.max_flow ~algo g ~source ~sink)
-      with
-      | Some v -> record name v
-      | None -> ())
-    te_algos;
+  (* The two maximum-flow formulations, each audited through its
+     solution vector: the LP (sparse simplex) and Dinic's static flow
+     on the time-expanded network. *)
+  let oracle name f = Option.iter (record name) (guarded name f) in
+  oracle "lp:sparse" (fun () ->
+      match Lp_flow.solve_detailed ~eps:policy.Fcmp.pivot_eps g ~source ~sink with
+      | Error e ->
+          failwith (match e with `Unbounded -> "unbounded" | `Iteration_limit -> "iteration limit")
+      | Ok (value, assigns) ->
+          let transfers =
+            List.map
+              (fun (a : Lp_flow.assignment) ->
+                {
+                  t_src = a.Lp_flow.src;
+                  t_dst = a.Lp_flow.dst;
+                  t_time = Interaction.time a.Lp_flow.interaction;
+                  t_qty = Interaction.qty a.Lp_flow.interaction;
+                  t_amount = a.Lp_flow.amount;
+                })
+              assigns
+          in
+          audit ~eps ~what:"lp:sparse" ~source ~sink ~value transfers add;
+          value);
+  oracle "te:dinic" (fun () ->
+      let sol = TE.max_flow_detailed g ~source ~sink in
+      let transfers =
+        List.map
+          (fun ((v, u, i), f) ->
+            {
+              t_src = v;
+              t_dst = u;
+              t_time = Interaction.time i;
+              t_qty = Interaction.qty i;
+              t_amount = f;
+            })
+          sol.TE.interaction_flows
+      in
+      audit ~eps ~what:"te:dinic" ~source ~sink ~value:sol.TE.value transfers add;
+      sol.TE.value);
   (* The accelerated pipeline with the simplification stage toggled on
      and off, plus any caller-injected oracles. *)
-  List.iter
-    (fun (name, method_) ->
-      match guarded name (fun () -> Pipeline.compute method_ g ~source ~sink) with
-      | Some v -> record name v
-      | None -> ())
-    [ ("pipeline:pre", Pipeline.Pre); ("pipeline:presim", Pipeline.Pre_sim) ];
-  List.iter
-    (fun o ->
-      match guarded o.name (fun () -> o.run g ~source ~sink) with
-      | Some v -> record o.name v
-      | None -> ())
-    extra;
+  oracle "pipeline:pre" (fun () -> Pipeline.compute Pipeline.Pre g ~source ~sink);
+  oracle "pipeline:presim" (fun () -> Pipeline.compute Pipeline.Pre_sim g ~source ~sink);
+  List.iter (fun o -> oracle o.name (fun () -> o.run g ~source ~sink)) extra;
   (* Flow decomposition: the peeled path amounts must reassemble the
      max-flow value (allowing eps-sized numerical crumbs per path),
      every path must be a temporal source->sink route, and no

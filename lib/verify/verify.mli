@@ -2,10 +2,12 @@
 
     Given any TIN and a source/sink pair, {!check} runs every
     independent way this codebase can compute the flow — the greedy
-    scan, both LP solvers (bounded tableau and sparse revised simplex),
-    each static max-flow algorithm over the time-expanded reduction,
-    and the accelerated pipeline with its preprocessing stages toggled
-    on and off — and tests the full invariant lattice relating them:
+    scan, the LP formulation (sparse revised simplex), Dinic's static
+    maximum flow over the time-expanded reduction, and the accelerated
+    pipeline with its preprocessing stages toggled on and off — and
+    tests the full invariant lattice relating them.  The LP and Dinic
+    solve the two formulations of Section 4.2.1 with no shared code,
+    so each is the other's independent check:
 
     - all maximum-flow oracles agree pairwise within the shared
       tolerance policy ({!Tin_util.Fcmp.policy}[.flow_eps]);
@@ -67,10 +69,9 @@ type outcome = {
 val pp_discrepancy : Format.formatter -> discrepancy -> unit
 
 val oracle_names : string list
-(** Names of the 12 built-in oracles, for reporting: [greedy],
-    [lp:bounded], [lp:sparse], the three [te:*] algorithms,
-    [pipeline:pre], [pipeline:presim], [decomp] and the three
-    [prov:*] policies. *)
+(** Names of the 9 built-in oracles, for reporting: [greedy],
+    [lp:sparse], [te:dinic], [pipeline:pre], [pipeline:presim],
+    [decomp] and the three [prov:*] policies. *)
 
 val check :
   ?policy:Tin_util.Fcmp.policy ->
@@ -82,7 +83,7 @@ val check :
 (** Runs every oracle and the full invariant lattice on one instance.
     [policy] supplies the comparison tolerances (default
     {!Tin_util.Fcmp.default_policy}): values are compared at
-    [flow_eps], and [pivot_eps] is threaded to the LP solvers.
+    [flow_eps], and [pivot_eps] is threaded to the LP solver.
     [extra] oracles participate in the pairwise comparisons. *)
 
 val fails :

@@ -157,11 +157,11 @@ let test_max_flows_solver_and_method () =
         let graph, source, sink = Gen.random_dag rng in
         { Batch.graph; source; sink })
   in
-  let via_lp_sparse = Batch.max_flows ~jobs:3 ~solver:`Sparse ~method_:Pipeline.Lp problems in
+  let via_lp = Batch.max_flows ~jobs:3 ~method_:Pipeline.Lp problems in
   let via_presim = Batch.max_flows ~jobs:3 problems in
   List.iteri
     (fun i (a, b) -> Check.check_flow (Printf.sprintf "problem %d" i) a b)
-    (List.combine via_presim via_lp_sparse)
+    (List.combine via_presim via_lp)
 
 let () =
   Alcotest.run "batch"

@@ -1,26 +1,21 @@
-(* LP substrate: the problem builder and its two box-bounded simplex
-   solvers, the dense bounded tableau and the sparse revised simplex. *)
+(* LP substrate: the problem builder and its solver, the sparse
+   bounded-variable revised simplex, checked against textbook
+   instances and a vertex-enumeration reference ([Lp_ref]). *)
 
+open Tin_testlib
 module Problem = Tin_lp.Problem
-module Bounded = Tin_lp.Bounded
 module Sparse = Tin_lp.Sparse
 module Solver_metrics = Tin_lp.Solver_metrics
 
-let solvers : (string * Problem.solver) list = [ ("bounded", `Bounded); ("sparse", `Sparse) ]
-
-(* [max c·x] subject to [coefs·x ≤ rhs] per row and [0 ≤ x], built
-   afresh for every forced solver (a solved builder is frozen). *)
-let solve_each ~c rows check =
+(* [max c·x] subject to [coefs·x ≤ rhs] per row and [0 ≤ x]. *)
+let solve_rows ~c rows =
+  let p = Problem.create () in
+  let vars = Array.map (fun obj -> Problem.add_var ~obj p) c in
   List.iter
-    (fun (name, solver) ->
-      let p = Problem.create () in
-      let vars = Array.map (fun obj -> Problem.add_var ~obj p) c in
-      List.iter
-        (fun (coefs, rhs) ->
-          Problem.add_le p (Array.to_list (Array.mapi (fun j a -> (a, vars.(j))) coefs)) rhs)
-        rows;
-      check name (Problem.solve ~solver p) vars)
-    solvers
+    (fun (coefs, rhs) ->
+      Problem.add_le p (Array.to_list (Array.mapi (fun j a -> (a, vars.(j))) coefs)) rhs)
+    rows;
+  (Problem.solve p, vars)
 
 let status_name = function
   | `Optimal -> "optimal"
@@ -28,15 +23,14 @@ let status_name = function
   | `Iteration_limit -> "iteration limit"
 
 let check_opt ~expected_obj ?(expected = []) ~c rows =
-  solve_each ~c rows (fun name sol vars ->
-      if sol.Problem.status <> `Optimal then
-        Alcotest.failf "%s: unexpected %s" name (status_name sol.Problem.status);
-      Alcotest.(check (float 1e-6)) (name ^ ": objective") expected_obj sol.Problem.objective;
-      List.iter
-        (fun (i, v) ->
-          Alcotest.(check (float 1e-6)) (Printf.sprintf "%s: x%d" name i) v
-            (sol.Problem.value vars.(i)))
-        expected)
+  let sol, vars = solve_rows ~c rows in
+  if sol.Problem.status <> `Optimal then
+    Alcotest.failf "unexpected %s" (status_name sol.Problem.status);
+  Alcotest.(check (float 1e-6)) "objective" expected_obj sol.Problem.objective;
+  List.iter
+    (fun (i, v) ->
+      Alcotest.(check (float 1e-6)) (Printf.sprintf "x%d" i) v (sol.Problem.value vars.(i)))
+    expected
 
 (* Classic textbook instance: max 3x + 5y s.t. x<=4, 2y<=12, 3x+2y<=18. *)
 let test_simplex_textbook () =
@@ -46,12 +40,12 @@ let test_simplex_textbook () =
     [ ([| 1.0; 0.0 |], 4.0); ([| 0.0; 2.0 |], 12.0); ([| 3.0; 2.0 |], 18.0) ]
 
 let test_simplex_unbounded () =
-  solve_each ~c:[| 1.0 |] [ ([| -1.0 |], 1.0) ] (fun name sol _ ->
-      Alcotest.(check string) name "unbounded" (status_name sol.Problem.status))
+  let sol, _ = solve_rows ~c:[| 1.0 |] [ ([| -1.0 |], 1.0) ] in
+  Alcotest.(check string) "status" "unbounded" (status_name sol.Problem.status)
 
 (* [-x ≤ -2] (x ≥ 2) puts the origin outside the feasible region,
-   where neither box solver can start: the builder refuses such a row,
-   and a NaN rhs, when it is added. *)
+   where the simplex cannot start: the builder refuses such a row, and
+   a NaN rhs, when it is added. *)
 let test_negative_rhs_rejected () =
   let p = Problem.create () in
   let x = Problem.add_var ~obj:(-1.0) p in
@@ -74,12 +68,6 @@ let test_simplex_degenerate () =
 let test_simplex_zero_objective () = check_opt ~expected_obj:0.0 ~c:[| 0.0 |] [ ([| 1.0 |], 3.0) ]
 
 let test_simplex_arity_mismatch () =
-  Alcotest.check_raises "bounded row arity" (Invalid_argument "Bounded.solve: row arity mismatch")
-    (fun () ->
-      ignore (Bounded.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rows:[ ([| 1.0; 2.0 |], 1.0) ] ()));
-  Alcotest.check_raises "bounded bounds arity"
-    (Invalid_argument "Bounded.solve: bounds arity mismatch") (fun () ->
-      ignore (Bounded.solve ~c:[| 1.0 |] ~upper:[||] ~rows:[] ()));
   Alcotest.check_raises "sparse column arity"
     (Invalid_argument "Sparse.solve: column arity mismatch") (fun () ->
       ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rhs:[||] ~cols:[||] ()));
@@ -87,41 +75,9 @@ let test_simplex_arity_mismatch () =
     (Invalid_argument "Sparse.solve: bounds arity mismatch") (fun () ->
       ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[||] ~rhs:[||] ~cols:[| [] |] ()))
 
-(* Brute-force LP oracle over constraint-boundary intersections in 2D:
-   enumerate all vertices of the feasible polygon (pairwise
-   intersections of tight constraints, plus axes), keep feasible ones,
-   take the best objective.  Compares against both solvers on random
-   2-variable problems. *)
-let brute_force_2d ~c ~rows =
-  let lines =
-    (* each row as a*x + b*y <= r ; plus x >= 0 and y >= 0 *)
-    rows @ [ ([| -1.0; 0.0 |], 0.0); ([| 0.0; -1.0 |], 0.0) ]
-  in
-  let feasible (x, y) =
-    List.for_all (fun (a, r) -> (a.(0) *. x) +. (a.(1) *. y) <= r +. 1e-7) lines
-  in
-  let candidates = ref [] in
-  let n = List.length lines in
-  let arr = Array.of_list lines in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a1, r1 = arr.(i) and a2, r2 = arr.(j) in
-      let det = (a1.(0) *. a2.(1)) -. (a1.(1) *. a2.(0)) in
-      if Float.abs det > 1e-9 then begin
-        let x = ((r1 *. a2.(1)) -. (r2 *. a1.(1))) /. det in
-        let y = ((a1.(0) *. r2) -. (a2.(0) *. r1)) /. det in
-        if feasible (x, y) then candidates := (x, y) :: !candidates
-      end
-    done
-  done;
-  match !candidates with
-  | [] -> None
-  | cs ->
-      Some
-        (List.fold_left
-           (fun best (x, y) -> Float.max best ((c.(0) *. x) +. (c.(1) *. y)))
-           neg_infinity cs)
-
+(* Random 2-variable problems against the vertex-enumeration
+   reference.  All-positive coefficients with a positive rhs: bounded
+   and feasible. *)
 let test_simplex_vs_brute_force () =
   let rng = Tin_util.Prng.create ~seed:1234 in
   for _ = 1 to 200 do
@@ -135,15 +91,13 @@ let test_simplex_vs_brute_force () =
             |],
             float_of_int (1 + Tin_util.Prng.int rng 20) ))
     in
-    (* All-positive coefficients with positive rhs: bounded, feasible. *)
-    match brute_force_2d ~c ~rows with
-    | None -> Alcotest.fail "brute force found no vertex"
-    | Some best ->
-        solve_each ~c rows (fun name sol _ ->
-            if sol.Problem.status <> `Optimal then
-              Alcotest.failf "%s: unexpected %s" name (status_name sol.Problem.status);
-            Alcotest.(check (float 1e-5)) (name ^ " agrees with brute force") best
-              sol.Problem.objective)
+    match Lp_ref.solve ~c ~upper:[| infinity; infinity |] ~rows () with
+    | `Unbounded -> Alcotest.fail "reference found a bounded instance unbounded"
+    | `Optimal best ->
+        let sol, _ = solve_rows ~c rows in
+        if sol.Problem.status <> `Optimal then
+          Alcotest.failf "unexpected %s" (status_name sol.Problem.status);
+        Alcotest.(check (float 1e-5)) "agrees with vertex enumeration" best sol.Problem.objective
   done
 
 let test_problem_basic () =
@@ -185,47 +139,10 @@ let test_problem_bad_bounds () =
   ignore (Problem.add_var ~ub:0.0 p);
   Alcotest.(check int) "zero ub accepted" 1 (Problem.n_vars p)
 
-(* --- bounded-variable simplex --- *)
-
-let test_bounded_basic () =
-  (* max 3x + 5y, x <= 4 native bound, 2y <= 12, 3x + 2y <= 18. *)
-  match
-    Bounded.solve ~c:[| 3.0; 5.0 |] ~upper:[| 4.0; infinity |]
-      ~rows:[ ([| 0.0; 2.0 |], 12.0); ([| 3.0; 2.0 |], 18.0) ]
-      ()
-  with
-  | Bounded.Optimal { objective; solution } ->
-      Alcotest.(check (float 1e-6)) "objective" 36.0 objective;
-      Alcotest.(check (float 1e-6)) "x" 2.0 solution.(0);
-      Alcotest.(check (float 1e-6)) "y" 6.0 solution.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_bounded_pure_bound_flip () =
-  (* No rows at all: optimum is every positive-cost variable at its
-     upper bound (requires bound flips, no pivots possible). *)
-  match
-    Bounded.solve ~c:[| 2.0; -1.0 |] ~upper:[| 3.0; 5.0 |] ~rows:[] ()
-  with
-  | Bounded.Optimal { objective; solution } ->
-      Alcotest.(check (float 1e-6)) "objective" 6.0 objective;
-      Alcotest.(check (float 1e-6)) "x at ub" 3.0 solution.(0);
-      Alcotest.(check (float 1e-6)) "y at lb" 0.0 solution.(1)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_bounded_unbounded () =
-  match Bounded.solve ~c:[| 1.0 |] ~upper:[| infinity |] ~rows:[] () with
-  | Bounded.Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
-
-let test_bounded_rejects_negative_rhs () =
-  Alcotest.check_raises "negative rhs"
-    (Invalid_argument "Bounded.solve: negative rhs (origin must be feasible)") (fun () ->
-      ignore (Bounded.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rows:[ ([| 1.0 |], -1.0) ] ()))
-
-let test_bounded_vs_sparse_random () =
-  (* On random box-bounded problems the two solvers must agree.  The
-     random structure is recorded first, then one problem per solver
-     is built from it. *)
+(* Random box-bounded problems of up to five variables against the
+   vertex-enumeration reference, and the solution must be feasible for
+   the recorded rows and bounds. *)
+let test_box_bounded_vs_reference () =
   let rng = Tin_util.Prng.create ~seed:4242 in
   for _ = 1 to 200 do
     let n = 1 + Tin_util.Prng.int rng 5 in
@@ -240,58 +157,56 @@ let test_bounded_vs_sparse_random () =
           ( List.init n (fun _ -> float_of_int (Tin_util.Prng.int rng 4)),
             float_of_int (5 + Tin_util.Prng.int rng 30) ))
     in
-    let run solver =
-      let p = Problem.create () in
-      let vars = List.map (fun (ub, obj) -> Problem.add_var ~ub ~obj p) vars_spec in
-      List.iter
-        (fun (coefs, rhs) -> Problem.add_le p (List.combine coefs vars) rhs)
-        rows_spec;
-      (Problem.solve ~solver p, vars)
+    let p = Problem.create () in
+    let vars = List.map (fun (ub, obj) -> Problem.add_var ~ub ~obj p) vars_spec in
+    List.iter (fun (coefs, rhs) -> Problem.add_le p (List.combine coefs vars) rhs) rows_spec;
+    let sol = Problem.solve p in
+    let reference =
+      Lp_ref.solve
+        ~c:(Array.of_list (List.map snd vars_spec))
+        ~upper:(Array.of_list (List.map fst vars_spec))
+        ~rows:(List.map (fun (coefs, rhs) -> (Array.of_list coefs, rhs)) rows_spec)
+        ()
     in
-    let s1, vars1 = run `Bounded in
-    let s2, vars2 = run `Sparse in
-    Alcotest.(check bool) "both optimal" true
-      (s1.Problem.status = `Optimal && s2.Problem.status = `Optimal);
-    Alcotest.(check (float 1e-5)) "objectives agree" s1.Problem.objective s2.Problem.objective;
-    (* Both solutions must be feasible for the recorded rows. *)
+    (match reference with
+    | `Optimal best ->
+        Alcotest.(check bool) "optimal" true (sol.Problem.status = `Optimal);
+        Alcotest.(check (float 1e-5)) "objective = vertex enumeration" best sol.Problem.objective
+    | `Unbounded -> Alcotest.fail "reference found a box-bounded instance unbounded");
+    List.iter2
+      (fun (ub, _) v ->
+        let x = sol.Problem.value v in
+        Alcotest.(check bool) "within bounds" true (x >= -1e-9 && x <= ub +. 1e-9))
+      vars_spec vars;
     List.iter
       (fun (coefs, rhs) ->
-        let lhs vars sol =
+        let lhs =
           List.fold_left2 (fun acc c v -> acc +. (c *. sol.Problem.value v)) 0.0 coefs vars
         in
-        Alcotest.(check bool) "bounded feasible" true (lhs vars1 s1 <= rhs +. 1e-6);
-        Alcotest.(check bool) "sparse feasible" true (lhs vars2 s2 <= rhs +. 1e-6))
+        Alcotest.(check bool) "rows feasible" true (lhs <= rhs +. 1e-6))
       rows_spec
   done
 
-let test_bounded_shape_rejected () =
-  List.iter
-    (fun u ->
-      Alcotest.check_raises (Printf.sprintf "upper %g" u)
-        (Invalid_argument "Bounded.solve: bad upper bound") (fun () ->
-          ignore (Bounded.solve ~c:[| 1.0 |] ~upper:[| u |] ~rows:[] ())))
-    [ -1.0; neg_infinity; nan ]
-
 (* --- exact iteration budgets --------------------------------------- *)
 
-(* The budget contract is identical for both solvers: a run that
-   needs exactly [p] work passes (pivots / bound flips / defensive
-   refactorize-retries, as counted by [Solver_metrics.iterations])
-   returns its result with [max_iters = p] and [Iteration_limit] with
-   [max_iters = p - 1] — never one extra iteration. *)
-let check_budget_exact name solve_with =
+(* The budget contract: a run that needs exactly [p] work passes
+   (pivots / bound flips / defensive refactorize-retries, as counted by
+   [Solver_metrics.iterations]) returns its result with [max_iters = p]
+   and [Iteration_limit] with [max_iters = p - 1] — never one extra
+   iteration. *)
+let check_budget_exact solve_with =
   let base, iters = solve_with None in
   (match base with
   | `Opt _ -> ()
-  | `Limit -> Alcotest.failf "%s: unlimited run hit the iteration limit" name
-  | `Other -> Alcotest.failf "%s: expected an optimal base run" name);
+  | `Limit -> Alcotest.fail "unlimited run hit the iteration limit"
+  | `Other -> Alcotest.fail "expected an optimal base run");
   (match (solve_with (Some iters), base) with
-  | (`Opt a, _), `Opt b -> Alcotest.(check (float 1e-9)) (name ^ ": budget = work suffices") b a
-  | _ -> Alcotest.failf "%s: max_iters = %d (the exact work) must solve" name iters);
+  | (`Opt a, _), `Opt b -> Alcotest.(check (float 1e-9)) "budget = work suffices" b a
+  | _ -> Alcotest.failf "max_iters = %d (the exact work) must solve" iters);
   if iters > 0 then
     match solve_with (Some (iters - 1)) with
     | `Limit, _ -> ()
-    | _ -> Alcotest.failf "%s: max_iters = %d must hit Iteration_limit" name (iters - 1)
+    | _ -> Alcotest.failf "max_iters = %d must hit Iteration_limit" (iters - 1)
 
 let test_iteration_budget_exact () =
   let rng = Tin_util.Prng.create ~seed:9090 in
@@ -311,19 +226,6 @@ let test_iteration_budget_exact () =
           List.concat
             (List.mapi (fun i (a, _) -> if a.(j) <> 0.0 then [ (i, a.(j)) ] else []) rows))
     in
-    let bounded max_iters =
-      let m = Solver_metrics.create () in
-      let o =
-        match max_iters with
-        | None -> Bounded.solve ~metrics:m ~c ~upper ~rows ()
-        | Some k -> Bounded.solve ~max_iters:k ~metrics:m ~c ~upper ~rows ()
-      in
-      ( (match o with
-        | Bounded.Optimal { objective; _ } -> `Opt objective
-        | Bounded.Iteration_limit -> `Limit
-        | _ -> `Other),
-        m.Solver_metrics.iterations )
-    in
     let sparse max_iters =
       let m = Solver_metrics.create () in
       let o =
@@ -337,16 +239,16 @@ let test_iteration_budget_exact () =
         | _ -> `Other),
         m.Solver_metrics.iterations )
     in
-    check_budget_exact "bounded" bounded;
-    check_budget_exact "sparse" sparse
+    check_budget_exact sparse
   done
 
 let test_metrics_accumulate () =
   let m = Solver_metrics.create () in
   let solve () =
     ignore
-      (Bounded.solve ~metrics:m ~c:[| 3.0; 5.0 |] ~upper:[| 4.0; infinity |]
-         ~rows:[ ([| 0.0; 2.0 |], 12.0); ([| 3.0; 2.0 |], 18.0) ]
+      (Sparse.solve ~metrics:m ~c:[| 3.0; 5.0 |] ~upper:[| 4.0; infinity |]
+         ~rhs:[| 12.0; 18.0 |]
+         ~cols:[| [ (1, 3.0) ]; [ (0, 2.0); (1, 2.0) ] |]
          ())
   in
   solve ();
@@ -377,6 +279,8 @@ let () =
           Alcotest.test_case "zero objective" `Quick test_simplex_zero_objective;
           Alcotest.test_case "arity mismatch" `Quick test_simplex_arity_mismatch;
           Alcotest.test_case "random vs brute force" `Quick test_simplex_vs_brute_force;
+          Alcotest.test_case "random box-bounded vs vertex enumeration" `Quick
+            test_box_bounded_vs_reference;
         ] );
       ( "problem",
         [
@@ -385,15 +289,6 @@ let () =
           Alcotest.test_case "frozen after solve" `Quick test_problem_frozen;
           Alcotest.test_case "bad bounds" `Quick test_problem_bad_bounds;
           Alcotest.test_case "repeated terms" `Quick test_problem_repeated_terms;
-        ] );
-      ( "bounded",
-        [
-          Alcotest.test_case "textbook" `Quick test_bounded_basic;
-          Alcotest.test_case "pure bound flips" `Quick test_bounded_pure_bound_flip;
-          Alcotest.test_case "unbounded" `Quick test_bounded_unbounded;
-          Alcotest.test_case "negative rhs rejected" `Quick test_bounded_rejects_negative_rhs;
-          Alcotest.test_case "random bounded = sparse" `Quick test_bounded_vs_sparse_random;
-          Alcotest.test_case "shape rejection" `Quick test_bounded_shape_rejected;
         ] );
       ( "budget",
         [

@@ -1,11 +1,9 @@
-(* Static max-flow substrate: residual networks, Edmonds-Karp, Dinic,
-   and the time-expanded reduction. *)
+(* Static max-flow substrate: residual networks, Dinic, and the
+   time-expanded reduction. *)
 
 open Tin_testlib
 module Net = Tin_maxflow.Net
-module EK = Tin_maxflow.Edmonds_karp
 module Dinic = Tin_maxflow.Dinic
-module PR = Tin_maxflow.Push_relabel
 module TE = Tin_maxflow.Time_expand
 
 let net_of ~n arcs =
@@ -30,20 +28,24 @@ let clrs () =
       (4, 5, 4.0);
     ]
 
-let test_ek_clrs () =
-  Alcotest.(check (float 1e-9)) "EK" 23.0 (EK.max_flow (clrs ()) ~source:0 ~sink:5)
-
 let test_dinic_clrs () =
   Alcotest.(check (float 1e-9)) "Dinic" 23.0 (Dinic.max_flow (clrs ()) ~source:0 ~sink:5)
 
-let test_pr_clrs () =
-  Alcotest.(check (float 1e-9)) "push-relabel" 23.0 (PR.max_flow (clrs ()) ~source:0 ~sink:5)
-
-let test_pr_trivial () =
+let test_dinic_trivial () =
   let net = net_of ~n:2 [ (0, 1, 7.0) ] in
-  Alcotest.(check (float 1e-9)) "single arc" 7.0 (PR.max_flow net ~source:0 ~sink:1);
+  Alcotest.(check (float 1e-9)) "single arc" 7.0 (Dinic.max_flow net ~source:0 ~sink:1);
   let empty = net_of ~n:3 [] in
-  Alcotest.(check (float 1e-9)) "no arcs" 0.0 (PR.max_flow empty ~source:0 ~sink:2)
+  Alcotest.(check (float 1e-9)) "no arcs" 0.0 (Dinic.max_flow empty ~source:0 ~sink:2);
+  (* The first phase saturates 0->1->2->3, which blocks both longer
+     routes; the second must push back along 1->2's residual twin,
+     0->4->2 then 2->1->5->6->3. *)
+  let reroute =
+    net_of ~n:7
+      [ (0, 1, 1.0); (1, 2, 1.0); (2, 3, 1.0); (0, 4, 1.0); (4, 2, 1.0); (1, 5, 1.0); (5, 6, 1.0);
+        (6, 3, 1.0) ]
+  in
+  Alcotest.(check (float 1e-9)) "reroute through a residual twin" 2.0
+    (Dinic.max_flow reroute ~source:0 ~sink:3)
 
 let test_disconnected () =
   let net = net_of ~n:4 [ (0, 1, 5.0); (2, 3, 5.0) ] in
@@ -70,20 +72,6 @@ let test_flow_conservation () =
   for v = 1 to 4 do
     Alcotest.(check (float 1e-9)) "conservation" inflow.(v) outflow.(v)
   done
-
-let test_copy_isolates () =
-  let net = clrs () in
-  let copy = Net.copy net in
-  ignore (Dinic.max_flow net ~source:0 ~sink:5);
-  Alcotest.(check (float 1e-9)) "copy untouched" 0.0 (Net.flow copy copy.Net.fwd.(0));
-  Alcotest.(check (float 1e-9)) "copy solves fresh" 23.0 (Dinic.max_flow copy ~source:0 ~sink:5)
-
-let test_reset () =
-  let net = clrs () in
-  ignore (Dinic.max_flow net ~source:0 ~sink:5);
-  Net.reset net;
-  Alcotest.(check (float 1e-9)) "solves again after reset" 23.0
-    (EK.max_flow net ~source:0 ~sink:5)
 
 let test_arc_validation () =
   Alcotest.check_raises "bad capacity" (Invalid_argument "Net.of_arcs: bad capacity") (fun () ->
@@ -114,11 +102,26 @@ let test_csr_layout () =
 let test_source_eq_sink () =
   let net = net_of ~n:2 [] in
   Alcotest.check_raises "dinic" (Invalid_argument "Dinic.max_flow: source = sink") (fun () ->
-      ignore (Dinic.max_flow net ~source:0 ~sink:0));
-  Alcotest.check_raises "ek" (Invalid_argument "Edmonds_karp.max_flow: source = sink") (fun () ->
-      ignore (EK.max_flow net ~source:0 ~sink:0))
+      ignore (Dinic.max_flow net ~source:0 ~sink:0))
 
-let test_random_ek_eq_dinic () =
+(* Max-flow/min-cut by brute force, sharing no code with Dinic: the
+   smallest capacity leaving any of the 2^(n-2) vertex sets that hold
+   the source 0 but not the sink n - 1 (bit v of [mask] puts vertex
+   v + 1 in the set). *)
+let min_cut ~n arcs =
+  let best = ref infinity in
+  for mask = 0 to (1 lsl (n - 2)) - 1 do
+    let inside v = v = 0 || (v < n - 1 && mask land (1 lsl (v - 1)) <> 0) in
+    let cut =
+      List.fold_left
+        (fun acc (s, d, c) -> if inside s && not (inside d) then acc +. c else acc)
+        0.0 arcs
+    in
+    best := Float.min !best cut
+  done;
+  !best
+
+let test_random_dinic_eq_min_cut () =
   let rng = Tin_util.Prng.create ~seed:99 in
   for _ = 1 to 150 do
     let n = 2 + Tin_util.Prng.int rng 7 in
@@ -128,25 +131,16 @@ let test_random_ek_eq_dinic () =
       let s = Tin_util.Prng.int rng n and d = Tin_util.Prng.int rng n in
       if s <> d then arcs := (s, d, float_of_int (Tin_util.Prng.int rng 10)) :: !arcs
     done;
-    let net = net_of ~n (List.rev !arcs) in
-    let a = EK.max_flow (Net.copy net) ~source:0 ~sink:(n - 1) in
-    let b = Dinic.max_flow (Net.copy net) ~source:0 ~sink:(n - 1) in
-    let c = PR.max_flow (Net.copy net) ~source:0 ~sink:(n - 1) in
-    Alcotest.(check (float 1e-7)) "EK = Dinic" a b;
-    Alcotest.(check (float 1e-7)) "EK = push-relabel" a c
+    let arcs = List.rev !arcs in
+    Alcotest.(check (float 1e-7)) "Dinic = min cut" (min_cut ~n arcs)
+      (Dinic.max_flow (net_of ~n arcs) ~source:0 ~sink:(n - 1))
   done
 
 (* --- time expansion --- *)
 
 let test_te_fig3 () =
   Alcotest.(check (float 1e-9)) "max flow (Dinic)" 5.0
-    (TE.max_flow Paper_examples.fig3 ~source:Paper_examples.s ~sink:Paper_examples.t);
-  Alcotest.(check (float 1e-9)) "max flow (EK)" 5.0
-    (TE.max_flow ~algo:`Edmonds_karp Paper_examples.fig3 ~source:Paper_examples.s
-       ~sink:Paper_examples.t);
-  Alcotest.(check (float 1e-9)) "max flow (push-relabel)" 5.0
-    (TE.max_flow ~algo:`Push_relabel Paper_examples.fig3 ~source:Paper_examples.s
-       ~sink:Paper_examples.t)
+    (TE.max_flow Paper_examples.fig3 ~source:Paper_examples.s ~sink:Paper_examples.t)
 
 let test_te_fig1a () =
   Alcotest.(check (float 1e-9)) "max flow" 5.0
@@ -245,19 +239,15 @@ let () =
     [
       ( "solvers",
         [
-          Alcotest.test_case "EK on CLRS" `Quick test_ek_clrs;
           Alcotest.test_case "Dinic on CLRS" `Quick test_dinic_clrs;
-          Alcotest.test_case "push-relabel on CLRS" `Quick test_pr_clrs;
-          Alcotest.test_case "push-relabel edge cases" `Quick test_pr_trivial;
+          Alcotest.test_case "Dinic edge cases" `Quick test_dinic_trivial;
           Alcotest.test_case "disconnected" `Quick test_disconnected;
           Alcotest.test_case "parallel arcs" `Quick test_parallel_arcs;
           Alcotest.test_case "flow conservation" `Quick test_flow_conservation;
-          Alcotest.test_case "copy isolates" `Quick test_copy_isolates;
-          Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "arc validation" `Quick test_arc_validation;
           Alcotest.test_case "CSR layout" `Quick test_csr_layout;
           Alcotest.test_case "source = sink" `Quick test_source_eq_sink;
-          Alcotest.test_case "EK = Dinic (random)" `Quick test_random_ek_eq_dinic;
+          Alcotest.test_case "Dinic = min cut (random)" `Quick test_random_dinic_eq_min_cut;
         ] );
       ( "time-expansion",
         [

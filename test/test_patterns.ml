@@ -426,10 +426,12 @@ let test_p5_flower_flow_adds () =
   Alcotest.(check int) "pb count" 1 pb.Catalog.instances;
   Check.check_flow "pb flow" 7.0 pb.Catalog.total_flow
 
-let test_p6_needs_lp () =
+let test_p6_needs_max_flow () =
   (* Build the Figure-3 shape as a cyclic pattern instance: cycle
      a->y->z->a plus chords a->z and y->a.  After splitting a it is
-     exactly Figure 3, so the maximum flow is 5 while greedy gives 1. *)
+     exactly Figure 3, so the maximum flow is 5 while greedy gives 1:
+     Lemma 2 does not hold, and the instance flow comes from Dinic on
+     the time-expanded network. *)
   let net =
     Compact.of_entries
       [
@@ -494,6 +496,6 @@ let () =
           Alcotest.test_case "custom diamond" `Quick test_gb_custom_diamond;
           Alcotest.test_case "RP2 semantics" `Quick test_relaxed_rp2_semantics;
           Alcotest.test_case "P5 flower adds" `Quick test_p5_flower_flow_adds;
-          Alcotest.test_case "P6 needs LP" `Quick test_p6_needs_lp;
+          Alcotest.test_case "P6 needs max flow" `Quick test_p6_needs_max_flow;
         ] );
     ]

@@ -1,15 +1,16 @@
 (* The sparse bounded-variable revised simplex: raw-solver unit tests
    (including the eta-file/refactorization machinery via a tiny
-   [refactor_every]), random agreement with the dense bounded tableau,
-   and the Problem-level [`Sparse] / [`Auto] routing. *)
+   [refactor_every]), random agreement with the vertex-enumeration
+   reference ([Lp_ref]), and Problem-level solves, checked on flow LPs
+   against Dinic on the time-expanded network. *)
 
+open Tin_testlib
 module Sparse = Tin_lp.Sparse
-module Bounded = Tin_lp.Bounded
 module Problem = Tin_lp.Problem
 module Lp_flow = Tin_core.Lp_flow
+module TE = Tin_maxflow.Time_expand
 module Prng = Tin_util.Prng
 module Fcmp = Tin_util.Fcmp
-module Obs = Tin_obs.Obs
 
 let check_opt ~expected_obj ?(expected = []) outcome =
   match outcome with
@@ -83,8 +84,21 @@ let test_unbounded () =
 
 let test_negative_rhs_rejected () =
   Alcotest.check_raises "negative rhs"
-    (Invalid_argument "Sparse.solve: negative rhs (origin must be feasible)") (fun () ->
+    (Invalid_argument "Sparse.solve: negative or NaN rhs (origin must be feasible)") (fun () ->
       ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| -1.0 |] ~cols:[| [] |] ()))
+
+(* Out of shape: an upper bound or rhs below zero, or NaN. *)
+let test_shape_rejected () =
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises (Printf.sprintf "upper %g" bad)
+        (Invalid_argument "Sparse.solve: bad upper bound") (fun () ->
+          ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| bad |] ~rhs:[||] ~cols:[| [] |] ()));
+      Alcotest.check_raises (Printf.sprintf "rhs %g" bad)
+        (Invalid_argument "Sparse.solve: negative or NaN rhs (origin must be feasible)")
+        (fun () ->
+          ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rhs:[| bad |] ~cols:[| [] |] ())))
+    [ -1.0; neg_infinity; nan ]
 
 let test_bad_row_index_rejected () =
   try
@@ -93,9 +107,9 @@ let test_bad_row_index_rejected () =
   with Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Random agreement with the dense bounded tableau.  [refactor_every]
-   is deliberately tiny so reinversion happens every couple of pivots
-   — the eta file and the refactorization must agree. *)
+(* Random agreement with vertex enumeration.  [refactor_every] is
+   deliberately tiny so reinversion happens every couple of pivots —
+   the eta file and the refactorization must agree. *)
 (* ------------------------------------------------------------------ *)
 
 let random_instance rng =
@@ -117,17 +131,17 @@ let random_instance rng =
   in
   (c, upper, dense_rows, rhs, cols)
 
-let test_random_vs_bounded () =
+let test_random_vs_reference () =
   let rng = Prng.create ~seed:2024 in
   for k = 1 to 300 do
     let c, upper, dense_rows, rhs, cols = random_instance rng in
-    let reference = Bounded.solve ~c ~upper ~rows:dense_rows () in
+    let reference = Lp_ref.solve ~c ~upper ~rows:dense_rows () in
     let got = Sparse.solve ~refactor_every:2 ~c ~upper ~rhs ~cols () in
     match (reference, got) with
-    | Bounded.Optimal { objective = a; _ }, Sparse.Optimal { objective = b; _ } ->
+    | `Optimal a, Sparse.Optimal { objective = b; _ } ->
         if not (Fcmp.approx_eq ~eps:1e-6 a b) then
-          Alcotest.failf "instance %d: bounded=%.9g sparse=%.9g" k a b
-    | Bounded.Unbounded, Sparse.Unbounded -> ()
+          Alcotest.failf "instance %d: vertex enumeration=%.9g sparse=%.9g" k a b
+    | `Unbounded, Sparse.Unbounded -> ()
     | _ -> Alcotest.failf "instance %d: outcome mismatch" k
   done
 
@@ -141,17 +155,17 @@ let test_problem_sparse_route () =
   let y = Problem.add_var ~obj:5.0 p in
   Problem.add_le p [ (2.0, y) ] 12.0;
   Problem.add_le p [ (3.0, x); (2.0, y) ] 18.0;
-  let s = Problem.solve ~solver:`Sparse p in
+  let s = Problem.solve p in
   Alcotest.(check (float 1e-6)) "objective" 36.0 s.Problem.objective;
   Alcotest.(check (float 1e-6)) "x" 2.0 (s.Problem.value x);
   Alcotest.(check (float 1e-6)) "y" 6.0 (s.Problem.value y)
 
-(* The builder enforces the box solvers' shape when a variable or row
-   is added, so a forced [`Sparse] never meets a problem it cannot
-   take.  The boundary values a flow LP produces are in shape: a
-   zero-quantity interaction (ub = 0) and a buffer row of a vertex that
-   has received nothing yet (rhs = 0).  Anything below zero is refused
-   before the solve. *)
+(* The builder enforces the solver's shape when a variable or row is
+   added, so [Sparse] never meets a problem it cannot take.  The
+   boundary values a flow LP produces are in shape: a zero-quantity
+   interaction (ub = 0) and a buffer row of a vertex that has received
+   nothing yet (rhs = 0).  Anything below zero is refused before the
+   solve. *)
 let test_problem_sparse_shape () =
   let p = Problem.create () in
   let x = Problem.add_var ~ub:0.0 ~obj:1.0 p in
@@ -165,38 +179,20 @@ let test_problem_sparse_shape () =
      Problem.add_le p [ (1.0, y) ] (-1e-300);
      Alcotest.fail "negative rhs accepted"
    with Invalid_argument _ -> ());
-  let s = Problem.solve ~solver:`Sparse p in
+  let s = Problem.solve p in
   Alcotest.(check bool) "optimal" true (s.Problem.status = `Optimal);
   Alcotest.(check (float 0.0)) "objective" 0.0 s.Problem.objective
 
-(* The solver [`Auto] picked, read off the per-solver [lp_iters]
-   counters: only the chosen backend's counter moves. *)
-let auto_route g ~source ~sink =
-  let iters solver =
-    Obs.Counter.(value (labeled (make_labeled "lp_iters" ~labels:[ "solver" ]) [ solver ]))
-  in
-  Obs.reset ();
-  Obs.enable ();
-  let v = Fun.protect ~finally:Obs.disable (fun () -> Lp_flow.solve g ~source ~sink) in
-  let route =
-    match (iters "bounded", iters "sparse") with
-    | b, 0 when b > 0 -> "bounded"
-    | 0, s when s > 0 -> "sparse"
-    | b, s -> Alcotest.failf "no single route: bounded=%d sparse=%d iterations" b s
-  in
-  Obs.reset ();
-  match v with Ok v -> (v, route) | Error _ -> Alcotest.fail "solver failure"
-
-let lp_value solver g ~source ~sink =
-  match Lp_flow.solve ~solver g ~source ~sink with
-  | Ok v -> v
+(* The flow LP's value must equal Dinic's on the time-expanded
+   network, the other formulation of the same maximum flow. *)
+let check_lp_eq_dinic g ~source ~sink =
+  match Lp_flow.solve g ~source ~sink with
+  | Ok v -> Alcotest.(check (float 1e-6)) "sparse = Dinic" (TE.max_flow g ~source ~sink) v
   | Error _ -> Alcotest.fail "solver failure"
 
-(* A chain flow LP large enough that [`Auto] routes to the sparse
-   solver (rows × cols >= 4096): 10 vertices, 30 distinct-time
-   interactions per edge.  The route is asserted, and the value
-   checked against both forced solvers. *)
-let test_auto_routes_large_flow_lp () =
+(* A chain flow LP of more than 4096 constraint cells: 10 vertices, 30
+   distinct-time interactions per edge. *)
+let test_chain_lp_eq_dinic () =
   let g = ref Graph.empty in
   for v = 0 to 8 do
     let is =
@@ -210,14 +206,8 @@ let test_auto_routes_large_flow_lp () =
   let g = !g and source = 0 and sink = 9 in
   let lp = Lp_flow.build g ~source ~sink in
   let cells = Problem.n_constraints lp.Lp_flow.problem * lp.Lp_flow.n_vars in
-  Alcotest.(check bool)
-    (Printf.sprintf "instance large enough for the sparse route (%d cells)" cells)
-    true (cells >= 4096);
-  let v, route = auto_route g ~source ~sink in
-  Alcotest.(check string) "route" "sparse" route;
-  let bounded = lp_value `Bounded g ~source ~sink in
-  Alcotest.(check (float 1e-6)) "auto = bounded" bounded v;
-  Alcotest.(check (float 1e-6)) "sparse = bounded" bounded (lp_value `Sparse g ~source ~sink)
+  Alcotest.(check bool) (Printf.sprintf "more than 4096 cells (%d)" cells) true (cells >= 4096);
+  check_lp_eq_dinic g ~source ~sink
 
 (* source -> relay -> sink with [k] interactions per edge, interleaved
    in time, so the relay's buffer row at its i-th send repeats all i
@@ -229,22 +219,12 @@ let relay_graph k =
   let g = Graph.add_edge Graph.empty ~src:0 ~dst:1 (edge 0 (fun i -> float_of_int (1 + (i mod 5)))) in
   Graph.add_edge g ~src:1 ~dst:2 (edge 1 (fun _ -> 3.0))
 
-(* [`Auto] routes on size alone: a flow LP of 4096 cells goes to
-   [`Sparse] although its density is about 0.5, and one under 4096
-   cells goes to [`Bounded]. *)
-let test_auto_routes_on_size () =
-  let route_of k =
-    let g = relay_graph k and source = 0 and sink = 2 in
-    let lp = Lp_flow.build g ~source ~sink in
-    Alcotest.(check (pair int int)) "k vars, k rows" (k, k) (lp.Lp_flow.n_vars, lp.Lp_flow.n_rows);
-    let v, route = auto_route g ~source ~sink in
-    List.iter
-      (fun solver -> Alcotest.(check (float 1e-6)) "auto = forced" (lp_value solver g ~source ~sink) v)
-      [ `Bounded; `Sparse ];
-    route
-  in
-  Alcotest.(check string) "64 x 64 cells, density 65/128" "sparse" (route_of 64);
-  Alcotest.(check string) "8 x 8 cells" "bounded" (route_of 8)
+(* A dense flow LP: 64 x 64 cells, density 65/128. *)
+let test_relay_lp_eq_dinic () =
+  let g = relay_graph 64 and source = 0 and sink = 2 in
+  let lp = Lp_flow.build g ~source ~sink in
+  Alcotest.(check (pair int int)) "k vars, k rows" (64, 64) (lp.Lp_flow.n_vars, lp.Lp_flow.n_rows);
+  check_lp_eq_dinic g ~source ~sink
 
 let () =
   Alcotest.run "sparse"
@@ -259,15 +239,16 @@ let () =
           Alcotest.test_case "duplicate entries summed" `Quick test_duplicate_entries_summed;
           Alcotest.test_case "unbounded" `Quick test_unbounded;
           Alcotest.test_case "negative rhs rejected" `Quick test_negative_rhs_rejected;
+          Alcotest.test_case "shape rejection" `Quick test_shape_rejected;
           Alcotest.test_case "bad row index rejected" `Quick test_bad_row_index_rejected;
         ] );
       ( "agreement",
-        [ Alcotest.test_case "300 random instances vs bounded" `Quick test_random_vs_bounded ] );
+        [ Alcotest.test_case "random vs vertex enumeration" `Quick test_random_vs_reference ] );
       ( "problem",
         [
           Alcotest.test_case "`Sparse route" `Quick test_problem_sparse_route;
           Alcotest.test_case "shape rejection" `Quick test_problem_sparse_shape;
-          Alcotest.test_case "`Auto routes large flow LP" `Quick test_auto_routes_large_flow_lp;
-          Alcotest.test_case "`Auto routes on size alone" `Quick test_auto_routes_on_size;
+          Alcotest.test_case "Sparse = Dinic (10-vertex chain)" `Quick test_chain_lp_eq_dinic;
+          Alcotest.test_case "Sparse = Dinic (dense relay)" `Quick test_relay_lp_eq_dinic;
         ] );
     ]

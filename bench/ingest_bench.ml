@@ -104,33 +104,16 @@ let scenario ~rng ~n ~chunk ~vertices name window =
     rebuilds;
   }
 
-let json_escape = Tin_util.Json.escape
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+let result_json r =
+  let open Tin_util.Json in
+  Obj
+    [
+      ("name", Str r.name); ("interactions", int r.interactions); ("chunks", int r.chunks);
+      ("rebuilds", int r.rebuilds); ("daemon_ingest_per_s", Num r.daemon_per_s);
+      ("baseline_rebuild_per_s", Num r.baseline_per_s); ("incremental_speedup", Num r.speedup);
+    ]
 
-let write_json path ~scale_name results =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"ingest\",\n";
-  add "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  add "  \"scenarios\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" (json_escape r.name);
-      add "      \"interactions\": %d,\n" r.interactions;
-      add "      \"chunks\": %d,\n" r.chunks;
-      add "      \"rebuilds\": %d,\n" r.rebuilds;
-      add "      \"daemon_ingest_per_s\": %s,\n" (json_float r.daemon_per_s);
-      add "      \"baseline_rebuild_per_s\": %s,\n" (json_float r.baseline_per_s);
-      add "      \"incremental_speedup\": %s\n" (json_float r.speedup);
-      add "    }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  add "  ]\n";
-  add "}\n";
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b))
-
-let run ?(json = "BENCH_ingest.json") ~scale_name ~quick () =
+let run record ~quick =
   Printf.printf "Streaming ingestion: incremental daemon vs rebuild-from-scratch baseline\n%!";
   let rng = Prng.create ~seed:42 in
   let n = if quick then 20_000 else 80_000 in
@@ -154,5 +137,5 @@ let run ?(json = "BENCH_ingest.json") ~scale_name ~quick () =
            string_of_int r.rebuilds;
          ])
        results);
-  write_json json ~scale_name results;
-  Printf.printf "Ingest benchmark written to %s\n" json
+  Record.write record ~name:"ingest" ~benchmark:"ingest"
+    [ ("scenarios", Tin_util.Json.Arr (List.map result_json results)) ]

@@ -77,49 +77,18 @@ let measure ~reps (d : Workload.dataset) =
         peak_rss_bytes;
       })
 
-(* JSON output, same hand-rolled shape as the other bench documents. *)
+let result_json r =
+  let open Tin_util.Json in
+  Obj
+    [
+      ("name", Str r.name); ("n_interactions", int r.n_interactions);
+      ("csv_bytes", int r.csv_bytes); ("snapshot_bytes", int r.snapshot_bytes);
+      ("csv_parse_ms", Num r.csv_parse_ms);
+      ("snapshot_load_ms", Num r.snapshot_load_ms); ("speedup", Num r.speedup);
+      ("peak_rss_bytes", Num r.peak_rss_bytes);
+    ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let write_json path ~scale_name results =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"load\",\n";
-  add "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  add "  \"snapshot_version\": %d,\n" Snapshot.version;
-  add "  \"datasets\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" (json_escape r.name);
-      add "      \"n_interactions\": %d,\n" r.n_interactions;
-      add "      \"csv_bytes\": %d,\n" r.csv_bytes;
-      add "      \"snapshot_bytes\": %d,\n" r.snapshot_bytes;
-      add "      \"csv_parse_ms\": %s,\n" (json_float r.csv_parse_ms);
-      add "      \"snapshot_load_ms\": %s,\n" (json_float r.snapshot_load_ms);
-      add "      \"speedup\": %s,\n" (json_float r.speedup);
-      add "      \"peak_rss_bytes\": %s\n" (json_float r.peak_rss_bytes);
-      add "    }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  add "  ]\n";
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc
-
-let run ?(json = "BENCH_load.json") ~scale_name datasets =
+let run record datasets =
   let reps = 5 in
   Printf.printf "Measuring load paths (CSV parse vs snapshot load, best of %d)...\n%!" reps;
   Obs.reset ();
@@ -147,5 +116,8 @@ let run ?(json = "BENCH_load.json") ~scale_name datasets =
         Printf.printf "  WARNING: %s snapshot speedup %.1fx below the 5x target\n" r.name
           r.speedup)
     results;
-  write_json json ~scale_name results;
-  Printf.printf "Load benchmark written to %s\n" json
+  Record.write record ~name:"load" ~benchmark:"load"
+    [
+      ("snapshot_version", Tin_util.Json.int Snapshot.version);
+      ("datasets", Tin_util.Json.Arr (List.map result_json results));
+    ]

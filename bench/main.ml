@@ -2,19 +2,15 @@
    paper's evaluation (Section 6) on the synthetic datasets.
 
    Usage:
-     main.exe [--quick] [--json PATH] [--pattern-json PATH] [target ...]
+     main.exe [--quick] [--out-dir DIR] [target ...]
    Targets: table4 table5 table6 table7 table8 figure11 table9 table10
-   table11 flows patterns micro solvers all (default: all).
-   --json sets the output path of the solver benchmark's
-   machine-readable results (default: BENCH_flow.json);
-   --pattern-json does the same for the pattern-search jobs sweep
-   (default: BENCH_pattern.json, written by the patterns target);
-   --load-json for the CSV-vs-snapshot load benchmark (default:
-   BENCH_load.json, written by the load target); --ingest-json for the
-   streaming-daemon throughput benchmark (default: BENCH_ingest.json,
-   written by the ingest target); --provenance-json for the
-   provenance-scan benchmark (default: BENCH_provenance.json, written
-   by the provenance target). *)
+   table11 flows patterns micro ablation sweep solvers obs load ingest
+   provenance all (default: all).
+   Five targets also write their machine-readable results into DIR
+   (default: the current directory): solvers -> BENCH_flow.json,
+   patterns -> BENCH_pattern.json (the jobs sweep), load ->
+   BENCH_load.json, ingest -> BENCH_ingest.json and provenance ->
+   BENCH_provenance.json. *)
 
 let known_targets =
   [
@@ -24,37 +20,19 @@ let known_targets =
   ]
 
 let usage () =
-  Printf.printf "usage: main.exe [--quick] [--json PATH] [%s]*\n"
+  Printf.printf "usage: main.exe [--quick] [--out-dir DIR] [%s]*\n"
     (String.concat "|" known_targets);
   exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
-  let json = ref "BENCH_flow.json" in
-  let pattern_json = ref "BENCH_pattern.json" in
-  let load_json = ref "BENCH_load.json" in
-  let ingest_json = ref "BENCH_ingest.json" in
-  let provenance_json = ref "BENCH_provenance.json" in
+  let out_dir = ref "." in
   let rec strip = function
-    | "--json" :: path :: rest ->
-        json := path;
+    | "--out-dir" :: dir :: rest ->
+        out_dir := dir;
         strip rest
-    | "--pattern-json" :: path :: rest ->
-        pattern_json := path;
-        strip rest
-    | "--load-json" :: path :: rest ->
-        load_json := path;
-        strip rest
-    | "--ingest-json" :: path :: rest ->
-        ingest_json := path;
-        strip rest
-    | "--provenance-json" :: path :: rest ->
-        provenance_json := path;
-        strip rest
-    | [ "--json" ] | [ "--pattern-json" ] | [ "--load-json" ] | [ "--ingest-json" ]
-    | [ "--provenance-json" ] ->
-        usage ()
+    | [ "--out-dir" ] -> usage ()
     | a :: rest -> a :: strip rest
     | [] -> []
   in
@@ -75,9 +53,10 @@ let () =
     || (List.mem "patterns" targets && List.mem t [ "table9"; "table10"; "table11" ])
   in
   let scale = if quick then Workload.quick else Workload.full in
+  let record = { Record.out_dir = !out_dir; scale = (if quick then "quick" else "full") } in
   Printf.printf
     "Flow Computation in Temporal Interaction Networks -- experiment harness (%s scale)\n\n"
-    (if quick then "quick" else "full");
+    record.Record.scale;
   Printf.printf "Generating datasets and extracting subgraphs...\n%!";
   let datasets, gen_secs = Tin_util.Timer.time_f (fun () -> Workload.load scale) in
   Printf.printf "  done in %.1fs\n\n%!" gen_secs;
@@ -121,15 +100,13 @@ let () =
           (List.find (fun d -> d.Workload.pattern_table_id = table_id) datasets))
     [ ("table9", 9); ("table10", 10); ("table11", 11) ];
   if wants "patterns" then begin
-    Pattern_bench.run_sweep ~json:!pattern_json
-      ~scale_name:(if quick then "quick" else "full")
-      scale datasets;
+    Pattern_bench.run_sweep record scale datasets;
     print_newline ()
   end;
   if wants "ablation" then Ablation.run datasets;
   if wants "sweep" then Sweep.run ();
   if wants "solvers" then begin
-    Solver_bench.run ~json:!json ~scale_name:(if quick then "quick" else "full") datasets;
+    Solver_bench.run record datasets;
     print_newline ()
   end;
   if wants "obs" then begin
@@ -137,17 +114,15 @@ let () =
     print_newline ()
   end;
   if wants "load" then begin
-    Load_bench.run ~json:!load_json ~scale_name:(if quick then "quick" else "full") datasets;
+    Load_bench.run record datasets;
     print_newline ()
   end;
   if wants "ingest" then begin
-    Ingest_bench.run ~json:!ingest_json ~scale_name:(if quick then "quick" else "full") ~quick ();
+    Ingest_bench.run record ~quick;
     print_newline ()
   end;
   if wants "provenance" then begin
-    Provenance_bench.run ~json:!provenance_json
-      ~scale_name:(if quick then "quick" else "full")
-      ~quick ();
+    Provenance_bench.run record ~quick;
     print_newline ()
   end;
   if wants "micro" || List.mem "all" targets then Micro.run datasets;

@@ -199,9 +199,6 @@ let sweep_dataset scale d =
    the multi-domain code path is still exercised. *)
 let refused jobs = jobs > 1 && Batch.recommended_jobs () = 1
 
-let skipped_row ~indent jobs =
-  Printf.sprintf "%s{ \"jobs\": %d, \"skipped\": \"single_domain\" }" indent jobs
-
 let per_s instances ms = if ms > 0.0 then float_of_int instances /. (ms /. 1000.0) else 0.0
 
 let speedup_vs_1 points point value_of =
@@ -209,82 +206,38 @@ let speedup_vs_1 points point value_of =
   | Some base when value_of base > 0.0 -> value_of point /. value_of base
   | _ -> 1.0
 
-(* --- JSON (hand-rolled, like BENCH_flow.json) --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let write_json path ~scale_name results =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"pattern_search\",\n";
-  add "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  add "  \"domains_available\": %d,\n" (Batch.recommended_jobs ());
-  add "  \"datasets\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" (json_escape r.ds_name);
-      add "      \"table_rows\": { \"l2\": %d, \"l3\": %d%s },\n" r.l2_rows r.l3_rows
-        (match r.chain_rows with Some c -> Printf.sprintf ", \"chains\": %d" c | None -> "");
-      add "      \"precompute\": [\n";
-      let pre1 = try List.assoc 1 r.precompute_ms with Not_found -> 0.0 in
-      List.iteri
-        (fun j (jobs, ms) ->
-          let sep = if j < List.length r.precompute_ms - 1 then "," else "" in
-          if refused jobs then add "%s%s\n" (skipped_row ~indent:"        " jobs) sep
-          else
-            add "        { \"jobs\": %d, \"wall_ms\": %s, \"speedup_vs_1\": %s }%s\n" jobs
-              (json_float ms)
-              (json_float (if ms > 0.0 && pre1 > 0.0 then pre1 /. ms else 1.0))
-              sep)
-        r.precompute_ms;
-      add "      ],\n";
-      add "      \"patterns\": [\n";
-      List.iteri
-        (fun j s ->
-          add "        { \"name\": \"%s\", \"runs\": [\n" (json_escape s.pattern);
-          List.iteri
-            (fun k p ->
-              let sep = if k < List.length s.points - 1 then "," else "" in
-              let gb_per_s = per_s p.gb_instances p.gb_ms in
-              let pb_per_s = per_s p.pb_instances p.pb_ms in
-              if refused p.jobs then add "%s%s\n" (skipped_row ~indent:"          " p.jobs) sep
-              else
-                add
-                  "          { \"jobs\": %d, \"gb_ms\": %s, \"gb_instances\": %d, \
-                   \"gb_truncated\": %b, \"gb_per_s\": %s, \"gb_speedup_vs_1\": %s, \"pb_ms\": \
-                   %s, \"pb_instances\": %d, \"pb_per_s\": %s, \"pb_speedup_vs_1\": %s }%s\n"
-                  p.jobs (json_float p.gb_ms) p.gb_instances p.gb_truncated (json_float gb_per_s)
-                  (json_float (speedup_vs_1 s.points p (fun q -> per_s q.gb_instances q.gb_ms)))
-                  (json_float p.pb_ms) p.pb_instances (json_float pb_per_s)
-                  (json_float (speedup_vs_1 s.points p (fun q -> per_s q.pb_instances q.pb_ms)))
-                  sep)
-            s.points;
-          add "        ] }%s\n" (if j < List.length r.sweeps - 1 then "," else ""))
-        r.sweeps;
-      add "      ],\n";
-      add "      \"obs\": { %s }\n"
-        (String.concat ", "
-           (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v) r.obs));
-      add "    }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  add "  ]\n";
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc
+let dataset_json r =
+  let open Tin_util.Json in
+  let row jobs fields =
+    let fields = if refused jobs then [ ("skipped", Str "single_domain") ] else fields in
+    Obj (("jobs", int jobs) :: fields)
+  in
+  let pre1 = try List.assoc 1 r.precompute_ms with Not_found -> 0.0 in
+  let precompute (jobs, ms) =
+    let speedup = if ms > 0.0 && pre1 > 0.0 then pre1 /. ms else 1.0 in
+    row jobs [ ("wall_ms", Num ms); ("speedup_vs_1", Num speedup) ]
+  in
+  let run s p =
+    let gb_per_s q = per_s q.gb_instances q.gb_ms and pb_per_s q = per_s q.pb_instances q.pb_ms in
+    row p.jobs
+      [
+        ("gb_ms", Num p.gb_ms); ("gb_instances", int p.gb_instances);
+        ("gb_truncated", Bool p.gb_truncated); ("gb_per_s", Num (gb_per_s p));
+        ("gb_speedup_vs_1", Num (speedup_vs_1 s.points p gb_per_s)); ("pb_ms", Num p.pb_ms);
+        ("pb_instances", int p.pb_instances); ("pb_per_s", Num (pb_per_s p));
+        ("pb_speedup_vs_1", Num (speedup_vs_1 s.points p pb_per_s));
+      ]
+  in
+  let pattern s = Obj [ ("name", Str s.pattern); ("runs", Arr (List.map (run s) s.points)) ] in
+  let chains = match r.chain_rows with Some c -> [ ("chains", int c) ] | None -> [] in
+  Obj
+    [
+      ("name", Str r.ds_name);
+      ("table_rows", Obj ([ ("l2", int r.l2_rows); ("l3", int r.l3_rows) ] @ chains));
+      ("precompute", Arr (List.map precompute r.precompute_ms));
+      ("patterns", Arr (List.map pattern r.sweeps));
+      ("obs", Obj (List.map (fun (n, v) -> (n, int v)) r.obs));
+    ]
 
 let sweep_table r =
   Table.print
@@ -311,7 +264,7 @@ let sweep_table r =
            s.points)
        r.sweeps)
 
-let run_sweep ?(json = "BENCH_pattern.json") ~scale_name scale datasets =
+let run_sweep record scale datasets =
   Printf.printf "Sweeping pattern search over job counts (%s) on %d domains...\n%!"
     (String.concat "/" (List.map string_of_int (job_counts ())))
     (Batch.recommended_jobs ());
@@ -330,5 +283,5 @@ let run_sweep ?(json = "BENCH_pattern.json") ~scale_name scale datasets =
       sweep_table r;
       print_newline ())
     results;
-  write_json json ~scale_name results;
-  Printf.printf "Pattern benchmark written to %s\n" json
+  Record.write record ~name:"pattern" ~benchmark:"pattern_search"
+    [ ("datasets", Tin_util.Json.Arr (List.map dataset_json results)) ]

@@ -47,32 +47,16 @@ let scenario ~g ~n name run =
     peak_entries = r.Prov.peak_entries;
   }
 
-let json_escape = Tin_util.Json.escape
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+let result_json r =
+  let open Tin_util.Json in
+  Obj
+    [
+      ("name", Str r.name); ("interactions", int r.interactions); ("spills", int r.spills);
+      ("peak_entries", int r.peak_entries); ("scan_ms", Num r.scan_ms);
+      ("inter_per_s", Num r.inter_per_s);
+    ]
 
-let write_json path ~scale_name results =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"provenance\",\n";
-  add "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  add "  \"scenarios\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" (json_escape r.name);
-      add "      \"interactions\": %d,\n" r.interactions;
-      add "      \"spills\": %d,\n" r.spills;
-      add "      \"peak_entries\": %d,\n" r.peak_entries;
-      add "      \"scan_ms\": %s,\n" (json_float r.scan_ms);
-      add "      \"inter_per_s\": %s\n" (json_float r.inter_per_s);
-      add "    }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  add "  ]\n";
-  add "}\n";
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b))
-
-let run ?(json = "BENCH_provenance.json") ~scale_name ~quick () =
+let run record ~quick =
   Printf.printf "Provenance scan: policy-driven origin attribution vs plain greedy scan\n%!";
   let rng = Prng.create ~seed:42 in
   let n = if quick then 30_000 else 200_000 in
@@ -118,5 +102,5 @@ let run ?(json = "BENCH_provenance.json") ~scale_name ~quick () =
            string_of_int r.peak_entries;
          ])
        results);
-  write_json json ~scale_name results;
-  Printf.printf "Provenance benchmark written to %s\n" json
+  Record.write record ~name:"provenance" ~benchmark:"provenance"
+    [ ("scenarios", Tin_util.Json.Arr (List.map result_json results)) ]

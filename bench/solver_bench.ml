@@ -1,8 +1,7 @@
 (* Solver benchmark: the sparse revised simplex on the extracted flow
    LPs (per difficulty class), plus multicore batch throughput across
    Domains.  Results are printed as tables and written
-   machine-readable to a JSON file (default BENCH_flow.json) for
-   regression tracking. *)
+   machine-readable to BENCH_flow.json for regression tracking. *)
 
 module Pipeline = Tin_core.Pipeline
 module Lp_flow = Tin_core.Lp_flow
@@ -130,23 +129,6 @@ let obs_snapshot problems =
   Obs.reset ();
   counters
 
-(* ------------------------------------------------------------------ *)
-(* JSON output (hand-rolled: only strings, ints and floats appear)     *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
 type dataset_result = {
   name : string;
   n_problems : int;
@@ -155,51 +137,30 @@ type dataset_result = {
   obs : (string * int) list;
 }
 
-let write_json path ~scale_name results =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n";
-  add "  \"benchmark\": \"flow_solvers\",\n";
-  add "  \"scale\": \"%s\",\n" (json_escape scale_name);
-  add "  \"domains_available\": %d,\n" (Batch.recommended_jobs ());
-  add "  \"datasets\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n";
-      add "      \"name\": \"%s\",\n" (json_escape r.name);
-      add "      \"n_problems\": %d,\n" r.n_problems;
-      add "      \"classes\": [\n";
-      List.iteri
-        (fun j c ->
-          add "        { \"class\": \"%s\", \"count\": %d, \"solver_avg_ms\": { \"%s\": %s } }%s\n"
-            (json_escape c.label) c.count solver (json_float c.avg_ms)
-            (if j < List.length r.classes - 1 then "," else ""))
-        r.classes;
-      add "      ],\n";
-      add "      \"batch_lp\": [\n";
-      List.iteri
-        (fun j br ->
-          (match br.timing with
-          | Ok (wall_ms, problems_per_s) ->
-              add "        { \"jobs\": %d, \"wall_ms\": %s, \"problems_per_s\": %s }%s\n" br.jobs
-                (json_float wall_ms) (json_float problems_per_s)
-                (if j < List.length r.batch - 1 then "," else "")
-          | Error reason ->
-              add "        { \"jobs\": %d, \"skipped\": \"%s\" }%s\n" br.jobs
-                (json_escape reason)
-                (if j < List.length r.batch - 1 then "," else "")))
-        r.batch;
-      add "      ],\n";
-      add "      \"obs\": { %s }\n"
-        (String.concat ", "
-           (List.map (fun (n, v) -> Printf.sprintf "\"%s\": %d" (json_escape n) v) r.obs));
-      add "    }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  add "  ]\n";
-  add "}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc
+let dataset_json r =
+  let open Tin_util.Json in
+  let class_json c =
+    Obj
+      [
+        ("class", Str c.label); ("count", int c.count);
+        ("solver_avg_ms", Obj [ (solver, Num c.avg_ms) ]);
+      ]
+  in
+  let batch_json br =
+    Obj
+      (("jobs", int br.jobs)
+      ::
+      (match br.timing with
+      | Ok (wall_ms, per_s) -> [ ("wall_ms", Num wall_ms); ("problems_per_s", Num per_s) ]
+      | Error reason -> [ ("skipped", Str reason) ]))
+  in
+  Obj
+    [
+      ("name", Str r.name); ("n_problems", int r.n_problems);
+      ("classes", Arr (List.map class_json r.classes));
+      ("batch_lp", Arr (List.map batch_json r.batch));
+      ("obs", Obj (List.map (fun (n, v) -> (n, int v)) r.obs));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -227,7 +188,7 @@ let batch_table name runs =
          | Error _ -> [ string_of_int r.jobs; "skipped"; "(single domain)" ])
        runs)
 
-let run ?(json = "BENCH_flow.json") ~scale_name datasets =
+let run record datasets =
   Printf.printf "Timing the %s LP solver and batch scaling on %d domains...\n%!" solver
     (Batch.recommended_jobs ());
   let results =
@@ -256,5 +217,5 @@ let run ?(json = "BENCH_flow.json") ~scale_name datasets =
       batch_table r.name r.batch;
       print_newline ())
     results;
-  write_json json ~scale_name results;
-  Printf.printf "Solver benchmark written to %s\n" json
+  Record.write record ~name:"flow" ~benchmark:"flow_solvers"
+    [ ("datasets", Tin_util.Json.Arr (List.map dataset_json results)) ]

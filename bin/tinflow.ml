@@ -18,6 +18,7 @@ module Pipeline = Tin_core.Pipeline
 module Endpoints = Tin_core.Endpoints
 module Catalog = Tin_patterns.Catalog
 module Table = Tin_util.Table
+module Json = Tin_util.Json
 
 let setup_logs () =
   Fmt_tty.setup_std_outputs ();
@@ -44,33 +45,27 @@ let load_graph file = or_parse_error (fun () -> Io.load_graph file)
 
 (* --- structured event log (--log-json) --- *)
 
-(* One JSON object per line on stderr: run lifecycle, per-stage
-   progress, library log records, and a counter snapshot on exit.
-   Field values are raw JSON fragments; [Event.str]/[Event.num] build
-   them, so arbitrary text goes through {!Tin_util.Json.escape}. *)
+(* One compact JSON object per line on stderr: run lifecycle,
+   per-stage progress, library log records, and a counter snapshot on
+   exit. *)
 module Event = struct
   let enabled = ref false
-  let str s = "\"" ^ Tin_util.Json.escape s ^ "\""
-
-  let num x =
-    if Float.is_finite x then Printf.sprintf "%.17g" x else str (Float.to_string x)
 
   let emit ?(fields = []) name =
     if !enabled then begin
       (* Correlate log lines with spans: every event carries the ids
          of the innermost open span on this domain, when there is
          one. *)
-      let fields =
+      let ids =
         match Tin_obs.Obs.Span.current_ids () with
-        | Some (trace_id, span_id) ->
-            ("trace_id", str trace_id) :: ("span_id", str span_id) :: fields
-        | None -> fields
+        | Some (trace, span) -> [ ("trace_id", Json.Str trace); ("span_id", Json.Str span) ]
+        | None -> []
       in
-      let b = Buffer.create 128 in
-      Printf.bprintf b "{\"event\":%s,\"ts\":%.6f" (str name) (Unix.gettimeofday ());
-      List.iter (fun (k, v) -> Printf.bprintf b ",%s:%s" (str k) v) fields;
-      Buffer.add_string b "}\n";
-      prerr_string (Buffer.contents b);
+      let line =
+        Json.Obj
+          ((("event", Json.Str name) :: ("ts", Json.Num (Unix.gettimeofday ())) :: ids) @ fields)
+      in
+      prerr_string (Json.to_string Json.Compact line ^ "\n");
       flush stderr
     end
 end
@@ -85,9 +80,9 @@ let json_reporter () =
         Event.emit "log"
           ~fields:
             [
-              ("level", Event.str (Logs.level_to_string (Some level)));
-              ("src", Event.str (Logs.Src.name src));
-              ("message", Event.str message);
+              ("level", Json.Str (Logs.level_to_string (Some level)));
+              ("src", Json.Str (Logs.Src.name src));
+              ("message", Json.Str message);
             ];
         over ();
         k ())
@@ -171,17 +166,6 @@ let obs_serve_term =
   in
   Term.(const (fun o listen -> { o with listen }) $ obs_term $ listen)
 
-let counters_json () =
-  let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (n, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "%s:%d" (Event.str n) v)
-    (Tin_obs.Obs.counters ());
-  Buffer.add_char b '}';
-  Buffer.contents b
-
 let with_obs ~cmd o run =
   let module Obs = Tin_obs.Obs in
   if o.log_json then begin
@@ -202,7 +186,7 @@ let with_obs ~cmd o run =
              let path = Obs.Flight.dump ~reason:"sigusr2" () in
              Printf.eprintf "tinflow: flight recorder dumped to %s\n%!" path;
              Event.emit "flight.dump"
-               ~fields:[ ("path", Event.str path); ("reason", Event.str "sigusr2") ]))
+               ~fields:[ ("path", Json.Str path); ("reason", Json.Str "sigusr2") ]))
     with
     | () -> ()
     | exception (Invalid_argument _ | Sys_error _) -> (* no SIGUSR2 on this platform *) ()
@@ -226,7 +210,7 @@ let with_obs ~cmd o run =
         let s = Tin_obs.Serve.start ~port () in
         Printf.eprintf "tinflow: serving /metrics, /metrics.json and /healthz on port %d\n%!"
           (Tin_obs.Serve.port s);
-        Event.emit "listen.start" ~fields:[ ("port", string_of_int (Tin_obs.Serve.port s)) ];
+        Event.emit "listen.start" ~fields:[ ("port", Json.int (Tin_obs.Serve.port s)) ];
         Some s
   in
   if o.metrics || o.trace <> None then Obs.enable ();
@@ -239,12 +223,14 @@ let with_obs ~cmd o run =
   else begin
     let t0 = Tin_util.Timer.now_ns () in
     Event.emit "run.start"
-      ~fields:[ ("argv", Event.str (String.concat " " (Array.to_list Sys.argv))) ];
+      ~fields:[ ("argv", Json.Str (String.concat " " (Array.to_list Sys.argv))) ];
     let finish outcome =
       Option.iter Tin_obs.Serve.stop server;
       if Obs.Runtime.running () then Obs.Runtime.stop ();
-      if active && o.log_json then
-        Event.emit "metrics.snapshot" ~fields:[ ("counters", counters_json ()) ];
+      if active && o.log_json then begin
+        let counters = List.map (fun (n, v) -> (n, Json.int v)) (Obs.counters ()) in
+        Event.emit "metrics.snapshot" ~fields:[ ("counters", Json.Obj counters) ]
+      end;
       Obs.disable ();
       Option.iter
         (fun path ->
@@ -257,11 +243,11 @@ let with_obs ~cmd o run =
       in
       Event.emit "run.end"
         ~fields:
-          (("elapsed_secs", Event.num elapsed)
+          (("elapsed_secs", Json.Num elapsed)
           ::
           (match outcome with
-          | Ok code -> [ ("exit_code", string_of_int code) ]
-          | Error exn -> [ ("error", Event.str (Printexc.to_string exn)) ]))
+          | Ok code -> [ ("exit_code", Json.int code) ]
+          | Error exn -> [ ("error", Json.Str (Printexc.to_string exn)) ]))
     in
     match run () with
     | code ->
@@ -403,9 +389,9 @@ let batch_cmd =
       Event.emit "batch.start"
         ~fields:
           [
-            ("file", Event.str file);
-            ("subgraphs", string_of_int (List.length problems));
-            ("jobs", string_of_int jobs);
+            ("file", Json.Str file);
+            ("subgraphs", Json.int (List.length problems));
+            ("jobs", Json.int jobs);
           ];
       let values, secs =
         Tin_util.Timer.time_f (fun () ->
@@ -415,9 +401,9 @@ let batch_cmd =
       Event.emit "batch.done"
         ~fields:
           [
-            ("subgraphs", string_of_int (List.length values));
-            ("total_flow", Event.num total);
-            ("elapsed_secs", Event.num secs);
+            ("subgraphs", Json.int (List.length values));
+            ("total_flow", Json.Num total);
+            ("elapsed_secs", Json.Num secs);
           ];
       Printf.printf "subgraphs:  %d\n" (List.length values);
       Printf.printf "total flow: %g\n" total;
@@ -596,10 +582,10 @@ let patterns_cmd =
           Event.emit "patterns.result"
             ~fields:
               [
-                ("pattern", Event.str (Catalog.pattern_name p));
-                ("instances", string_of_int r.Catalog.instances);
-                ("total_flow", Event.num r.Catalog.total_flow);
-                ("truncated", string_of_bool r.Catalog.truncated);
+                ("pattern", Json.Str (Catalog.pattern_name p));
+                ("instances", Json.int r.Catalog.instances);
+                ("total_flow", Json.Num r.Catalog.total_flow);
+                ("truncated", Json.Bool r.Catalog.truncated);
               ];
           [
             (Catalog.pattern_name p ^ if r.Catalog.truncated then "*" else "");
@@ -711,10 +697,10 @@ let serve_cmd =
       Event.emit "serve.alert"
         ~fields:
           [
-            ("pattern", Event.str (Catalog.pattern_name a.Daemon.pattern));
-            ("instances", string_of_int a.Daemon.instances);
-            ("total_flow", Event.num a.Daemon.total_flow);
-            ("tick", string_of_int a.Daemon.tick);
+            ("pattern", Json.Str (Catalog.pattern_name a.Daemon.pattern));
+            ("instances", Json.int a.Daemon.instances);
+            ("total_flow", Json.Num a.Daemon.total_flow);
+            ("tick", Json.int a.Daemon.tick);
           ]
     in
     let config = Daemon.config ~source ~sink ?window ~cadence ~patterns ~min_flow ~limit () in
@@ -729,7 +715,7 @@ let serve_cmd =
         Printf.eprintf
           "tinflow: serve: listening on port %d (POST /ingest, GET /status, /metrics)\n%!"
           (Tin_obs.Serve.port s);
-        Event.emit "serve.start" ~fields:[ ("port", string_of_int (Tin_obs.Serve.port s)) ];
+        Event.emit "serve.start" ~fields:[ ("port", Json.int (Tin_obs.Serve.port s)) ];
         let stop = Atomic.make false in
         let on_signal _ = Atomic.set stop true in
         Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -747,9 +733,9 @@ let serve_cmd =
         Event.emit "serve.stop"
           ~fields:
             [
-              ("accepted_total", string_of_int st.Daemon.accepted_total);
-              ("rejected_total", string_of_int st.Daemon.rejected_total);
-              ("flow", Event.num st.Daemon.flow);
+              ("accepted_total", Json.int st.Daemon.accepted_total);
+              ("rejected_total", Json.int st.Daemon.rejected_total);
+              ("flow", Json.Num st.Daemon.flow);
             ];
         Printf.eprintf "tinflow: serve: %d accepted, %d rejected, windowed flow %g\n%!"
           st.Daemon.accepted_total st.Daemon.rejected_total st.Daemon.flow;
@@ -964,17 +950,14 @@ let convert_cmd =
 (* --- bench-check --- *)
 
 let bench_check_cmd =
-  let module Json = Tin_util.Json in
   let module Regress = Tin_util.Regress in
   let files =
     Arg.(
-      value
-      & pos_all string
-          [ "BENCH_flow.json"; "BENCH_pattern.json"; "BENCH_ingest.json"; "BENCH_provenance.json" ]
+      value & pos_all string []
       & info [] ~docv:"BENCH.json"
           ~doc:
-            "Benchmark documents to check (default: BENCH_flow.json BENCH_pattern.json \
-             BENCH_ingest.json BENCH_provenance.json in the current directory).")
+            "Benchmark documents to check (default: every BENCH_*.json of the baseline \
+             directory that the current directory also holds).")
   in
   let baseline =
     Arg.(
@@ -1007,6 +990,26 @@ let bench_check_cmd =
       prerr_endline "tinflow: --tolerance must be non-negative";
       exit 2
     end;
+    (* No file arguments: the baseline documents this directory also
+       holds, naming the ones it does not. *)
+    let files =
+      if files <> [] then files
+      else
+        let names =
+          try Sys.readdir baseline
+          with Sys_error msg ->
+            prerr_endline ("tinflow: " ^ msg);
+            exit 2
+        in
+        Array.sort compare names;
+        Array.to_list names
+        |> List.filter (fun f ->
+               String.starts_with ~prefix:"BENCH_" f && Filename.check_suffix f ".json")
+        |> List.filter (fun f ->
+               let held = Sys.file_exists f in
+               if not held then Printf.printf "%s: skipped (not in the current directory)\n" f;
+               held)
+    in
     if update then begin
       if not (Sys.file_exists baseline) then Sys.mkdir baseline 0o755;
       let code = ref 0 in
@@ -1055,6 +1058,11 @@ let bench_check_cmd =
                     Printf.eprintf "tinflow: %s: %s\n" f msg;
                     exit 2
                 | Ok base_doc, Ok cur_doc ->
+                    Option.iter
+                      (fun reason ->
+                        Printf.eprintf "tinflow: %s vs %s: %s\n" f base_path reason;
+                        exit 2)
+                      (Regress.header_mismatch ~baseline:base_doc ~current:cur_doc);
                     let rows =
                       Regress.compare_docs ~tolerance_pct:tolerance ~baseline:base_doc
                         ~current:cur_doc ()
@@ -1069,9 +1077,9 @@ let bench_check_cmd =
                     Event.emit "bench_check.result"
                       ~fields:
                         [
-                          ("file", Event.str f);
-                          ("metrics", string_of_int (List.length rows));
-                          ("regressed", string_of_int (List.length regressed));
+                          ("file", Json.Str f);
+                          ("metrics", Json.int (List.length rows));
+                          ("regressed", Json.int (List.length regressed));
                         ]))
         files;
       if !failures > 0 then begin

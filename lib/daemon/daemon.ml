@@ -292,15 +292,15 @@ let tables t = locked t @@ fun () -> t.delta
 
 (* HTTP glue *)
 
-let json code body =
-  { Serve.code; content_type = "application/json"; body = body ^ "\n" }
-
-let fmt_float x = Printf.sprintf "%.17g" x
+let json code v =
+  { Serve.code; content_type = "application/json"; body = Json.to_string Json.Compact v ^ "\n" }
 
 let alert_json (a : alert) =
-  Printf.sprintf {|{"pattern":"%s","instances":%d,"total_flow":%s,"tick":%d}|}
-    (Json.escape (Catalog.pattern_name a.pattern))
-    a.instances (fmt_float a.total_flow) a.tick
+  Json.Obj
+    [
+      ("pattern", Json.Str (Catalog.pattern_name a.pattern)); ("instances", Json.int a.instances);
+      ("total_flow", Json.Num a.total_flow); ("tick", Json.int a.tick);
+    ]
 
 let routes t =
   [
@@ -308,23 +308,30 @@ let routes t =
       "/ingest",
       fun ~body ->
         match Ingest.parse_body body with
-        | Error msg -> json 400 (Printf.sprintf {|{"error":"%s"}|} (Json.escape msg))
+        | Error msg -> json 400 (Json.Obj [ ("error", Json.Str msg) ])
         | Ok entries ->
             let r = ingest t entries in
             json 200
-              (Printf.sprintf
-                 {|{"accepted":%d,"rejected":%d,"window_interactions":%d,"alerts":[%s]}|}
-                 r.accepted r.rejected r.window_interactions
-                 (String.concat "," (List.map alert_json r.alerts))) );
+              (Json.Obj
+                 [
+                   ("accepted", Json.int r.accepted); ("rejected", Json.int r.rejected);
+                   ("window_interactions", Json.int r.window_interactions);
+                   ("alerts", Json.Arr (List.map alert_json r.alerts));
+                 ]) );
     ( `GET,
       "/status",
       fun ~body:_ ->
         let s = stats t in
+        let last_time = match s.last_time with None -> Json.Null | Some x -> Json.Num x in
         json 200
-          (Printf.sprintf
-             {|{"flow":%s,"window_interactions":%d,"last_time":%s,"accepted_total":%d,"rejected_total":%d,"evicted_total":%d,"rebuilds_total":%d,"ticks_total":%d,"alerts_total":%d,"rows_recomputed_total":%d}|}
-             (fmt_float s.flow) s.window_interactions
-             (match s.last_time with None -> "null" | Some x -> fmt_float x)
-             s.accepted_total s.rejected_total s.evicted_total s.rebuilds_total
-             s.ticks_total s.alerts_total s.rows_recomputed_total) );
+          (Json.Obj
+             [
+               ("flow", Json.Num s.flow); ("window_interactions", Json.int s.window_interactions);
+               ("last_time", last_time); ("accepted_total", Json.int s.accepted_total);
+               ("rejected_total", Json.int s.rejected_total);
+               ("evicted_total", Json.int s.evicted_total);
+               ("rebuilds_total", Json.int s.rebuilds_total);
+               ("ticks_total", Json.int s.ticks_total); ("alerts_total", Json.int s.alerts_total);
+               ("rows_recomputed_total", Json.int s.rows_recomputed_total);
+             ]) );
   ]

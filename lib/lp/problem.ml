@@ -41,7 +41,9 @@ let add_le t terms rhs =
   check_open t "Problem.add_le";
   if not (rhs >= 0.0) then invalid_arg "Problem.add_le: negative or NaN rhs";
   List.iter
-    (fun (_, v) -> if v < 0 || v >= t.nvars then invalid_arg "Problem.add_le: unknown variable")
+    (fun (coef, v) ->
+      if v < 0 || v >= t.nvars then invalid_arg "Problem.add_le: unknown variable";
+      if Float.is_nan coef then invalid_arg "Problem.add_le: NaN coefficient")
     terms;
   t.rows <- (terms, rhs) :: t.rows;
   t.nrows <- t.nrows + 1

@@ -31,8 +31,8 @@ val add_var : ?ub:float -> ?obj:float -> t -> var
 val add_le : t -> (float * var) list -> float -> unit
 (** [add_le p terms rhs] adds [Σ coef·var ≤ rhs].  Repeated variables
     in [terms] are summed.
-    @raise Invalid_argument if [rhs] is negative or NaN, a variable is
-    unknown, or the problem was already solved. *)
+    @raise Invalid_argument if [rhs] is negative or NaN, a coefficient
+    is NaN, a variable is unknown, or the problem was already solved. *)
 
 val n_vars : t -> int
 val n_constraints : t -> int

@@ -56,6 +56,7 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
   if Array.length upper <> n then invalid_arg "Sparse.solve: bounds arity mismatch";
   if Array.length cols <> n then invalid_arg "Sparse.solve: column arity mismatch";
   if refactor_every < 1 then invalid_arg "Sparse.solve: refactor_every must be positive";
+  Array.iter (fun x -> if Float.is_nan x then invalid_arg "Sparse.solve: NaN objective") c;
   Array.iter
     (fun u -> if Float.is_nan u || u < 0.0 then invalid_arg "Sparse.solve: bad upper bound")
     upper;
@@ -68,8 +69,9 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
     Array.map
       (fun entries ->
         List.iter
-          (fun (i, _) ->
-            if i < 0 || i >= m then invalid_arg "Sparse.solve: row index out of range")
+          (fun (i, a) ->
+            if i < 0 || i >= m then invalid_arg "Sparse.solve: row index out of range";
+            if Float.is_nan a then invalid_arg "Sparse.solve: NaN coefficient")
           entries;
         Array.of_list entries)
       cols

@@ -50,4 +50,5 @@ val solve :
     [lp_refactorizations] / [lp_eta_resets] labeled observability
     counters with [solver="sparse"] ({!Tin_obs.Obs}).
     @raise Invalid_argument on arity mismatches, negative or NaN [rhs]
-    or [upper] entries, or out-of-range row indices. *)
+    or [upper] entries, NaN entries in [c] or [cols], or out-of-range
+    row indices. *)

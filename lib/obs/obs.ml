@@ -590,17 +590,7 @@ module Runtime = struct
         Thread.join thread
 end
 
-(* --- JSON exporters (hand-rolled, like the bench harness: only
-   strings, ints and floats appear) --- *)
-
-let json_escape = Json.escape
-let json_float f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let json_args args =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": \"%s\"" (json_escape k) (json_escape v)) args)
-  ^ "}"
+(* --- JSON exporters ---------------------------------------------- *)
 
 (* Trace identifiers ride in the args object — the Chrome-trace format
    has no dedicated fields for them, and Perfetto renders args, so the
@@ -618,85 +608,67 @@ let export_args e =
    the artifact itself as a "dropped_events" field. *)
 let chrome_trace_of ?(extra = []) evs =
   let base = match evs with [] -> 0L | e :: _ -> e.ts_ns in
-  let us ns = Int64.to_float (Int64.sub ns base) /. 1e3 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\": [\n";
-  let first = ref true in
-  let emit line =
-    if not !first then Buffer.add_string b ",\n";
-    first := false;
-    Buffer.add_string b line
+  let us ns = Json.Num (Int64.to_float ns /. 1e3) in
+  (* Every event: name, ph, [ts], pid, tid, [scope], string args. *)
+  let event ?(ts = []) ?(scope = []) name ph tid args =
+    Json.Obj
+      ([ ("name", Json.Str name); ("ph", Json.Str ph) ]
+      @ ts
+      @ [ ("pid", Json.int 1); ("tid", Json.int tid) ]
+      @ scope
+      @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)) ])
   in
-  let tids = List.sort_uniq compare (List.map (fun e -> e.tid) evs) in
-  List.iter
-    (fun tid ->
-      emit
-        (Printf.sprintf
-           "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"args\": \
-            {\"name\": \"domain-%d\"}}"
-           tid tid))
-    tids;
-  List.iter
-    (fun e ->
-      emit
-        (Printf.sprintf
-           "  {\"name\": \"%s\", \"ph\": \"X\", \"ts\": %s, \"dur\": %s, \"pid\": 1, \"tid\": \
-            %d, \"args\": %s}"
-           (json_escape e.name)
-           (json_float (us e.ts_ns))
-           (json_float (Int64.to_float e.dur_ns /. 1e3))
-           e.tid
-           (json_args (export_args e))))
-    evs;
+  let threads =
+    List.map
+      (fun tid -> event "thread_name" "M" tid [ ("name", Printf.sprintf "domain-%d" tid) ])
+      (List.sort_uniq compare (List.map (fun e -> e.tid) evs))
+  in
+  let spans =
+    List.map
+      (fun e ->
+        let ts = [ ("ts", us (Int64.sub e.ts_ns base)); ("dur", us e.dur_ns) ] in
+        event ~ts e.name "X" e.tid (export_args e))
+      evs
+  in
   (* Counters ride along as process-scoped instant events so a trace
      file is self-contained. *)
-  List.iter
-    (fun (name, v) ->
-      if v <> 0 then
-        emit
-          (Printf.sprintf
-             "  {\"name\": \"%s\", \"ph\": \"i\", \"ts\": 0, \"pid\": 1, \"tid\": 0, \"s\": \
-              \"p\", \"args\": {\"value\": \"%d\"}}"
-             (json_escape name) v))
-    (counters ());
-  Buffer.add_string b (Printf.sprintf "\n], \"dropped_events\": %d" (dropped_events ()));
-  List.iter
-    (fun (k, raw_json) -> Buffer.add_string b (Printf.sprintf ", \"%s\": %s" (json_escape k) raw_json))
-    extra;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let instants =
+    List.filter_map
+      (fun (name, v) ->
+        if v = 0 then None
+        else
+          Some
+            (event name "i" 0 [ ("value", string_of_int v) ] ~ts:[ ("ts", Json.int 0) ]
+               ~scope:[ ("s", Json.Str "p") ]))
+      (counters ())
+  in
+  Json.to_string Json.Indented
+    (Json.Obj
+       (("traceEvents", Json.Arr (threads @ spans @ instants))
+       :: ("dropped_events", Json.int (dropped_events ()))
+       :: extra))
 
 let chrome_trace_json () = chrome_trace_of (trace_events ())
 
 let metrics_json () =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n  \"counters\": {";
-  let cs = counters () in
-  List.iteri
-    (fun i (name, v) -> add "%s\n    \"%s\": %d" (if i = 0 then "" else ",") (json_escape name) v)
-    cs;
-  add "%s},\n  \"gauges\": {" (if cs = [] then "" else "\n  ");
-  let gs = gauges () in
-  List.iteri
-    (fun i (name, v) ->
-      add "%s\n    \"%s\": %s" (if i = 0 then "" else ",") (json_escape name) (json_float v))
-    gs;
-  add "%s},\n  \"histograms\": {" (if gs = [] then "" else "\n  ");
-  let hs = histograms () in
-  List.iteri
-    (fun i (name, (s : Stats.summary)) ->
-      add
-        "%s\n    \"%s\": {\"count\": %d, \"mean\": %s, \"stddev\": %s, \"min\": %s, \"max\": \
-         %s, \"total\": %s}"
-        (if i = 0 then "" else ",")
-        (json_escape name) s.Stats.count (json_float s.Stats.mean) (json_float s.Stats.stddev)
-        (json_float s.Stats.min) (json_float s.Stats.max) (json_float s.Stats.total))
-    hs;
-  add "%s},\n  \"dropped_events\": %d,\n  \"flight_evictions\": %d\n}\n"
-    (if hs = [] then "" else "\n  ")
-    (dropped_events ()) (Flight0.evictions ());
-  Buffer.contents b
+  let obj f kvs = Json.Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+  let summary (s : Stats.summary) =
+    Json.Obj
+      [
+        ("count", Json.int s.Stats.count); ("mean", Json.Num s.Stats.mean);
+        ("stddev", Json.Num s.Stats.stddev); ("min", Json.Num s.Stats.min);
+        ("max", Json.Num s.Stats.max); ("total", Json.Num s.Stats.total);
+      ]
+  in
+  Json.to_string Json.Compact
+    (Json.Obj
+       [
+         ("counters", obj Json.int (counters ()));
+         ("gauges", obj (fun v -> Json.Num v) (gauges ()));
+         ("histograms", obj summary (histograms ()));
+         ("dropped_events", Json.int (dropped_events ()));
+         ("flight_evictions", Json.int (Flight0.evictions ()));
+       ])
 
 (* --- Prometheus text exposition (format version 0.0.4) ------------- *)
 
@@ -922,9 +894,9 @@ module Flight = struct
       chrome_trace_of
         ~extra:
           [
-            ("reason", "\"" ^ json_escape reason ^ "\"");
-            ("flight_evictions", string_of_int (evictions ()));
-            ("armed", if armed () then "true" else "false");
+            ("reason", Json.Str reason);
+            ("flight_evictions", Json.int (evictions ()));
+            ("armed", Json.Bool (armed ()));
           ]
         evs
     in

@@ -313,8 +313,9 @@ val chrome_trace_json : unit -> string
     Perfetto (both accept the object form). *)
 
 val metrics_json : unit -> string
-(** Counters, gauges and histogram summaries as one plain JSON
-    object, with a top-level ["dropped_events"] field. *)
+(** Counters, gauges and histogram summaries as one compact (single
+    line) JSON object, with top-level ["dropped_events"] and
+    ["flight_evictions"] fields. *)
 
 val prometheus_text : unit -> string
 (** Every metric in Prometheus text exposition format (version

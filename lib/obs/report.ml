@@ -282,62 +282,73 @@ let analyze ?(top = 10) doc =
 
 let ms us = us /. 1e3
 
-let jf f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
 let to_json (r : t) =
-  let b = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\n  \"schema\": \"tinflow.obs.report/v1\",\n";
-  add "  \"trace\": {\"spans\": %d, \"dropped\": %d, \"wall_ms\": %s, \"roots\": %d, \
-       \"orphans\": %d, \"root\": \"%s\", \"trace_id\": \"%s\"},\n"
-    r.spans r.dropped (jf (ms r.wall_us)) r.roots r.orphans
-    (Json.escape r.root_name) (Json.escape r.trace_id);
-  add "  \"critical_path_ms\": %s,\n" (jf (ms r.critical_path_us));
-  add "  \"critical_path\": [";
-  List.iteri
-    (fun i (s, self) ->
-      add "%s\n    {\"name\": \"%s\", \"tid\": %d, \"dur_ms\": %s, \"self_ms\": %s}"
-        (if i = 0 then "" else ",")
-        (Json.escape s.name) s.tid (jf (ms s.dur_us)) (jf (ms self)))
-    r.critical_path;
-  add "\n  ],\n";
-  add "  \"domains\": [";
-  List.iteri
-    (fun i d ->
-      add "%s\n    {\"tid\": %d, \"spans\": %d, \"busy_ms\": %s, \"utilization\": %s}"
-        (if i = 0 then "" else ",")
-        d.d_tid d.d_spans (jf (ms d.d_busy_us)) (jf d.d_utilization))
-    r.domains;
-  add "\n  ],\n";
+  let open Json in
+  let ms_num us = Num (ms us) in
   let mean_util =
     match r.domains with
     | [] -> 0.0
     | ds ->
         List.fold_left (fun a d -> a +. d.d_utilization) 0.0 ds /. float_of_int (List.length ds)
   in
-  add "  \"utilization\": {\"domains\": %d, \"mean\": %s},\n" (List.length r.domains)
-    (jf mean_util);
-  (match r.chunks with
-  | None -> add "  \"chunks\": null,\n"
-  | Some c ->
-      add "  \"chunks\": {\"count\": %d, \"mean_ms\": %s, \"min_ms\": %s, \"max_ms\": %s, \
-           \"stddev_ms\": %s, \"imbalance\": %s, \"per_domain\": ["
-        c.c_count (jf (ms c.c_mean_us)) (jf (ms c.c_min_us)) (jf (ms c.c_max_us))
-        (jf (ms c.c_stddev_us)) (jf c.c_imbalance);
-      List.iteri
-        (fun i (tid, us) ->
-          add "%s{\"tid\": %d, \"chunk_ms\": %s}" (if i = 0 then "" else ", ") tid (jf (ms us)))
-        c.c_per_domain_us;
-      add "]},\n");
-  add "  \"self_times\": [";
-  List.iteri
-    (fun i s ->
-      add "%s\n    {\"name\": \"%s\", \"count\": %d, \"self_ms\": %s, \"max_self_ms\": %s}"
-        (if i = 0 then "" else ",")
-        (Json.escape s.s_name) s.s_count (jf (ms s.s_total_us)) (jf (ms s.s_max_us)))
-    r.self_times;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let chunks (c : chunk_stats) =
+    Obj
+      [
+        ("count", int c.c_count); ("mean_ms", ms_num c.c_mean_us); ("min_ms", ms_num c.c_min_us);
+        ("max_ms", ms_num c.c_max_us); ("stddev_ms", ms_num c.c_stddev_us);
+        ("imbalance", Num c.c_imbalance);
+        ( "per_domain",
+          Arr
+            (List.map
+               (fun (tid, us) -> Obj [ ("tid", int tid); ("chunk_ms", ms_num us) ])
+               c.c_per_domain_us) );
+      ]
+  in
+  to_string Indented
+    (Obj
+       [
+         ("schema", Str "tinflow.obs.report/v1");
+         ( "trace",
+           Obj
+             [
+               ("spans", int r.spans); ("dropped", int r.dropped); ("wall_ms", ms_num r.wall_us);
+               ("roots", int r.roots); ("orphans", int r.orphans); ("root", Str r.root_name);
+               ("trace_id", Str r.trace_id);
+             ] );
+         ("critical_path_ms", ms_num r.critical_path_us);
+         ( "critical_path",
+           Arr
+             (List.map
+                (fun (s, self) ->
+                  Obj
+                    [
+                      ("name", Str s.name); ("tid", int s.tid); ("dur_ms", ms_num s.dur_us);
+                      ("self_ms", ms_num self);
+                    ])
+                r.critical_path) );
+         ( "domains",
+           Arr
+             (List.map
+                (fun d ->
+                  Obj
+                    [
+                      ("tid", int d.d_tid); ("spans", int d.d_spans);
+                      ("busy_ms", ms_num d.d_busy_us); ("utilization", Num d.d_utilization);
+                    ])
+                r.domains) );
+         ("utilization", Obj [ ("domains", int (List.length r.domains)); ("mean", Num mean_util) ]);
+         ("chunks", match r.chunks with None -> Null | Some c -> chunks c);
+         ( "self_times",
+           Arr
+             (List.map
+                (fun s ->
+                  Obj
+                    [
+                      ("name", Str s.s_name); ("count", int s.s_count);
+                      ("self_ms", ms_num s.s_total_us); ("max_self_ms", ms_num s.s_max_us);
+                    ])
+                r.self_times) );
+       ])
 
 (* ---- human rendering ---------------------------------------------- *)
 

@@ -227,7 +227,7 @@ let default_routes : (meth * string * handler) list =
     ( `GET,
       "/metrics.json",
       fun ~body:_ ->
-        { code = 200; content_type = "application/json"; body = Obs.metrics_json () } );
+        { code = 200; content_type = "application/json"; body = Obs.metrics_json () ^ "\n" } );
     ( `GET,
       "/healthz",
       fun ~body:_ -> { code = 200; content_type = "text/plain; charset=utf-8"; body = "ok\n" }

@@ -187,6 +187,54 @@ let escape s =
     s;
   Buffer.contents b
 
+let int n = Num (float_of_int n)
+
+(* The shortest of %.15g, %.16g and %.17g that reads back as the same
+   float; %.17g always does. *)
+let number f =
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p = 17 || Float.equal (float_of_string s) f then s else shortest (p + 1)
+  in
+  if Float.is_finite f then shortest 15 else "null"
+
+type layout = Compact | Indented
+
+let to_string layout v =
+  let b = Buffer.create 1024 in
+  let add = Buffer.add_string b in
+  let quote s = add ("\"" ^ escape s ^ "\"") in
+  let colon, comma = if layout = Compact then (":", ",") else (": ", ", ") in
+  let scalar = function Arr _ | Obj _ -> false | _ -> true in
+  let rec value indent = function
+    | Null -> add "null"
+    | Bool x -> add (string_of_bool x)
+    | Num f -> add (number f)
+    | Str s -> quote s
+    | Arr vs -> members indent "[" "]" (List.map (fun v -> (None, v)) vs)
+    | Obj kvs -> members indent "{" "}" (List.map (fun (k, v) -> (Some k, v)) kvs)
+  and members indent op cl ms =
+    (* [None]: all on one line; [Some inner]: one member per line. *)
+    let inner =
+      if layout = Compact || List.for_all (fun (_, v) -> scalar v) ms then None
+      else Some (indent ^ "  ")
+    in
+    add op;
+    List.iteri
+      (fun i (k, v) ->
+        (match inner with
+        | None -> if i > 0 then add comma
+        | Some ind -> add ((if i > 0 then ",\n" else "\n") ^ ind));
+        Option.iter (fun k -> quote k; add colon) k;
+        value (Option.value inner ~default:indent) v)
+      ms;
+    if inner <> None then add ("\n" ^ indent);
+    add cl
+  in
+  value "" v;
+  if layout = Indented then add "\n";
+  Buffer.contents b
+
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None

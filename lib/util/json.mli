@@ -1,7 +1,7 @@
-(** Minimal JSON support: a read-only parser for the machine-readable
-    artifacts this repository itself writes (the [BENCH_*.json] bench
-    results, the observability exports), and the string escaping the
-    hand-rolled writers share.
+(** Minimal JSON support: the one printer every JSON writer in the
+    repository builds on (bench documents, trace and metrics exports,
+    the daemon's HTTP replies, [--log-json] lines), and a parser for
+    reading those artifacts back.
 
     Deliberately not a general-purpose JSON library (the repo has no
     JSON dependency by design): no streaming, the whole document is in
@@ -28,6 +28,23 @@ val escape : string -> string
     surrounding quotes): double quotes, backslashes and control
     characters are escaped (newline/tab/CR named, other controls as
     [\u00XX]).  Round-trips through {!parse}. *)
+
+val int : int -> t
+(** [int n] is [Num (float_of_int n)]. *)
+
+type layout =
+  | Compact  (** No whitespace outside strings: one value, one line. *)
+  | Indented
+      (** For files: a container whose members are all scalars stays
+          on one line, any other container puts one member per line at
+          two-space indent, and the text ends with a newline. *)
+
+val to_string : layout -> t -> string
+(** [to_string layout v] prints [v].  Strings go through {!escape};
+    a number prints as the shortest of [%.15g], [%.16g] and [%.17g]
+    that reads back as the same float, so [Num 2.] prints [2] and
+    [parse (to_string l v) = Ok v] for every finite [v].  Non-finite
+    numbers print [null]. *)
 
 val member : string -> t -> t option
 (** [member k (Obj ...)] finds field [k]; [None] on other variants. *)

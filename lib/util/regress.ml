@@ -109,6 +109,16 @@ let compare_docs ?(tolerance_pct = 15.0) ~baseline ~current () =
   in
   shared_and_removed @ added
 
+let header_mismatch ~baseline ~current =
+  let show = function Some s -> Printf.sprintf "%S" s | None -> "absent" in
+  List.find_map
+    (fun k ->
+      let get doc = Option.bind (Json.member k doc) Json.str in
+      let b = get baseline and c = get current in
+      if b = c then None
+      else Some (Printf.sprintf "%s differs: baseline %s, current %s" k (show b) (show c)))
+    [ "benchmark"; "scale" ]
+
 let regressed rows = List.filter (fun r -> r.status = Regressed) rows
 
 let status_name = function

@@ -39,6 +39,13 @@ val compare_docs : ?tolerance_pct:float -> baseline:Json.t -> current:Json.t -> 
 (** One row per metric path in either document, baseline order first.
     [tolerance_pct] defaults to 15. *)
 
+val header_mismatch : baseline:Json.t -> current:Json.t -> string option
+(** [Some reason] naming both values when the documents' ["benchmark"]
+    or ["scale"] header strings differ, one being absent included: such
+    documents measure different things and must not be diffed.  [None]
+    when both fields agree or neither document has them (a
+    [tinflow.obs.report/v1] report). *)
+
 val regressed : row list -> row list
 (** The rows with [status = Regressed].  {!Added} / {!Removed} rows are
     informational (renamed counters must not fail a soft gate). *)

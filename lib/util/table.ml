@@ -1,7 +1,12 @@
 type align = Left | Right
 
+(* Display width in UTF-8 code points: every byte but the 0x80-0xBF
+   continuation bytes starts one ("µs" is 2 columns, 3 bytes). *)
+let code_points s =
+  String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 s
+
 let pad align width s =
-  let n = String.length s in
+  let n = code_points s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
@@ -19,7 +24,7 @@ let render ?title ?align ~header rows =
   in
   let widths = Array.make ncols 0 in
   let measure row =
-    List.iteri (fun i s -> if String.length s > widths.(i) then widths.(i) <- String.length s) row
+    List.iteri (fun i s -> widths.(i) <- max widths.(i) (code_points s)) row
   in
   measure header;
   List.iter measure rows;

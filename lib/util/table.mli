@@ -7,7 +7,8 @@ val render :
   ?title:string -> ?align:align list -> header:string list -> string list list -> string
 (** [render ~header rows] lays out a boxed ASCII table.  [align] gives
     per-column alignment (default: first column left, rest right);
-    missing cells render empty.  The result ends with a newline. *)
+    missing cells render empty; cell widths count UTF-8 code points.
+    The result ends with a newline. *)
 
 val print :
   ?title:string -> ?align:align list -> header:string list -> string list list -> unit

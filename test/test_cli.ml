@@ -463,7 +463,32 @@ let test_bench_check () =
       Alcotest.(check int) "bad JSON exits 2" 2 code;
       write_file cur {|{"wall_ms": 100.0}|};
       let code, _ = run_capture (args " --tolerance=-3") in
-      Alcotest.(check int) "negative tolerance exits 2" 2 code)
+      Alcotest.(check int) "negative tolerance exits 2" 2 code;
+      (* With no file arguments, every baseline document the working
+         directory also holds is checked; the others are named as
+         skipped. *)
+      write_file (Filename.concat baseline "BENCH_t.json") {|{"wall_ms": 100.0}|};
+      write_file (Filename.concat baseline "BENCH_u.json") {|{"wall_ms": 100.0}|};
+      let abs_exe = if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe in
+      let log = Filename.concat dir "out.txt" in
+      let code =
+        Sys.command
+          (Printf.sprintf "cd %s && %s bench-check --baseline baseline > out.txt 2>&1"
+             (Filename.quote dir) (Filename.quote abs_exe))
+      in
+      let out = In_channel.with_open_text log In_channel.input_all in
+      Sys.remove log;
+      if code <> 0 then Alcotest.failf "bench-check (default set): exit %d, output:\n%s" code out;
+      Alcotest.(check bool) "checks the held document" true (contains out "BENCH_t.json vs");
+      Alcotest.(check bool) "names the skipped one" true (contains out "BENCH_u.json: skipped");
+      (* Documents of different scales measure different things. *)
+      write_file (Filename.concat baseline "BENCH_t.json") {|{"scale": "full", "wall_ms": 100.0}|};
+      write_file cur {|{"scale": "quick", "wall_ms": 100.0}|};
+      let code, out = run_capture (args "") in
+      Alcotest.(check int) "scale mismatch exits 2" 2 code;
+      Alcotest.(check bool) "both scales named" true
+        (contains out "\"full\"" && contains out "\"quick\"");
+      Alcotest.(check bool) "no table" false (contains out "compared"))
 
 let () =
   if not (Sys.file_exists exe) then begin

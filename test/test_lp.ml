@@ -45,7 +45,7 @@ let test_simplex_unbounded () =
 
 (* [-x ≤ -2] (x ≥ 2) puts the origin outside the feasible region,
    where the simplex cannot start: the builder refuses such a row, and
-   a NaN rhs, when it is added. *)
+   a NaN rhs or coefficient, when it is added. *)
 let test_negative_rhs_rejected () =
   let p = Problem.create () in
   let x = Problem.add_var ~obj:(-1.0) p in
@@ -55,6 +55,8 @@ let test_negative_rhs_rejected () =
         (Invalid_argument "Problem.add_le: negative or NaN rhs") (fun () ->
           Problem.add_le p [ (-1.0, x) ] rhs))
     [ -2.0; neg_infinity; nan ];
+  Alcotest.check_raises "NaN coefficient" (Invalid_argument "Problem.add_le: NaN coefficient")
+    (fun () -> Problem.add_le p [ (nan, x) ] 3.0);
   Alcotest.(check int) "no row added" 0 (Problem.n_constraints p);
   Problem.add_le p [ (-1.0, x) ] 0.0;
   Alcotest.(check int) "zero rhs accepted" 1 (Problem.n_constraints p)

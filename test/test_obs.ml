@@ -541,6 +541,10 @@ let record_sample_activity () =
 let test_chrome_trace_schema () =
   with_enabled (fun () ->
       record_sample_activity ();
+      (* A span starting over 1 ms after the first: its microsecond
+         offset has more than six significant digits. *)
+      Unix.sleepf 0.002;
+      Obs.Span.with_ "phase.late" (fun () -> ());
       let json = Obs.chrome_trace_json () in
       let root = Json.parse json in
       (* Object format: {"traceEvents": [...], "dropped_events": N}. *)
@@ -584,7 +588,23 @@ let test_chrome_trace_schema () =
           | other -> Alcotest.failf "unexpected phase %S" other)
         events;
       let count ph = Option.value ~default:0 (Hashtbl.find_opt phases ph) in
-      Alcotest.(check int) "three complete spans" 3 (count "X");
+      Alcotest.(check int) "four complete spans" 4 (count "X");
+      (* Every span's ts and dur are its recorded nanoseconds, rebased
+         and in microseconds, exactly. *)
+      let recorded = Obs.trace_events () in
+      let base = (List.hd recorded).Obs.ts_ns in
+      let spans =
+        List.filter (fun e -> Option.bind (Json.mem "ph" e) Json.str = Some "X") events
+      in
+      List.iter2
+        (fun e (r : Obs.event) ->
+          let num k = Option.bind (Json.mem k e) Json.num in
+          let us ns = Some (Int64.to_float ns /. 1e3) in
+          Alcotest.(check (option (float 0.0))) ("ts of " ^ r.Obs.name)
+            (us (Int64.sub r.Obs.ts_ns base)) (num "ts");
+          Alcotest.(check (option (float 0.0))) ("dur of " ^ r.Obs.name) (us r.Obs.dur_ns)
+            (num "dur"))
+        spans recorded;
       Alcotest.(check bool) "thread metadata present" true (count "M" >= 1);
       Alcotest.(check bool) "counter instants present" true (count "i" >= 1);
       (* Timestamps are rebased to the earliest span. *)

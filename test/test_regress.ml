@@ -1,5 +1,7 @@
 (* Bench-regression gate: flattening, direction heuristics, tolerance
-   judgement, and the Added/Removed soft-gate semantics. *)
+   judgement, the Added/Removed soft-gate semantics and the header
+   refusal; and the JSON printer the bench documents are written with,
+   read back by the parser the gate uses. *)
 
 module Json = Tin_util.Json
 module Regress = Tin_util.Regress
@@ -105,6 +107,24 @@ let test_array_elements_keyed_by_name () =
       Alcotest.(check status) ("stable: " ^ r.Regress.path) Regress.Ok_within r.Regress.status)
     rows
 
+let test_header_mismatch () =
+  let mismatch base cur = Regress.header_mismatch ~baseline:(parse base) ~current:(parse cur) in
+  Alcotest.(check (option string)) "same header" None
+    (mismatch {|{"benchmark": "load", "scale": "quick", "wall_ms": 1}|}
+       {|{"benchmark": "load", "scale": "quick", "wall_ms": 2}|});
+  Alcotest.(check (option string)) "no header, like an obs report" None
+    (mismatch {|{"schema": "tinflow.obs.report/v1"}|} {|{"schema": "tinflow.obs.report/v1"}|});
+  Alcotest.(check (option string)) "scale differs"
+    (Some {|scale differs: baseline "full", current "quick"|})
+    (mismatch {|{"benchmark": "load", "scale": "full"}|}
+       {|{"benchmark": "load", "scale": "quick"}|});
+  Alcotest.(check (option string)) "benchmark differs"
+    (Some {|benchmark differs: baseline "load", current "ingest"|})
+    (mismatch {|{"benchmark": "load"}|} {|{"benchmark": "ingest"}|});
+  Alcotest.(check (option string)) "present on one side only"
+    (Some {|scale differs: baseline "full", current absent|})
+    (mismatch {|{"scale": "full"}|} {|{}|})
+
 let test_flatten_paths () =
   let doc = parse {|{"a": {"b": [{"name": "x", "v": 1.5}, 2.0]}, "skip": "text"}|} in
   Alcotest.(check (list (pair string (float 1e-9))))
@@ -128,6 +148,104 @@ let test_render_table_mentions_deviations () =
   Alcotest.(check bool) "clean run says so" true
     (contains ~sub:"within tolerance" (Regress.render_table clean))
 
+(* --- the printer ---------------------------------------------------- *)
+
+let gen_str =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (0 -- 6)
+         (oneofl
+            [ "\""; "\\"; "/"; "\n"; "\t"; "\r"; "\x00"; "\x1f"; "\x7f"; "a"; "Z"; " "; "0";
+              "\xc2\xb5"; "\xc3\xa9"; "\xe6\x97\xa5"; "\xf0\x9f\x92\xa1" ])))
+
+(* Integers, fractions, magnitudes from 1e-300 to 1e300 and -0. *)
+let gen_num =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        float_range (-1.0) 1.0;
+        map3
+          (fun neg m e -> (if neg then -.m else m) *. (10.0 ** float_of_int e))
+          bool (float_range 1.0 10.0) (int_range (-300) 299);
+        oneofl [ -0.0; 0.1; 1e-300; 1e300; Float.max_float; Float.min_float; 4.47266123456e6 ];
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 (4, map (fun f -> Json.Num f) gen_num);
+                 (3, map (fun s -> Json.Str s) gen_str);
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Json.Arr l) (list_size (0 -- 4) (self (n / 4))));
+                 (1, map (fun l -> Json.Obj l) (list_size (0 -- 4) (pair gen_str (self (n / 4)))));
+               ]))
+
+let prop_print_parse_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"parse (to_string v) = Ok v, both layouts"
+       (QCheck.make ~print:(Json.to_string Json.Compact) gen_json)
+       (fun v ->
+         List.for_all
+           (fun layout -> Json.parse (Json.to_string layout v) = Ok v)
+           [ Json.Compact; Json.Indented ]))
+
+let test_numbers () =
+  let print f = Json.to_string Json.Compact (Json.Num f) in
+  List.iter
+    (fun (f, want) -> Alcotest.(check string) want want (print f))
+    [
+      (2.0, "2"); (-0.0, "-0"); (0.1, "0.1"); (1e300, "1e+300"); (4472661.23456, "4472661.23456");
+      (nan, "null"); (infinity, "null"); (neg_infinity, "null");
+    ];
+  (* A value %.6g would round to 4.47266e+06 prints every digit. *)
+  Alcotest.(check bool) "exact" true (Float.equal (float_of_string (print 4472661.5)) 4472661.5)
+
+let sample =
+  Json.Obj
+    [
+      ("name", Json.Str "a b");
+      ( "rows",
+        Json.Arr
+          [
+            Json.Obj [ ("jobs", Json.int 1); ("ms", Json.Num 2.5) ];
+            Json.Obj [ ("jobs", Json.int 2); ("skipped", Json.Str "single_domain") ];
+          ] );
+      ("obs", Json.Obj [ ("n", Json.int 3); ("none", Json.Null); ("ok", Json.Bool true) ]);
+      ("empty", Json.Arr []);
+    ]
+
+let test_compact_layout () =
+  Alcotest.(check string) "no whitespace outside strings"
+    {|{"name":"a b","rows":[{"jobs":1,"ms":2.5},{"jobs":2,"skipped":"single_domain"}],"obs":{"n":3,"none":null,"ok":true},"empty":[]}|}
+    (Json.to_string Json.Compact sample)
+
+let test_indented_layout () =
+  Alcotest.(check string) "one non-scalar member per line"
+    {|{
+  "name": "a b",
+  "rows": [
+    {"jobs": 1, "ms": 2.5},
+    {"jobs": 2, "skipped": "single_domain"}
+  ],
+  "obs": {"n": 3, "none": null, "ok": true},
+  "empty": []
+}
+|}
+    (Json.to_string Json.Indented sample)
+
 let () =
   Alcotest.run "regress"
     [
@@ -142,11 +260,19 @@ let () =
             test_added_removed_are_informational;
           Alcotest.test_case "machine facts ignored" `Quick test_machine_facts_ignored;
           Alcotest.test_case "named array keying" `Quick test_array_elements_keyed_by_name;
+          Alcotest.test_case "header mismatch" `Quick test_header_mismatch;
         ] );
       ( "render",
         [
           Alcotest.test_case "flatten paths" `Quick test_flatten_paths;
           Alcotest.test_case "table mentions deviations" `Quick
             test_render_table_mentions_deviations;
+        ] );
+      ( "json",
+        [
+          prop_print_parse_roundtrip;
+          Alcotest.test_case "numbers" `Quick test_numbers;
+          Alcotest.test_case "compact layout" `Quick test_compact_layout;
+          Alcotest.test_case "indented layout" `Quick test_indented_layout;
         ] );
     ]

@@ -87,8 +87,18 @@ let test_negative_rhs_rejected () =
     (Invalid_argument "Sparse.solve: negative or NaN rhs (origin must be feasible)") (fun () ->
       ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| -1.0 |] ~cols:[| [] |] ()))
 
-(* Out of shape: an upper bound or rhs below zero, or NaN. *)
+(* Out of shape: an upper bound or rhs below zero, or NaN; a NaN
+   coefficient in the objective or a column. *)
 let test_shape_rejected () =
+  Alcotest.check_raises "NaN column coefficient" (Invalid_argument "Sparse.solve: NaN coefficient")
+    (fun () ->
+      ignore
+        (Sparse.solve ~c:[| 1.0 |] ~upper:[| 5.0 |] ~rhs:[| 3.0 |] ~cols:[| [ (0, nan) ] |] ()));
+  Alcotest.check_raises "NaN objective" (Invalid_argument "Sparse.solve: NaN objective")
+    (fun () ->
+      ignore
+        (Sparse.solve ~c:[| nan; 1.0 |] ~upper:[| 5.0; 5.0 |] ~rhs:[| 2.0 |]
+           ~cols:[| [ (0, 1.0) ]; [ (0, 1.0) ] |] ()));
   List.iter
     (fun bad ->
       Alcotest.check_raises (Printf.sprintf "upper %g" bad)

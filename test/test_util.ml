@@ -167,14 +167,24 @@ let test_table_render () =
   in
   Alcotest.(check bool) "has title" true (String.length s > 0 && s.[0] = 'T');
   Alcotest.(check bool) "has borders" true (String.contains s '+');
-  (* Rows align: every line has the same length. *)
-  let lines = String.split_on_char '\n' (String.trim s) in
-  (match lines with
-  | _ :: first :: rest ->
-      List.iter
-        (fun l -> Alcotest.(check int) "aligned" (String.length first) (String.length l))
-        rest
-  | _ -> Alcotest.fail "expected several lines")
+  (* Rows align: every line has the same width in code points, also
+     when a cell holds the 2-byte "µ" of [fmt_ms]. *)
+  let code_points l =
+    String.fold_left (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 l
+  in
+  List.iter
+    (fun s ->
+      match String.split_on_char '\n' (String.trim s) with
+      | _ :: first :: rest ->
+          List.iter
+            (fun l -> Alcotest.(check int) ("aligned: " ^ l) (code_points first) (code_points l))
+            rest
+      | _ -> Alcotest.fail "expected several lines")
+    [
+      s;
+      Table.render ~title:"T" ~header:[ "class"; "time" ]
+        [ [ "A (54)"; Table.fmt_ms 0.0332 ]; [ "All (400)"; Table.fmt_ms 2.055 ] ];
+    ]
 
 let test_table_missing_cells () =
   let s = Table.render ~header:[ "a"; "b"; "c" ] [ [ "x" ] ] in

@@ -68,6 +68,12 @@ module Event = struct
       prerr_string (Json.to_string Json.Compact line ^ "\n");
       flush stderr
     end
+
+  (* A human-readable stderr line.  With [--log-json] it is left out,
+     so that stderr carries event lines alone: every such line has an
+     event twin. *)
+  let note fmt =
+    Printf.ksprintf (fun line -> if not !enabled then Printf.eprintf "tinflow: %s\n%!" line) fmt
 end
 
 (* A {!Logs} reporter that forwards every log record as an event line,
@@ -184,7 +190,7 @@ let with_obs ~cmd o run =
         (Sys.Signal_handle
            (fun _ ->
              let path = Obs.Flight.dump ~reason:"sigusr2" () in
-             Printf.eprintf "tinflow: flight recorder dumped to %s\n%!" path;
+             Event.note "flight recorder dumped to %s" path;
              Event.emit "flight.dump"
                ~fields:[ ("path", Json.Str path); ("reason", Json.Str "sigusr2") ]))
     with
@@ -198,7 +204,9 @@ let with_obs ~cmd o run =
   let crash_dump () =
     if Obs.Flight.armed () then
       match Obs.Flight.dump ~reason:"crash" () with
-      | path -> Printf.eprintf "tinflow: flight recorder dumped to %s\n%!" path
+      | path ->
+          Event.note "flight recorder dumped to %s" path;
+          Event.emit "flight.dump" ~fields:[ ("path", Json.Str path); ("reason", Json.Str "crash") ]
       | exception _ -> ()
   in
   let server =
@@ -208,8 +216,7 @@ let with_obs ~cmd o run =
         Obs.enable ();
         Obs.Runtime.start ~period_ms:500 ();
         let s = Tin_obs.Serve.start ~port () in
-        Printf.eprintf "tinflow: serving /metrics, /metrics.json and /healthz on port %d\n%!"
-          (Tin_obs.Serve.port s);
+        Event.note "serving /metrics, /metrics.json and /healthz on port %d" (Tin_obs.Serve.port s);
         Event.emit "listen.start" ~fields:[ ("port", Json.int (Tin_obs.Serve.port s)) ];
         Some s
   in
@@ -235,7 +242,8 @@ let with_obs ~cmd o run =
       Option.iter
         (fun path ->
           Obs.write_chrome_trace path;
-          Printf.eprintf "tinflow: trace written to %s\n%!" path)
+          Event.note "trace written to %s" path;
+          Event.emit "trace.written" ~fields:[ ("path", Json.Str path) ])
         o.trace;
       if o.metrics then Obs.print_summary stderr;
       let elapsed =
@@ -712,8 +720,7 @@ let serve_cmd =
         Tin_obs.Obs.enable ();
         if not (Tin_obs.Obs.Runtime.running ()) then Tin_obs.Obs.Runtime.start ~period_ms:500 ();
         let s = Tin_obs.Serve.start ~port:listen ~routes:(Daemon.routes d) () in
-        Printf.eprintf
-          "tinflow: serve: listening on port %d (POST /ingest, GET /status, /metrics)\n%!"
+        Event.note "serve: listening on port %d (POST /ingest, GET /status, /metrics)"
           (Tin_obs.Serve.port s);
         Event.emit "serve.start" ~fields:[ ("port", Json.int (Tin_obs.Serve.port s)) ];
         let stop = Atomic.make false in
@@ -737,8 +744,8 @@ let serve_cmd =
               ("rejected_total", Json.int st.Daemon.rejected_total);
               ("flow", Json.Num st.Daemon.flow);
             ];
-        Printf.eprintf "tinflow: serve: %d accepted, %d rejected, windowed flow %g\n%!"
-          st.Daemon.accepted_total st.Daemon.rejected_total st.Daemon.flow;
+        Event.note "serve: %d accepted, %d rejected, windowed flow %g" st.Daemon.accepted_total
+          st.Daemon.rejected_total st.Daemon.flow;
         0
   in
   Cmd.v

@@ -371,7 +371,14 @@ let test_serve_daemon_e2e () =
             (contains final "\"event\":\"serve.alert\"");
           Alcotest.(check bool) "alert names P2" true (contains final "\"pattern\":\"P2\"");
           Alcotest.(check bool) "clean stop event" true
-            (contains final "\"event\":\"serve.stop\"")))
+            (contains final "\"event\":\"serve.stop\"");
+          (* With --log-json, stderr is JSON lines and nothing else. *)
+          String.split_on_char '\n' final
+          |> List.iter (fun line ->
+                 if line <> "" then
+                   match Tin_util.Json.parse line with
+                   | Ok _ -> ()
+                   | Error msg -> Alcotest.failf "stderr line is not JSON (%s): %s" msg line)))
 
 let test_convert_roundtrip () =
   let snap = Filename.temp_file "tinflow_conv" ".tinb" in

@@ -216,6 +216,157 @@ let prop_vectors_conserve_mass rng =
         r.Prov.vectors)
     [ Prov.Lrb; Prov.Mrb; Prov.Proportional ]
 
+(* --- the reference engine -------------------------------------------
+
+   [Prov_ref] runs the same scan over entry lists.  Every field must
+   match it bit for bit: totals, vectors (same origins, [Float.equal]
+   masses, same order), spill and peak counts, and every [?trace]
+   batch. *)
+
+let run_traced run =
+  let batches = ref [] in
+  let r = run (fun k batch -> batches := (k, batch) :: !batches) in
+  (r, List.rev !batches)
+
+(* [None] when the two runs agree bit for bit, else what differs. *)
+let diff_runs ((a : Prov.t), ta) ((b : Prov.t), tb) =
+  let same_masses =
+    List.equal (fun (o1, m1) (o2, m2) -> o1 = o2 && Float.equal m1 m2)
+  in
+  if not (List.equal (fun (v, x) (w, y) -> v = w && Float.equal x y) a.totals b.totals) then
+    Some "totals"
+  else if not (List.equal (fun (v, xs) (w, ys) -> v = w && same_masses xs ys) a.vectors b.vectors)
+  then Some "vectors"
+  else if a.spills <> b.spills then Some (Printf.sprintf "spills %d vs %d" a.spills b.spills)
+  else if a.peak_entries <> b.peak_entries then
+    Some (Printf.sprintf "peak entries %d vs %d" a.peak_entries b.peak_entries)
+  else if not (List.equal (fun (k, xs) (l, ys) -> k = l && same_masses xs ys) ta tb) then
+    Some "trace batches"
+  else None
+
+(* [n_inter] interactions over [n_vertices] vertices, with timestamps
+   drawn from a few values ([ties]) or all distinct, and quantities
+   integral or fractional. *)
+let random_network rng ~n_vertices ~n_inter ~ties =
+  let g = ref Graph.empty in
+  for j = 0 to n_inter - 1 do
+    let v = Prng.int rng n_vertices in
+    let u = (v + 1 + Prng.int rng (n_vertices - 1)) mod n_vertices in
+    let time =
+      if ties then float_of_int (Prng.int rng (1 + (n_inter / 4)))
+      else float_of_int j +. Prng.float rng 0.5
+    in
+    let qty = if Prng.bool rng then float_of_int (Prng.int rng 10) else Prng.float rng 10.0 in
+    g := add !g ~src:v ~dst:u ~time ~qty
+  done;
+  !g
+
+let policies = [| Prov.Lrb; Prov.Mrb; Prov.Proportional |]
+
+let prop_matches_reference rng =
+  let n_vertices = 2 + Prng.int rng 11 in
+  let g =
+    random_network rng ~n_vertices ~n_inter:(1 + Prng.int rng 300) ~ties:(Prng.bool rng)
+  in
+  let policy = policies.(Prng.int rng 3) and budget = 2 + Prng.int rng 7 in
+  let sink = Prng.int rng n_vertices in
+  let source = (sink + 1 + Prng.int rng (n_vertices - 1)) mod n_vertices in
+  (* Open-world or source-rooted, each with or without an absorbing
+     vertex. *)
+  let source, absorb =
+    match Prng.int rng 4 with
+    | 0 -> (None, Some sink)
+    | 1 -> (Some source, Some sink)
+    | 2 -> (Some source, None)
+    | _ -> (None, None)
+  in
+  match
+    diff_runs
+      (run_traced (fun trace -> Prov.run ~policy ~budget ?source ?absorb ~trace g))
+      (run_traced (fun trace -> Prov_ref.run ~policy ~budget ?source ?absorb ~trace g))
+  with
+  | None -> true
+  | Some what ->
+      QCheck.Test.fail_reportf "%s differ (policy %s, budget %d, %d interactions)" what
+        (Prov.policy_name policy) budget (Graph.n_interactions g)
+
+(* Long spill runs on every test run: 5k interactions over 20 vertices
+   at budget 3, for each policy. *)
+let test_long_spills_match_reference () =
+  let g = random_network (Prng.create ~seed:19) ~n_vertices:20 ~n_inter:5000 ~ties:true in
+  Array.iter
+    (fun policy ->
+      let ours = run_traced (fun trace -> Prov.run ~policy ~budget:3 ~absorb:1 ~trace g) in
+      let reference =
+        run_traced (fun trace -> Prov_ref.run ~policy ~budget:3 ~absorb:1 ~trace g)
+      in
+      Alcotest.(check bool)
+        (Prov.policy_name policy ^ ": spilled")
+        true
+        ((fst ours).Prov.spills > 0);
+      match diff_runs ours reference with
+      | None -> ()
+      | Some what ->
+          Alcotest.failf "%s: %s differ from the reference" (Prov.policy_name policy) what)
+    policies
+
+(* The scan's step allocates nothing per interaction: the words [run]
+   allocates beyond [Graph.interactions_sorted] are the same at 10k and
+   40k interactions.  The network over 50 vertices is built so that
+   everything else [run] allocates has the same size at both lengths.
+   At time 0, when every buffer is empty, each vertex receives 8 fresh
+   births, which fills all buffers to the budget, so no buffer grows
+   later.  The body is random, three interactions per timestamp, with
+   integral quantities, so no mass drifts.  A tail drains every vertex
+   into the absorbing vertex 1, then sends it 8 fresh births, so the
+   output vectors have the same shape. *)
+let test_scan_allocation_free () =
+  let n_vertices = 50 and budget = 8 and sink = 1 in
+  let network n =
+    let rng = Prng.create ~seed:7 in
+    let g = ref Graph.empty in
+    let send v u ~time ~qty = g := add !g ~src:v ~dst:u ~time ~qty in
+    for v = 0 to n_vertices - 1 do
+      for j = 1 to budget do
+        send ((v + j) mod n_vertices) v ~time:0.0 ~qty:1.0
+      done
+    done;
+    let body = 1.0 in
+    for j = 0 to n - 1 do
+      let v = Prng.int rng n_vertices in
+      let u = (v + 1 + Prng.int rng (n_vertices - 1)) mod n_vertices in
+      send v u ~time:(body +. float_of_int (j / 3)) ~qty:(float_of_int (Prng.int rng 10))
+    done;
+    let tail = body +. float_of_int n in
+    for v = 0 to n_vertices - 1 do
+      if v <> sink then send v sink ~time:(tail +. float_of_int v) ~qty:1e9
+    done;
+    for v = 2 to 9 do
+      send v sink ~time:(tail +. float_of_int (n_vertices + v)) ~qty:1.0
+    done;
+    !g
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. before)
+  in
+  Array.iter
+    (fun policy ->
+      let scan_words n =
+        let g = network n in
+        let r, run_words = words (fun () -> Prov.run ~policy ~budget ~absorb:sink g) in
+        let _, sort_words = words (fun () -> Graph.interactions_sorted g) in
+        Alcotest.(check bool) "the scan spilled" true (r.Prov.spills > 1000);
+        run_words -. sort_words
+      in
+      let small = scan_words 10_000 and large = scan_words 40_000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: constant words (%g at 10k, %g at 40k interactions)"
+           (Prov.policy_name policy) small large)
+        true (Float.equal small large))
+    policies
+
 let () =
   Alcotest.run "provenance"
     [
@@ -244,5 +395,13 @@ let () =
           Check.seeded_property "policies agree on totals (exact)"
             prop_policies_agree_on_totals;
           Check.seeded_property "vectors conserve mass" prop_vectors_conserve_mass;
+          Check.seeded_property ~count:1000 "run = list reference (bit for bit)"
+            prop_matches_reference;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "long spill runs = list reference" `Quick
+            test_long_spills_match_reference;
+          Alcotest.test_case "scan step allocates nothing" `Quick test_scan_allocation_free;
         ] );
     ]

@@ -1,14 +1,16 @@
 (* Streaming-ingestion benchmark: sustained interactions/second of the
-   [tinflow serve] daemon's incremental path (Online.push + lazy
-   window maintenance) against the naive baseline that rebuilds the
-   windowed greedy flow from scratch after every chunk.  Results go to
-   BENCH_ingest.json for the bench-check regression gate; the
-   committed baseline pins the incremental speedup.
+   [tinflow serve] daemon's incremental path (Greedy.Kernel.push, the
+   window kept as one scan-ordered array) against the naive baseline
+   that rebuilds the windowed greedy flow from scratch after every
+   chunk.  Results go to BENCH_ingest.json for the bench-check
+   regression gate; the committed baseline pins the incremental
+   speedup, and CI requires its interaction, chunk and rebuild counts
+   exactly.
 
    Two scenarios: an unbounded window (pure append — the daemon never
    rebuilds) and a sliding window covering ~10% of the stream (every
-   chunk evicts, so the daemon pays its rebuild-on-observe fallback
-   and must still come out ahead).  Each chunk ends with one flow
+   chunk evicts, so the daemon pays its rebuild-on-observe fallback, an
+   in-place replay of the window, and must still come out ahead).  Each chunk ends with one flow
    observation, matching the monitoring loop of the daemon; both sides
    must report the identical (bit-for-bit) flow sequence. *)
 

@@ -10,8 +10,9 @@
    "how much memory do relays need before the network itself is the
    bottleneck" question.
 
-   It also demonstrates the online greedy monitor: interactions are
-   replayed as a live stream and the running flow is inspected.
+   It also demonstrates streaming greedy monitoring: interactions are
+   pushed one at a time into the greedy scan kernel, as a live stream
+   would deliver them, and the running flow is inspected.
 
    Run with:  dune exec examples/router_capacity.exe *)
 
@@ -19,7 +20,7 @@ module Spec = Tin_datasets.Spec
 module Generator = Tin_datasets.Generator
 module Extract = Tin_datasets.Extract
 module TE = Tin_maxflow.Time_expand
-module Online = Tin_core.Online
+module Kernel = Tin_core.Greedy.Kernel
 module Table = Tin_util.Table
 
 let () =
@@ -63,13 +64,13 @@ let () =
       (* Live monitoring: replay the history as a stream and report
          the running flow at quartiles. *)
       let interactions = Graph.interactions_sorted p.Extract.graph in
-      let monitor = Online.create ~source:p.Extract.source ~sink:p.Extract.sink in
+      let monitor = Kernel.create ~source:p.Extract.source ~sink:p.Extract.sink in
       let n = Array.length interactions in
-      Printf.printf "Streaming replay (online greedy monitor):\n";
+      Printf.printf "Streaming replay (greedy scan kernel):\n";
       Array.iteri
         (fun k (src, dst, i) ->
-          ignore (Online.push monitor ~src ~dst i);
+          ignore (Kernel.push monitor ~src ~dst i);
           if (k + 1) mod (max 1 (n / 4)) = 0 || k = n - 1 then
             Printf.printf "  after %4d/%d transfers: greedy flow so far = %s\n" (k + 1) n
-              (Table.fmt_flow (Online.flow monitor)))
+              (Table.fmt_flow (Kernel.flow monitor)))
         interactions

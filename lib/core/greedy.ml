@@ -36,6 +36,7 @@ module Kernel = struct
   let sink_slot = 1
 
   let create ~source ~sink =
+    if source = sink then invalid_arg "Greedy.Kernel.create: source = sink";
     let cap = 16 in
     let t =
       {
@@ -107,11 +108,14 @@ module Kernel = struct
     end;
     moved
 
-  let replay ?moved t inters =
+  let replay ?moved ?(lo = 0) ?hi t inters =
+    let hi = match hi with Some hi -> hi | None -> Array.length inters in
+    if lo < 0 || lo > hi || hi > Array.length inters then
+      invalid_arg "Greedy.Kernel.replay: range out of bounds";
     let record, out =
       match moved with Some a -> (true, a) | None -> (false, Float.Array.create 0)
     in
-    for j = 0 to Array.length inters - 1 do
+    for j = lo to hi - 1 do
       let src, dst, (i : Interaction.t) = inters.(j) in
       let v = slot t src in
       let u = slot t dst in
@@ -120,6 +124,9 @@ module Kernel = struct
     done
 
   let push t ~src ~dst (i : Interaction.t) =
+    if src = dst then invalid_arg "Greedy.Kernel.push: self-loop";
+    if i.time < t.clock.now then
+      invalid_arg "Greedy.Kernel.push: timestamps must be non-decreasing";
     let v = slot t src in
     let u = slot t dst in
     step t v u i.time i.qty

@@ -14,9 +14,9 @@
     paper's description.
 
     Interactions sharing a timestamp are scanned in the deterministic
-    order of {!Graph.interactions_sorted} — time, then source, then
-    destination — which fixes the winner when same-instant transfers
-    compete for one buffer.  Zero-quantity interactions move nothing
+    order of {!Graph.interactions_sorted} — time, then quantity, then
+    source, then destination — which fixes the winner when
+    same-instant transfers compete for one buffer.  Zero-quantity interactions move nothing
     and create no buffer entries; self-loops are unrepresentable
     ({!Graph.add_interaction} rejects them), so neither can inflate the
     flow.
@@ -54,31 +54,47 @@ val buffers : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> (Graph.vert
 (** {1 The scan kernel}
 
     The one implementation of the greedy rule, as an incremental state:
-    {!flow}, {!flow_trace}, {!arrivals_at_sink}, {!buffers} and
-    {!Online} all drive it.  Buffers are flat float arrays indexed by
-    integer {e slots}; vertex labels are interned to slots on first
-    sight (the source and sink first), and the arrays grow as new
-    labels arrive. *)
+    {!flow}, {!flow_trace}, {!arrivals_at_sink} and {!buffers} replay
+    it over {!Graph.interactions_sorted}, and the streaming daemon
+    keeps one over its window.  Pushing or replaying interactions in
+    that canonical order yields exactly {!flow}, bit for bit (the same
+    floating-point operation sequence); another non-decreasing order
+    of same-instant interactions may legitimately yield a different
+    value.  Buffers are flat float arrays indexed by integer
+    {e slots}; vertex labels are interned to slots on first sight (the
+    source and sink first), and the arrays grow as new labels
+    arrive. *)
 
 module Kernel : sig
   type t
 
   val create : source:Graph.vertex -> sink:Graph.vertex -> t
-  (** A fresh scan state with the source's buffer infinite.  The
-      caller rejects [source = sink]. *)
+  (** A fresh scan state with the source's buffer infinite.
+      @raise Invalid_argument if [source = sink]. *)
 
   val replay :
-    ?moved:floatarray -> t -> (Graph.vertex * Graph.vertex * Interaction.t) array -> unit
-  (** Scans an interaction array in index order, for example
-      {!Graph.interactions_sorted}: the times must be non-decreasing,
-      continuing from the latest timestamp already scanned.  With
-      [moved], the quantity interaction [j] moved is stored at
-      [moved.(j)].  Apart from interning a label on first sight, the
-      loop allocates nothing. *)
+    ?moved:floatarray ->
+    ?lo:int ->
+    ?hi:int ->
+    t ->
+    (Graph.vertex * Graph.vertex * Interaction.t) array ->
+    unit
+  (** Scans [inters.(lo) .. inters.(hi - 1)] in index order ([lo]
+      defaults to [0], [hi] to the array's length), for example
+      {!Graph.interactions_sorted} or the live range of the daemon's
+      window.  The loop checks nothing, unlike {!push}: the times
+      must be non-decreasing, continuing from the latest timestamp
+      already scanned.  With [moved], the quantity interaction [j]
+      moved is stored at [moved.(j)].  Apart from interning a label
+      on first sight, the loop allocates nothing.
+      @raise Invalid_argument if [lo] and [hi] do not delimit a range
+      of the array. *)
 
   val push : t -> src:Graph.vertex -> dst:Graph.vertex -> Interaction.t -> float
-  (** Scans one interaction and returns the quantity it moved.  The
-      caller enforces non-decreasing time and [src <> dst]. *)
+  (** Scans one interaction and returns the quantity it moved.
+      Quantity it delivers becomes usable only once a strictly later
+      interaction is scanned.
+      @raise Invalid_argument on a self-loop or a time before {!now}. *)
 
   val flow : t -> float
   (** Quantity the sink has absorbed so far. *)

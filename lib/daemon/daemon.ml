@@ -1,8 +1,7 @@
 module Obs = Tin_obs.Obs
 module Serve = Tin_obs.Serve
 module Json = Tin_util.Json
-module Online = Tin_core.Online
-module Window = Tin_core.Window
+module Kernel = Tin_core.Greedy.Kernel
 module Catalog = Tin_patterns.Catalog
 module Delta = Tin_patterns.Delta
 
@@ -64,12 +63,16 @@ type t = {
   on_alert : alert -> unit;
   mutex : Mutex.t;
   (* All fields below are guarded by [mutex]. *)
-  mutable window_g : Graph.t;  (* in-window interactions, exact *)
-  times : float Queue.t;  (* their timestamps, non-decreasing *)
-  mutable online : Online.t;
+  mutable win : (int * int * Interaction.t) array;
+  mutable lo : int;
+  mutable hi : int;
+      (* [win.(lo) .. win.(hi - 1)] is the window, in exactly the order
+         [Graph.interactions_sorted] would give it ([Graph.scan_compare]
+         ascending); the slots outside that range are dead. *)
+  mutable kernel : Kernel.t;
   mutable dirty : bool;
-      (* [online] no longer reflects [window_g] restricted to
-         [evict_from]; any observation must rebuild first. *)
+      (* [kernel] no longer reflects a scan of the window; any
+         observation must rebuild first. *)
   mutable stream_last : float;  (* newest accepted timestamp *)
   mutable evict_from : float;  (* window low edge, non-decreasing *)
   mutable delta : Delta.t;  (* tables over the cumulative net *)
@@ -88,31 +91,64 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Slide the window low edge up to [stream_last - window] and drop the
-   timestamps that fell off.  The graph itself is pruned lazily at the
-   next rebuild — eviction only has to mark the monitor dirty. *)
+let size t = t.hi - t.lo
+
+let time_at t j =
+  let _, _, i = t.win.(j) in
+  Interaction.time i
+
+(* Slide the window low edge up to [stream_last - window] and advance
+   [lo] past the interactions that fell off (the closed interval of
+   [Window.restrict]).  The greedy state cannot un-see them, so
+   eviction marks it dirty. *)
 let evict t =
   if t.config.window < infinity && t.stream_last > neg_infinity then begin
     let from = t.stream_last -. t.config.window in
     if from > t.evict_from then t.evict_from <- from;
-    let popped = ref 0 in
-    while (not (Queue.is_empty t.times)) && Queue.peek t.times < t.evict_from do
-      ignore (Queue.pop t.times);
-      incr popped
+    let lo = t.lo in
+    while t.lo < t.hi && time_at t t.lo < t.evict_from do
+      t.lo <- t.lo + 1
     done;
-    if !popped > 0 then begin
-      t.evicted <- t.evicted + !popped;
-      Obs.Counter.add c_evicted !popped;
+    let popped = t.lo - lo in
+    if popped > 0 then begin
+      t.evicted <- t.evicted + popped;
+      Obs.Counter.add c_evicted popped;
       t.dirty <- true
     end
   end
 
-(* Replay the restricted window in canonical order; afterwards
-   [online] again equals a batch Greedy over the window. *)
+(* Place an accepted interaction at its canonical position.  Its time
+   is at least every time in the window, so only entries with the same
+   timestamp can sort after it: normally it goes at the end.  A full
+   array first drops the evicted prefix and doubles only if the window
+   still fills more than half of it. *)
+let insert t x =
+  let cap = Array.length t.win in
+  if t.hi = cap then begin
+    let live = size t in
+    let win = if 2 * live > cap || cap = 0 then Array.make (max 16 (2 * cap)) x else t.win in
+    Array.blit t.win t.lo win 0 live;
+    t.win <- win;
+    t.lo <- 0;
+    t.hi <- live
+  end;
+  let j = ref t.hi in
+  while !j > t.lo && Graph.scan_compare t.win.(!j - 1) x > 0 do
+    t.win.(!j) <- t.win.(!j - 1);
+    decr j
+  done;
+  t.win.(!j) <- x;
+  t.hi <- t.hi + 1
+
+(* Scan the window in place; afterwards [kernel] equals a batch
+   greedy over the window. *)
+let replay t =
+  t.kernel <- Kernel.create ~source:t.config.source ~sink:t.config.sink;
+  Kernel.replay ~lo:t.lo ~hi:t.hi t.kernel t.win
+
 let rebuild t =
   if t.dirty then begin
-    t.window_g <- Window.restrict ~from_time:t.evict_from t.window_g;
-    t.online <- Online.of_graph t.window_g ~source:t.config.source ~sink:t.config.sink;
+    replay t;
     t.rebuilds <- t.rebuilds + 1;
     Obs.Counter.incr c_rebuilds;
     t.dirty <- false
@@ -125,14 +161,16 @@ let create ?(base = Graph.empty) ?(on_alert = fun _ -> ()) config =
   if config.cadence < 0 then invalid_arg "Daemon.create: cadence must be non-negative";
   if config.limit < 1 then invalid_arg "Daemon.create: limit must be positive";
   let with_chains = List.exists Catalog.needs_chains config.patterns in
+  let win = Graph.interactions_sorted base in
   let t =
     {
       config;
       on_alert;
       mutex = Mutex.create ();
-      window_g = base;
-      times = Queue.create ();
-      online = Online.of_graph base ~source:config.source ~sink:config.sink;
+      win;
+      lo = 0;
+      hi = Array.length win;
+      kernel = Kernel.create ~source:config.source ~sink:config.sink;
       dirty = false;
       stream_last = neg_infinity;
       evict_from = neg_infinity;
@@ -147,34 +185,18 @@ let create ?(base = Graph.empty) ?(on_alert = fun _ -> ()) config =
       alerts_n = 0;
     }
   in
-  let sorted = Graph.interactions_sorted base in
-  Array.iter (fun (_, _, i) -> Queue.push (Interaction.time i) t.times) sorted;
-  if Array.length sorted > 0 then begin
-    let _, _, last = sorted.(Array.length sorted - 1) in
-    t.stream_last <- Interaction.time last
-  end;
+  if t.hi > 0 then t.stream_last <- time_at t (t.hi - 1);
   evict t;
-  rebuild t;
-  Obs.Gauge.set g_window (float_of_int (Queue.length t.times));
+  if t.dirty then rebuild t else replay t;
+  Obs.Gauge.set g_window (float_of_int (size t));
   (* Gauges are process-global: a fresh daemon must retract whatever
      lag a previous instance published.  NaN reads as "unset" and is
      skipped by the exporters; with a preloaded base there is a
      meaningful lag immediately. *)
   Obs.Gauge.set g_lag
-    (if Queue.is_empty t.times || t.stream_last = neg_infinity then Float.nan
+    (if size t = 0 || t.stream_last = neg_infinity then Float.nan
      else Float.max 0. (Unix.gettimeofday () -. t.stream_last));
   t
-
-(* Canonical stream order: Interaction.compare is (time, qty); break
-   remaining ties by (src, dst) like Graph.interactions_sorted so the
-   incremental push sequence matches the batch replay exactly. *)
-let entry_cmp (a : Ingest.entry) (b : Ingest.entry) =
-  match Interaction.compare a.inter b.inter with
-  | 0 -> (
-      match Int.compare a.src b.src with
-      | 0 -> Int.compare a.dst b.dst
-      | c -> c)
-  | c -> c
 
 let tick_locked t =
   Obs.Span.with_ "serve.tick" @@ fun () ->
@@ -215,38 +237,40 @@ let ingest t entries =
      runs on the serving domain, where that context is installed), so
      a request trace separates ingest work from any cadence tick. *)
   Obs.Span.with_ "serve.ingest" @@ fun () ->
-  let entries = List.stable_sort entry_cmp entries in
+  let batch =
+    List.map (fun (e : Ingest.entry) -> (e.src, e.dst, e.inter)) entries
+    |> List.stable_sort Graph.scan_compare
+  in
   let floor = t.stream_last in
   let accepted = ref 0 and rejected = ref 0 in
   List.iter
-    (fun (e : Ingest.entry) ->
-      let tm = Interaction.time e.inter in
-      if e.src = e.dst || tm < floor then incr rejected
+    (fun ((src, dst, inter) as x) ->
+      let tm = Interaction.time inter in
+      if src = dst || tm < floor then incr rejected
       else begin
         (* A tie with the pre-batch frontier means this entry's
-           canonical position may precede interactions already pushed
+           canonical position may precede interactions already scanned
            in an earlier batch: fall back to replay-on-observe. *)
         if (not t.dirty) && Float.equal tm floor then t.dirty <- true;
-        if not t.dirty then ignore (Online.push t.online ~src:e.src ~dst:e.dst e.inter);
-        t.window_g <- Graph.add_interaction t.window_g ~src:e.src ~dst:e.dst e.inter;
-        Queue.push tm t.times;
-        t.pending <- (e.src, e.dst, e.inter) :: t.pending;
+        if not t.dirty then ignore (Kernel.push t.kernel ~src ~dst inter);
+        insert t x;
+        t.pending <- x :: t.pending;
         t.stream_last <- tm;
         incr accepted
       end)
-    entries;
+    batch;
   evict t;
   t.accepted <- t.accepted + !accepted;
   t.rejected <- t.rejected + !rejected;
   t.since_tick <- t.since_tick + !accepted;
   Obs.Counter.add c_ingested !accepted;
   Obs.Counter.add c_rejected !rejected;
-  Obs.Gauge.set g_window (float_of_int (Queue.length t.times));
+  Obs.Gauge.set g_window (float_of_int (size t));
   (* Lag is only meaningful against a nonempty window: if nothing has
      ever arrived (or eviction drained everything), the gauge must
      read NaN — skipped by the exposition — not the last stale
      value. *)
-  if Queue.is_empty t.times || t.stream_last = neg_infinity then Obs.Gauge.set g_lag Float.nan
+  if size t = 0 || t.stream_last = neg_infinity then Obs.Gauge.set g_lag Float.nan
   else if !accepted > 0 then
     Obs.Gauge.set g_lag (Float.max 0. (Unix.gettimeofday () -. t.stream_last));
   let alerts =
@@ -256,7 +280,7 @@ let ingest t entries =
   {
     accepted = !accepted;
     rejected = !rejected;
-    window_interactions = Queue.length t.times;
+    window_interactions = size t;
     alerts;
   }
 
@@ -265,14 +289,14 @@ let tick t = locked t @@ fun () -> tick_locked t
 let flow t =
   locked t @@ fun () ->
   rebuild t;
-  Online.flow t.online
+  Kernel.flow t.kernel
 
 let stats t =
   locked t @@ fun () ->
   rebuild t;
   {
-    flow = Online.flow t.online;
-    window_interactions = Queue.length t.times;
+    flow = Kernel.flow t.kernel;
+    window_interactions = size t;
     last_time = (if t.stream_last = neg_infinity then None else Some t.stream_last);
     accepted_total = t.accepted;
     rejected_total = t.rejected;
@@ -283,10 +307,7 @@ let stats t =
     rows_recomputed_total = t.delta.Delta.rows_recomputed;
   }
 
-let window_graph t =
-  locked t @@ fun () ->
-  rebuild t;
-  t.window_g
+let window t = locked t @@ fun () -> Array.sub t.win t.lo (size t)
 
 let tables t = locked t @@ fun () -> t.delta
 

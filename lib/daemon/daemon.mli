@@ -8,9 +8,10 @@
 
     - a sliding event-time window ({!Tin_core.Window} semantics: the
       closed interval [[last_time - window, last_time]] is kept,
-      older interactions are evicted);
-    - incremental greedy source→sink flow ({!Tin_core.Online.push}
-      per accepted interaction, O(1) amortized);
+      older interactions are evicted), stored once as an array in the
+      canonical scan order of {!Graph.interactions_sorted};
+    - incremental greedy source→sink flow
+      ({!Tin_core.Greedy.Kernel.push} per accepted interaction);
     - cycle/chain path tables maintained by delta updates
       ({!Tin_patterns.Delta.apply} on a configurable cadence — the
       paper's footnote 2 — over the {e cumulative} network, which only
@@ -22,17 +23,20 @@
 
     The reported windowed flow always equals a batch
     [Greedy.flow (Window.restrict ~from_time:(last - window) g)] over
-    the same stream — enforced lazily: ingestion is cheap ([push] +
-    bookkeeping), and the two events that invalidate the incremental
-    monitor (an eviction crossing the window boundary; an arrival
-    tying the newest timestamp, whose canonical [(time, qty, src,
-    dst)] position may precede already-pushed peers) mark the monitor
-    dirty instead of rebuilding immediately.  Any {e observation}
-    ({!flow}, {!stats}, {!tick}, {!window_graph}) first rebuilds from
-    the restricted window via {!Tin_core.Online.of_graph} — the
-    canonical-order replay — so observed values are exact, while a
-    high-rate ingest path between observations stays incremental.
-    Differentially tested against batch recomputation.
+    the same stream — enforced lazily.  Ingestion inserts each
+    accepted interaction at its canonical [(time, qty, src, dst)]
+    position (normally the end: only peers at the same timestamp can
+    sort after it), evicts by advancing the window's head, and, while
+    the greedy kernel is current, pushes the interaction into it.  Two
+    events invalidate the kernel: an eviction (the scan cannot un-see an interaction) and an
+    arrival tying the pre-batch newest timestamp (its canonical
+    position may precede peers already scanned).  Either marks the
+    state dirty instead of rebuilding immediately.  Any
+    {e observation} ({!flow}, {!stats}, {!tick}) first rebuilds by
+    replaying the window in place through
+    {!Tin_core.Greedy.Kernel.replay}, so observed values are exact,
+    while a high-rate ingest path between observations stays
+    incremental.  Differentially tested against batch recomputation.
 
     Arrivals older than the newest accepted timestamp (and self-loops)
     are counted and skipped, never applied: the greedy scan is
@@ -126,8 +130,9 @@ val flow : t -> float
 
 val stats : t -> stats
 
-val window_graph : t -> Graph.t
-(** Snapshot of the in-window interactions (persistent; exact). *)
+val window : t -> (int * int * Interaction.t) array
+(** A copy of the in-window [(src, dst, interaction)] triples, in the
+    order of {!Graph.interactions_sorted} (for differential tests). *)
 
 val tables : t -> Tin_patterns.Delta.t
 (** The delta-maintained table state (for differential tests). *)

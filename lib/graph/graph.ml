@@ -100,17 +100,17 @@ let fold_edges f t acc =
 
 let iter_edges f t = fold_edges (fun src dst is () -> f src dst is) t ()
 
+let scan_compare (s1, d1, i1) (s2, d2, i2) =
+  match Interaction.compare i1 i2 with
+  | 0 -> ( match Int.compare s1 s2 with 0 -> Int.compare d1 d2 | c -> c)
+  | c -> c
+
 let interactions_sorted t =
   let all =
     fold_edges (fun src dst is acc -> List.fold_left (fun acc i -> (src, dst, i) :: acc) acc is) t []
   in
   let a = Array.of_list all in
-  let cmp (s1, d1, i1) (s2, d2, i2) =
-    match Interaction.compare i1 i2 with
-    | 0 -> ( match Int.compare s1 s2 with 0 -> Int.compare d1 d2 | c -> c)
-    | c -> c
-  in
-  Array.sort cmp a;
+  Array.sort scan_compare a;
   a
 
 let total_qty t = fold_edges (fun _ _ is acc -> acc +. Interaction.total_qty is) t 0.0

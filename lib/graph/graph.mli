@@ -81,10 +81,15 @@ val sinks : t -> vertex list
 val fold_edges : (vertex -> vertex -> Interaction.t list -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_edges : (vertex -> vertex -> Interaction.t list -> unit) -> t -> unit
 
+val scan_compare :
+  vertex * vertex * Interaction.t -> vertex * vertex * Interaction.t -> int
+(** The canonical scan order of [(src, dst, interaction)] triples:
+    {!Interaction.compare} (time, then quantity), then source, then
+    destination. *)
+
 val interactions_sorted : t -> (vertex * vertex * Interaction.t) array
-(** Every interaction of the graph in global temporal order (ties
-    broken by source then destination vertex) — the scan order of the
-    greedy algorithm. *)
+(** Every interaction of the graph sorted by {!scan_compare} — the
+    scan order of the greedy algorithm. *)
 
 val total_qty : t -> float
 (** Sum of all interaction quantities. *)

@@ -26,3 +26,14 @@ let seeded_property ?(count = 200) name prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count QCheck.(small_int) (fun seed ->
          prop (Tin_util.Prng.create ~seed)))
+
+(* Words allocated on both heaps so far, large arrays allocated
+   straight in the major heap included.  [Gc.minor_words] is exact;
+   [Gc.allocated_bytes] is not used because on OCaml 5.1 it undercounts
+   the minor words allocated since the last minor collection.  OCaml
+   5.1 also adds the words allocated straight in the major heap to the
+   statistics only at a collection, hence the minor collection. *)
+let allocated_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words

@@ -76,60 +76,55 @@ let prop_profile_nondecreasing rng =
   | [] -> Graph.in_edges g sink = []
   | (_, last) :: _ -> Fcmp.approx_eq ~eps:1e-6 last (Pipeline.max_flow g ~source ~sink)
 
-(* --- online (streaming) greedy --- *)
+(* --- online (streaming) greedy: Greedy.Kernel fed one interaction
+   at a time --- *)
 
-module Online = Tin_core.Online
+module Kernel = Greedy.Kernel
 
 let test_online_matches_batch_fig3 () =
-  let m = Online.create ~source:P.s ~sink:P.t in
+  let m = Kernel.create ~source:P.s ~sink:P.t in
   Array.iter
-    (fun (src, dst, i) -> ignore (Online.push m ~src ~dst i))
+    (fun (src, dst, i) -> ignore (Kernel.push m ~src ~dst i))
     (Graph.interactions_sorted P.fig3);
-  Check.check_flow "streaming = batch" (Greedy.flow P.fig3 ~source:P.s ~sink:P.t) (Online.flow m);
-  Alcotest.(check int) "pushed all" 5 (Online.n_pushed m);
-  Alcotest.(check (option (float 1e-9))) "last time" (Some 5.0) (Online.last_time m);
-  Alcotest.(check (float 1e-9)) "source buffer" infinity (Online.buffer m P.s)
+  Check.check_flow "streaming = batch" (Greedy.flow P.fig3 ~source:P.s ~sink:P.t) (Kernel.flow m);
+  Alcotest.(check (float 1e-9)) "last time" 5.0 (Kernel.now m);
+  Alcotest.(check (float 1e-9)) "source buffer" infinity (Kernel.buffer m P.s)
 
 let test_online_running_flow () =
   (* The running flow is available mid-stream. *)
-  let m = Online.create ~source:0 ~sink:2 in
-  ignore (Online.push m ~src:0 ~dst:1 (Interaction.make ~time:1.0 ~qty:5.0));
-  Check.check_flow "nothing yet" 0.0 (Online.flow m);
-  let moved = Online.push m ~src:1 ~dst:2 (Interaction.make ~time:2.0 ~qty:3.0) in
+  let m = Kernel.create ~source:0 ~sink:2 in
+  ignore (Kernel.push m ~src:0 ~dst:1 (Interaction.make ~time:1.0 ~qty:5.0));
+  Check.check_flow "nothing yet" 0.0 (Kernel.flow m);
+  let moved = Kernel.push m ~src:1 ~dst:2 (Interaction.make ~time:2.0 ~qty:3.0) in
   Check.check_flow "moved 3" 3.0 moved;
-  Check.check_flow "flow 3" 3.0 (Online.flow m);
-  Check.check_flow "buffer at 1" 2.0 (Online.buffer m 1)
+  Check.check_flow "flow 3" 3.0 (Kernel.flow m);
+  Check.check_flow "buffer at 1" 2.0 (Kernel.buffer m 1)
 
 let test_online_strict_same_instant () =
-  let m = Online.create ~source:0 ~sink:2 in
-  ignore (Online.push m ~src:0 ~dst:1 (Interaction.make ~time:2.0 ~qty:5.0));
-  let moved = Online.push m ~src:1 ~dst:2 (Interaction.make ~time:2.0 ~qty:5.0) in
+  let m = Kernel.create ~source:0 ~sink:2 in
+  ignore (Kernel.push m ~src:0 ~dst:1 (Interaction.make ~time:2.0 ~qty:5.0));
+  let moved = Kernel.push m ~src:1 ~dst:2 (Interaction.make ~time:2.0 ~qty:5.0) in
   Check.check_flow "same instant blocked" 0.0 moved
 
 let test_online_rejects_out_of_order () =
-  let m = Online.create ~source:0 ~sink:2 in
-  ignore (Online.push m ~src:0 ~dst:1 (Interaction.make ~time:5.0 ~qty:1.0));
+  Alcotest.check_raises "source = sink"
+    (Invalid_argument "Greedy.Kernel.create: source = sink") (fun () ->
+      ignore (Kernel.create ~source:1 ~sink:1));
+  let m = Kernel.create ~source:0 ~sink:2 in
+  ignore (Kernel.push m ~src:0 ~dst:1 (Interaction.make ~time:5.0 ~qty:1.0));
   Alcotest.check_raises "out of order"
-    (Invalid_argument "Online.push: timestamps must be non-decreasing") (fun () ->
-      ignore (Online.push m ~src:0 ~dst:1 (Interaction.make ~time:4.0 ~qty:1.0)));
-  Alcotest.check_raises "self loop" (Invalid_argument "Online.push: self-loop") (fun () ->
-      ignore (Online.push m ~src:1 ~dst:1 (Interaction.make ~time:6.0 ~qty:1.0)))
+    (Invalid_argument "Greedy.Kernel.push: timestamps must be non-decreasing") (fun () ->
+      ignore (Kernel.push m ~src:0 ~dst:1 (Interaction.make ~time:4.0 ~qty:1.0)));
+  Alcotest.check_raises "self loop" (Invalid_argument "Greedy.Kernel.push: self-loop")
+    (fun () -> ignore (Kernel.push m ~src:1 ~dst:1 (Interaction.make ~time:6.0 ~qty:1.0)))
 
 (* Streaming and batch run the same kernel, so pushing the canonical
    order reproduces the batch scan bit for bit. *)
 let prop_online_matches_batch rng =
   let g, source, sink = Gen.random_digraph rng in
-  let m = Online.create ~source ~sink in
-  Array.iter (fun (src, dst, i) -> ignore (Online.push m ~src ~dst i)) (Graph.interactions_sorted g);
-  Float.equal (Greedy.flow g ~source ~sink) (Online.flow m)
-
-(* The window-rebuild path of the streaming daemon: replaying in
-   canonical order must reproduce the batch greedy flow bit for bit
-   (same float operation sequence — Float.equal, not approx). *)
-let prop_of_graph_bit_identical rng =
-  let g, source, sink = Gen.random_digraph rng in
-  let m = Online.of_graph g ~source ~sink in
-  Float.equal (Greedy.flow g ~source ~sink) (Online.flow m)
+  let m = Kernel.create ~source ~sink in
+  Array.iter (fun (src, dst, i) -> ignore (Kernel.push m ~src ~dst i)) (Graph.interactions_sorted g);
+  Float.equal (Greedy.flow g ~source ~sink) (Kernel.flow m)
 
 (* Documented counterexample: the bit-exact equivalence holds only for
    the canonical (time, qty, src, dst) arrival order.  Two same-instant
@@ -142,15 +137,15 @@ let test_online_same_instant_order_dependent () =
      4?  no: qty orders 3 before 4, i.e. a->c first), leaving 2 for
      a->b. *)
   let i time qty = Interaction.make ~time ~qty in
-  let push m (src, dst, inter) = ignore (Online.push m ~src ~dst inter) in
+  let push m (src, dst, inter) = ignore (Kernel.push m ~src ~dst inter) in
   let canonical = [ (0, 1, i 0.0 5.0); (1, 3, i 1.0 3.0); (1, 2, i 1.0 4.0) ] in
   let swapped = [ (0, 1, i 0.0 5.0); (1, 2, i 1.0 4.0); (1, 3, i 1.0 3.0) ] in
   let flow_of order =
-    let m = Online.create ~source:0 ~sink:2 in
+    let m = Kernel.create ~source:0 ~sink:2 in
     List.iter (push m) order;
-    ignore (Online.push m ~src:3 ~dst:4 (i 2.0 1.0));
+    ignore (Kernel.push m ~src:3 ~dst:4 (i 2.0 1.0));
     (* advance past t=1 *)
-    Online.flow m
+    Kernel.flow m
   in
   let g =
     List.fold_left
@@ -167,10 +162,10 @@ let test_online_same_instant_order_dependent () =
 
 let prop_online_buffers_match rng =
   let g, source, sink = Gen.random_digraph rng in
-  let m = Online.create ~source ~sink in
-  Array.iter (fun (src, dst, i) -> ignore (Online.push m ~src ~dst i)) (Graph.interactions_sorted g);
+  let m = Kernel.create ~source ~sink in
+  Array.iter (fun (src, dst, i) -> ignore (Kernel.push m ~src ~dst i)) (Graph.interactions_sorted g);
   Greedy.buffers g ~source ~sink
-  |> List.for_all (fun (v, b) -> Float.equal b (Online.buffer m v))
+  |> List.for_all (fun (v, b) -> Float.equal b (Kernel.buffer m v))
 
 (* --- bounded vertex buffers (extension over the paper) --- *)
 
@@ -397,7 +392,6 @@ let () =
           Alcotest.test_case "strict same instant" `Quick test_online_strict_same_instant;
           Alcotest.test_case "ordering enforced" `Quick test_online_rejects_out_of_order;
           Check.seeded_property "streaming = batch greedy" prop_online_matches_batch;
-          Check.seeded_property "of_graph replay bit-identical" prop_of_graph_bit_identical;
           Alcotest.test_case "same-instant order dependence" `Quick
             test_online_same_instant_order_dependent;
           Check.seeded_property ~count:100 "streaming buffers match" prop_online_buffers_match;

@@ -165,6 +165,36 @@ let test_kernel_loop_allocation_free () =
     true
     (Float.equal small large && small < 1000.0)
 
+(* Replaying [inters.(lo) .. inters.(hi - 1)] in place is the same
+   scan as replaying a copy of that range, bit for bit: the daemon
+   rebuilds from the live range of its window this way, without the
+   copy.  Entries outside the range must not be scanned (their [moved]
+   slots keep their NaN). *)
+let prop_kernel_range_replay rng =
+  let g, source, sink = Gen.random_digraph ~max_edges:20 ~max_inter:4 rng in
+  let inters = Graph.interactions_sorted g in
+  let n = Array.length inters in
+  let lo = Tin_util.Prng.int rng (n + 1) in
+  let hi = lo + Tin_util.Prng.int rng (n - lo + 1) in
+  let ranged = Greedy.Kernel.create ~source ~sink in
+  let copied = Greedy.Kernel.create ~source ~sink in
+  let moved_ranged = Float.Array.make n Float.nan in
+  let moved_copied = Float.Array.make (hi - lo) Float.nan in
+  Greedy.Kernel.replay ~moved:moved_ranged ~lo ~hi ranged inters;
+  Greedy.Kernel.replay ~moved:moved_copied copied (Array.sub inters lo (hi - lo));
+  let same a b = Float.equal a b in
+  same (Greedy.Kernel.flow ranged) (Greedy.Kernel.flow copied)
+  && same (Greedy.Kernel.now ranged) (Greedy.Kernel.now copied)
+  && List.for_all
+       (fun v -> same (Greedy.Kernel.buffer ranged v) (Greedy.Kernel.buffer copied v))
+       (Graph.vertices g)
+  && List.for_all
+       (fun j ->
+         let m = Float.Array.get moved_ranged j in
+         if j < lo || j >= hi then Float.is_nan m
+         else same m (Float.Array.get moved_copied (j - lo)))
+       (List.init n Fun.id)
+
 let () =
   Alcotest.run "greedy"
     [
@@ -194,5 +224,9 @@ let () =
           Alcotest.test_case "unknown endpoints" `Quick test_unknown_endpoints_zero;
         ] );
       ( "kernel",
-        [ Alcotest.test_case "loop allocates nothing" `Quick test_kernel_loop_allocation_free ] );
+        [
+          Alcotest.test_case "loop allocates nothing" `Quick test_kernel_loop_allocation_free;
+          Check.seeded_property "replay over a range = replay over its copy"
+            prop_kernel_range_replay;
+        ] );
     ]

@@ -103,14 +103,6 @@ let test_tables_iter_start () =
   Alcotest.(check (list int)) "path u1 -> u4" [ 1; 4 ]
     (List.init (Tables.width t) (fun i -> Compact.label fig2a_net (Tables.vert t r i)))
 
-(* Words allocated on both heaps so far, large arrays allocated
-   straight in the major heap included.  [Gc.minor_words] is exact;
-   [Gc.allocated_bytes] is not used because on OCaml 5.1 it undercounts
-   the minor words allocated since the last minor collection. *)
-let allocated_words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
-
 (* One chain reduction allocates a fixed number of words whatever the
    runs' lengths: it merges the runs in place, with no sort
    permutation, column copies or arrival list. *)
@@ -126,9 +118,9 @@ let test_chain_flow_allocation_flat () =
     let e src dst = Option.get (Compact.find_edge net ~src ~dst) in
     let eids = [| e 0 1; e 1 2 |] in
     ignore (Tables.chain_flow net eids);
-    let before = allocated_words () in
+    let before = Check.allocated_words () in
     let flow = Tables.chain_flow net eids in
-    let words = allocated_words () -. before in
+    let words = Check.allocated_words () -. before in
     Alcotest.check Check.exact "every unit arrives" (float_of_int per_edge) flow;
     words
   in

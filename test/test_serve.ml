@@ -135,8 +135,10 @@ let entry src dst time qty = { Ingest.src; dst; inter = Interaction.make ~time ~
 (* Feed a time-sorted random stream in random chunk sizes; after every
    chunk the daemon's flow must be bit-identical to a batch greedy
    recomputation over the restricted window of everything accepted so
-   far.  (Bit-identical, not approximate: the rebuild path replays the
-   canonical order, which is the same float operation sequence.) *)
+   far, and its window must hold exactly that window's interactions in
+   the batch scan order, ties included.  (Bit-identical, not
+   approximate: the rebuild path replays the canonical order, which is
+   the same float operation sequence.) *)
 let prop_daemon_flow_matches_batch rng =
   let n = 10 + Prng.int rng 40 in
   let window =
@@ -179,28 +181,35 @@ let prop_daemon_flow_matches_batch rng =
         in
         let expected = Greedy.flow expected_g ~source:0 ~sink:5 in
         if not (Float.equal expected (Daemon.flow d)) then ok := false;
-        if not (Graph.equal expected_g (Daemon.window_graph d)) then ok := false;
+        if Daemon.window d <> Graph.interactions_sorted expected_g then ok := false;
         go rest
   in
   go stream;
   !ok
 
 (* Cross-batch timestamp tie: streaming arrival order differs from the
-   canonical (time, qty) order, so the daemon must fall back to the
-   canonical replay and still report the batch value. *)
+   canonical (time, qty) order, so the daemon must insert the late
+   entry at its canonical position, fall back to the canonical replay
+   once, and still report the batch value. *)
 let test_daemon_cross_batch_tie () =
   let d = Daemon.create (Daemon.config ~source:0 ~sink:2 ()) in
   ignore (Daemon.ingest d [ entry 0 1 0.0 5.0; entry 1 2 1.0 4.0 ]);
+  let rebuilds = (Daemon.stats d).Daemon.rebuilds_total in
   (* Arrives later but ties t=1 with a smaller qty: canonically it
      drains vertex 1 first. *)
   ignore (Daemon.ingest d [ entry 1 3 1.0 3.0 ]);
+  let i time qty = Interaction.make ~time ~qty in
+  Alcotest.(check bool) "the later, smaller-qty entry sits before the earlier one" true
+    (Daemon.window d = [| (0, 1, i 0.0 5.0); (1, 3, i 1.0 3.0); (1, 2, i 1.0 4.0) |]);
   let g =
     Graph.of_edges
       [ (0, 1, [ (0.0, 5.0) ]); (1, 2, [ (1.0, 4.0) ]); (1, 3, [ (1.0, 3.0) ]) ]
   in
   Alcotest.(check bool) "tie forces exact replay" true
     (Float.equal (Greedy.flow g ~source:0 ~sink:2) (Daemon.flow d));
-  Check.check_flow "canonical value" 2.0 (Daemon.flow d)
+  Check.check_flow "canonical value" 2.0 (Daemon.flow d);
+  Alcotest.(check int) "exactly one rebuild" (rebuilds + 1)
+    (Daemon.stats d).Daemon.rebuilds_total
 
 let test_daemon_rejects_late_and_self_loops () =
   let d = Daemon.create (Daemon.config ~source:0 ~sink:2 ()) in
@@ -334,6 +343,43 @@ let test_daemon_base_seed () =
   let g = Graph.add_interaction base ~src:1 ~dst:2 (Interaction.make ~time:4.0 ~qty:1.0) in
   Alcotest.(check bool) "continues from the seed" true
     (Float.equal (Greedy.flow g ~source:0 ~sink:2) (Daemon.flow d))
+
+(* A rebuild replays the window in place: forcing one (an evicting
+   entry, then [stats]) allocates the same words on both heaps whether
+   the window holds 10k or 40k interactions — the kernel's label
+   interning over the same 50 vertices and the stats record, nothing
+   per interaction and no copy of the window. *)
+let test_daemon_rebuild_allocation () =
+  let n_vertices = 50 in
+  let rebuild_words n =
+    let rng = Prng.create ~seed:7 in
+    let stream =
+      Array.init n (fun j ->
+          let v = Prng.int rng n_vertices in
+          let u = (v + 1 + Prng.int rng (n_vertices - 1)) mod n_vertices in
+          entry v u (float_of_int (j / 3)) (float_of_int (Prng.int rng 10)))
+    in
+    (* The window spans the whole stream; an entry one instant later
+       evicts the three at t=0. *)
+    let last = float_of_int ((n - 1) / 3) in
+    let d = Daemon.create (Daemon.config ~source:0 ~sink:1 ~window:last ()) in
+    for c = 0 to (n / 1000) - 1 do
+      ignore (Daemon.ingest d (Array.to_list (Array.sub stream (c * 1000) 1000)))
+    done;
+    let before = (Daemon.stats d).Daemon.rebuilds_total in
+    ignore (Daemon.ingest d [ entry 2 3 (last +. 1.0) 1.0 ]);
+    let w0 = Check.allocated_words () in
+    let st = Daemon.stats d in
+    let words = Check.allocated_words () -. w0 in
+    Alcotest.(check int) "one forced rebuild" (before + 1) st.Daemon.rebuilds_total;
+    Alcotest.(check int) "window size" (n - 2) st.Daemon.window_interactions;
+    Alcotest.(check bool) "the scan moved quantity" true (st.Daemon.flow > 0.0);
+    words
+  in
+  let small = rebuild_words 10_000 and large = rebuild_words 40_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "constant words (%g at 10k, %g at 40k interactions)" small large)
+    true (Float.equal small large)
 
 let test_daemon_validation () =
   Alcotest.check_raises "source = sink" (Invalid_argument "Daemon.create: source = sink")
@@ -545,6 +591,8 @@ let () =
           Alcotest.test_case "alerts and cadence" `Quick test_daemon_alerts_and_cadence;
           Alcotest.test_case "min-flow threshold silences" `Quick test_daemon_min_flow_silences;
           Alcotest.test_case "base network seed" `Quick test_daemon_base_seed;
+          Alcotest.test_case "rebuild allocates nothing per interaction" `Quick
+            test_daemon_rebuild_allocation;
           Alcotest.test_case "validation" `Quick test_daemon_validation;
         ] );
       ( "http",

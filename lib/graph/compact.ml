@@ -136,12 +136,9 @@ let index_of_labels labels =
   Array.iteri (fun i l -> Hashtbl.replace label_index l i) labels;
   label_index
 
-let of_entries ?(vertices = []) entries =
-  let module IS = Set.Make (Int) in
-  let lset = List.fold_left (fun s v -> IS.add v s) IS.empty vertices in
-  let lset = List.fold_left (fun s (a, b, _) -> IS.add a (IS.add b s)) lset entries in
-  let labels = Array.of_seq (IS.to_seq lset) in
-  let label_index = index_of_labels labels in
+(* [entries] as interaction columns over [label_index]'s ids, in
+   global scan order. *)
+let scan_columns label_index entries =
   let m = List.length entries in
   let tsrc = Array.make m 0 and tdst = Array.make m 0 in
   let ttime = Float.Array.create m and tqty = Float.Array.create m in
@@ -173,6 +170,74 @@ let of_entries ?(vertices = []) entries =
       Float.Array.set inter_time k (Float.Array.get ttime j);
       Float.Array.set inter_qty k (Float.Array.get tqty j))
     perm;
+  (inter_src, inter_dst, inter_time, inter_qty)
+
+let of_entries ?(vertices = []) entries =
+  let module IS = Set.Make (Int) in
+  let lset = List.fold_left (fun s v -> IS.add v s) IS.empty vertices in
+  let lset = List.fold_left (fun s (a, b, _) -> IS.add a (IS.add b s)) lset entries in
+  let labels = Array.of_seq (IS.to_seq lset) in
+  let label_index = index_of_labels labels in
+  let inter_src, inter_dst, inter_time, inter_qty = scan_columns label_index entries in
+  derive ~labels ~label_index ~inter_src ~inter_dst ~inter_time ~inter_qty
+
+let merge t entries =
+  let novel =
+    List.concat_map (fun (a, b, _) -> [ a; b ]) entries
+    |> List.filter (fun l -> not (Hashtbl.mem t.label_index l))
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  let n_old = Array.length t.labels and n_new = Array.length novel in
+  (* Ids are label ranks: a new label shifts every larger old id, and
+     merging the two sorted label arrays gives the shifted ids. *)
+  let labels, label_index, src, dst =
+    if n_new = 0 then (t.labels, t.label_index, t.inter_src, t.inter_dst)
+    else begin
+      let labels = Array.make (n_old + n_new) 0 and ids = Array.make n_old 0 in
+      let j = ref 0 in
+      for v = 0 to n_old - 1 do
+        while !j < n_new && novel.(!j) < t.labels.(v) do
+          labels.(v + !j) <- novel.(!j);
+          incr j
+        done;
+        ids.(v) <- v + !j;
+        labels.(v + !j) <- t.labels.(v)
+      done;
+      Array.blit novel !j labels (n_old + !j) (n_new - !j);
+      let shift = Array.map (Array.get ids) in
+      (labels, index_of_labels labels, shift t.inter_src, shift t.inter_dst)
+    end
+  in
+  let bsrc, bdst, btime, bqty = scan_columns label_index entries in
+  let m_old = Array.length src and b = Array.length bsrc in
+  let inter_src = Array.make (m_old + b) 0 and inter_dst = Array.make (m_old + b) 0 in
+  let inter_time = Float.Array.create (m_old + b) and inter_qty = Float.Array.create (m_old + b) in
+  (* Does old interaction [i] sort after batch entry [k]? *)
+  let after i k =
+    let c = Float.compare (Float.Array.get t.inter_time i) (Float.Array.get btime k) in
+    let c =
+      if c <> 0 then c else Float.compare (Float.Array.get t.inter_qty i) (Float.Array.get bqty k)
+    in
+    let c = if c <> 0 then c else Int.compare src.(i) bsrc.(k) in
+    (if c <> 0 then c else Int.compare dst.(i) bdst.(k)) > 0
+  in
+  let i = ref 0 and k = ref 0 in
+  for o = 0 to m_old + b - 1 do
+    if !k < b && (!i = m_old || after !i !k) then begin
+      inter_src.(o) <- bsrc.(!k);
+      inter_dst.(o) <- bdst.(!k);
+      Float.Array.set inter_time o (Float.Array.get btime !k);
+      Float.Array.set inter_qty o (Float.Array.get bqty !k);
+      incr k
+    end
+    else begin
+      inter_src.(o) <- src.(!i);
+      inter_dst.(o) <- dst.(!i);
+      Float.Array.set inter_time o (Float.Array.get t.inter_time !i);
+      Float.Array.set inter_qty o (Float.Array.get t.inter_qty !i);
+      incr i
+    end
+  done;
   derive ~labels ~label_index ~inter_src ~inter_dst ~inter_time ~inter_qty
 
 let of_graph g =

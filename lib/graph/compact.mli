@@ -50,6 +50,12 @@ val of_entries : ?vertices:int list -> (int * int * Interaction.t) list -> t
     duplicates allowed).  [vertices] adds isolated vertices by raw
     label.  Self-loops are accepted. *)
 
+val merge : t -> (int * int * Interaction.t) list -> t
+(** [merge t entries] equals [of_entries ~vertices ((t's entries) @ entries)]
+    with [vertices] every label of [t], isolated ones included.  Only
+    [entries] is sorted; it is merged into [t]'s columns in one pass
+    and the indexes are rebuilt by counting.  [t] is unchanged. *)
+
 val of_graph : Graph.t -> t
 (** Conversion from the persistent view, preserving isolated
     vertices. *)

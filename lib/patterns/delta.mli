@@ -11,11 +11,16 @@
     scratch.
 
     A row [(a, b)] or [(a, b, c)] depends only on the interaction
-    sequences of its own edges (the greedy reduction of Lemma 3), so a
-    row is stale exactly when one of those directed edges received new
-    interactions.  The correctness property ([apply] ≡ full
-    {!Catalog.precompute} on the grown network) is covered by the test
-    suite, and the speed difference by the [ablation] benchmark. *)
+    sequences of its own edges (the greedy reduction of Lemma 3).  The
+    net is cumulative: no edge is ever removed, so every old row stays
+    a path and a row is stale exactly when it runs through a touched
+    pair — the rows that a walk around the touched pairs lists.
+    Windowed tables would break this invariant.  An [apply] costs a
+    sort of the batch and a linear merge of it into the substrate
+    ({!Compact.merge}), the reductions of the rows through touched
+    pairs, and a copy of the kept rows.  [apply] ≡ full
+    {!Catalog.precompute} on the grown network, row for row, is
+    property-tested; the [ablation] benchmark times the two. *)
 
 type t = private {
   net : Compact.t;

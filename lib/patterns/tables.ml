@@ -53,6 +53,47 @@ let of_sorted ~n_vertices ~width verts flows =
   accumulate offsets;
   { width; verts; flows; offsets }
 
+let splice ?ids ~n_vertices t verts flows =
+  let w = t.width and n_old = n_rows t and k = Float.Array.length flows in
+  let old = match ids with None -> t.verts | Some ids -> Array.map (Array.get ids) t.verts in
+  let cmp r j =
+    let c = ref 0 and i = ref 0 in
+    while !c = 0 && !i < w do
+      c := Int.compare old.((r * w) + !i) verts.((j * w) + !i);
+      incr i
+    done;
+    !c
+  in
+  (* [at.(j)]: the first old row not below new row [j]. *)
+  let at = Array.make k 0 and replaced = ref 0 and lo = ref 0 in
+  for j = 0 to k - 1 do
+    let hi = ref n_old in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cmp mid j < 0 then lo := mid + 1 else hi := mid
+    done;
+    at.(j) <- !lo;
+    if !lo < n_old && cmp !lo j = 0 then incr replaced
+  done;
+  let rows = n_old + k - !replaced in
+  let out_verts = Array.make (rows * w) 0 and out_flows = Float.Array.create rows in
+  let r = ref 0 and o = ref 0 in
+  let keep upto =
+    Array.blit old (!r * w) out_verts (!o * w) ((upto - !r) * w);
+    Float.Array.blit t.flows !r out_flows !o (upto - !r);
+    o := !o + upto - !r;
+    r := upto
+  in
+  for j = 0 to k - 1 do
+    keep at.(j);
+    Array.blit verts (j * w) out_verts (!o * w) w;
+    Float.Array.set out_flows !o (Float.Array.get flows j);
+    incr o;
+    if !r < n_old && cmp !r j = 0 then incr r
+  done;
+  keep n_old;
+  of_sorted ~n_vertices ~width:w out_verts out_flows
+
 (* --- the flow-only Lemma-3 reduction ------------------------------ *)
 
 (* Scan state over [net] for a positional chain of up to
@@ -155,6 +196,15 @@ let chain_flow net edges =
   let sc = scratch net k in
   Array.blit edges 0 sc.edges 0 k;
   reduce sc k
+
+let chain_flows net ~hops edges =
+  let sc = scratch net hops in
+  let flows = Float.Array.create (Array.length edges / hops) in
+  for r = 0 to Float.Array.length flows - 1 do
+    Array.blit edges (r * hops) sc.edges 0 hops;
+    Float.Array.set flows r (reduce sc hops)
+  done;
+  flows
 
 (* --- two-pass build ------------------------------------------------ *)
 

@@ -64,11 +64,11 @@ val find : t -> Compact.vertex array -> int option
     hybrid graph-browsing mode to close chain/cycle sub-joins against
     precomputed rows. *)
 
-val of_sorted : n_vertices:int -> width:int -> int array -> floatarray -> t
-(** [of_sorted ~n_vertices ~width verts flows] adopts columns in the
-    layout above (no copy), deriving the offsets.  The rows must
-    already be in lexicographic vertex order, over vertices below
-    [n_vertices]; used by the {!Delta} maintenance pass. *)
+val splice : ?ids:int array -> n_vertices:int -> t -> int array -> floatarray -> t
+(** [splice ?ids ~n_vertices t verts flows]: [t]'s rows renamed
+    through the increasing [ids] (default the identity), with the
+    sorted rows [verts]/[flows] put in, each replacing any row with the
+    same vertices.  Fresh columns; kept rows are copied in runs. *)
 
 val chain_flow : Compact.t -> Compact.edge_id array -> float
 (** [chain_flow net edges] is the flow of the greedy reduction
@@ -80,3 +80,8 @@ val chain_flow : Compact.t -> Compact.edge_id array -> float
     (time, qty) order, so the scan merges the runs instead of sorting;
     it allocates a constant number of words whatever the run lengths.
     The table rows are computed with it. *)
+
+val chain_flows : Compact.t -> hops:int -> Compact.edge_id array -> floatarray
+(** [chain_flows net ~hops edges] is {!chain_flow} of every chain
+    [edges.(r * hops) .. edges.(r * hops + hops - 1)], with one scan
+    state for all of them. *)

@@ -37,3 +37,26 @@ let allocated_words () =
   Gc.minor ();
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+(* A path table's rows in id order — the order [Tables.find] and
+   [Tables.iter_start] rely on — as (vertices, flow). *)
+let table_rows t =
+  let module Tables = Tin_patterns.Tables in
+  List.init (Tables.n_rows t) (fun r ->
+      (List.init (Tables.width t) (Tables.vert t r), Tables.flow t r))
+
+(* Delta-maintained tables against a fresh precomputation over the
+   same net: row for row in id order, flows bit for bit. *)
+let tables_match_precompute msg (d : Tin_patterns.Delta.t) =
+  let module Catalog = Tin_patterns.Catalog in
+  let full = Catalog.precompute ~with_chains:(d.tables.c2 <> None) d.net in
+  let check part a b =
+    Alcotest.(check (list (pair (list int) exact)))
+      (msg ^ ": " ^ part) (table_rows b) (table_rows a)
+  in
+  check "L2" d.tables.l2 full.l2;
+  check "L3" d.tables.l3 full.l3;
+  match (d.tables.c2, full.c2) with
+  | Some a, Some b -> check "chains" a b
+  | None, None -> ()
+  | _ -> Alcotest.fail (msg ^ ": chain-table presence mismatch")

@@ -10,28 +10,7 @@ module Prng = Tin_util.Prng
 
 let i_ t q = Interaction.make ~time:t ~qty:q
 
-(* Normalize a table into label space for comparison. *)
-let normalized net table =
-  List.init (Tables.n_rows table) (fun r ->
-      ( List.init (Tables.width table) (fun i -> Compact.label net (Tables.vert table r i)),
-        Tables.flow table r ))
-  |> List.sort compare
-
-(* Both sides come from the same chain reduction, so flows must match
-   bit for bit. *)
-let check_equal_tables msg net_a ta net_b tb =
-  Alcotest.(check (list (pair (list int) Check.exact))) msg (normalized net_b tb)
-    (normalized net_a ta)
-
-let check_state_matches_full msg (d : Delta.t) =
-  (* Rebuild from scratch over the same grown network. *)
-  let full = Catalog.precompute ~with_chains:(d.Delta.tables.Catalog.c2 <> None) d.Delta.net in
-  check_equal_tables (msg ^ ": L2") d.Delta.net d.Delta.tables.Catalog.l2 d.Delta.net full.Catalog.l2;
-  check_equal_tables (msg ^ ": L3") d.Delta.net d.Delta.tables.Catalog.l3 d.Delta.net full.Catalog.l3;
-  match (d.Delta.tables.Catalog.c2, full.Catalog.c2) with
-  | Some a, Some b -> check_equal_tables (msg ^ ": chains") d.Delta.net a d.Delta.net b
-  | None, None -> ()
-  | _ -> Alcotest.fail "chain-table presence mismatch"
+let check_state_matches_full = Check.tables_match_precompute
 
 let test_new_cycle_appears () =
   (* 0->1 exists; adding 1->0 creates the 2-cycle (both anchors). *)
@@ -52,11 +31,8 @@ let test_existing_row_refreshed () =
      delivers 5 at t=1; 1->0 can now return at t=2 (3) and t=4 (2). *)
   let d = Delta.apply d ~additions:[ (1, 0, i_ 4.0 2.0) ] in
   check_state_matches_full "refresh" d;
-  let _, flow =
-    normalized d.Delta.net d.Delta.tables.Catalog.l2
-    |> List.find (fun (verts, _) -> List.hd verts = 0)
-  in
-  Alcotest.(check (float 1e-9)) "updated flow" 5.0 flow;
+  let row = Option.get (Tables.find d.Delta.tables.Catalog.l2 [| 0; 1 |]) in
+  Alcotest.(check (float 1e-9)) "updated flow" 5.0 (Tables.flow d.Delta.tables.Catalog.l2 row);
   Alcotest.(check bool) "rows were recomputed" true (d.Delta.rows_recomputed > 0)
 
 let test_untouched_rows_survive () =
@@ -98,35 +74,126 @@ let test_input_state_unchanged () =
   let _ = Delta.apply d0 ~additions:[ (0, 2, i_ 1.0 1.0); (2, 0, i_ 2.0 1.0) ] in
   Alcotest.(check int) "persistent" rows_before (Tables.n_rows d0.Delta.tables.Catalog.l2)
 
+let test_isolated_vertices_kept () =
+  (* A vertex without interactions must survive [apply]: dropping it
+     would shift every larger id. *)
+  let old_entries = [ (0, 1, i_ 1.0 5.0); (1, 0, i_ 2.0 3.0) ] in
+  let g = Graph.add_vertex (Graph.of_edges [ (0, 1, [ (1.0, 5.0) ]); (1, 0, [ (2.0, 3.0) ]) ]) 7 in
+  let d = Delta.create ~with_chains:true (Compact.of_graph g) in
+  let additions = [ (1, 2, i_ 3.0 1.0); (2, 0, i_ 4.0 1.0) ] in
+  let d = Delta.apply d ~additions in
+  Alcotest.(check bool) "grown net = of_entries with the old labels" true
+    (Compact.equal d.Delta.net
+       (Compact.of_entries ~vertices:[ 0; 1; 7 ] (old_entries @ additions)));
+  Alcotest.(check (option int)) "isolated label keeps the top id" (Some 3)
+    (Compact.vertex_of_label d.Delta.net 7);
+  check_state_matches_full "isolated vertex" d
+
+let test_self_loop_in_base () =
+  (* The substrate tolerates a self-loop: the chain (1, 1, 2) runs over
+     it and must be refreshed when 1 -> 2 grows. *)
+  let net = Compact.of_entries [ (1, 1, i_ 1.0 4.0); (1, 2, i_ 2.0 3.0); (2, 3, i_ 3.0 2.0) ] in
+  let d = Delta.create ~with_chains:true net in
+  let d = Delta.apply d ~additions:[ (1, 2, i_ 3.0 2.0) ] in
+  check_state_matches_full "self-loop base" d
+
+(* Rows of [d]'s tables that use one of the directed label pairs in
+   [pairs], counted from the tables alone. *)
+let rows_through d pairs =
+  let net = d.Delta.net in
+  let uses t hops =
+    let w = Tables.width t in
+    let count = ref 0 in
+    for r = 0 to Tables.n_rows t - 1 do
+      let l i = Compact.label net (Tables.vert t r (i mod w)) in
+      if List.exists (fun i -> List.mem (l i, l (i + 1)) pairs) (List.init hops Fun.id) then
+        incr count
+    done;
+    !count
+  in
+  let { Catalog.l2; l3; c2 } = d.Delta.tables in
+  uses l2 2 + uses l3 3 + Option.fold ~none:0 ~some:(fun c2 -> uses c2 2) c2
+
+(* An independent copy of a state, to check that [apply] leaves its
+   input alone. *)
+let copy (d : Delta.t) =
+  let c = Compact.columns d.Delta.net in
+  let net =
+    Compact.of_columns
+      {
+        Compact.c_labels = Array.copy c.Compact.c_labels;
+        c_src = Array.copy c.Compact.c_src;
+        c_dst = Array.copy c.Compact.c_dst;
+        c_time = Float.Array.copy c.Compact.c_time;
+        c_qty = Float.Array.copy c.Compact.c_qty;
+      }
+  in
+  let { Catalog.l2; l3; c2 } = d.Delta.tables in
+  (Result.get_ok net, List.map Check.table_rows (l2 :: l3 :: Option.to_list c2))
+
 let prop_delta_equals_full rng =
-  (* Random base network, random addition batches: after each batch
-     the incremental tables equal a full precomputation. *)
-  let net = Gen.random_net ~n:8 ~edges:14 rng in
+  (* Base labels 1, 4, 7, ...: a new label can fall below or between
+     them, shifting old ids.  Small integer times tie with existing
+     interactions; batches are unsorted, may repeat a pair, and some
+     add one edge between two new labels, which creates no row. *)
+  let n = 6 in
+  let label i = (3 * i) + 1 in
+  let inter () =
+    Interaction.make ~time:(float_of_int (Prng.int rng 12)) ~qty:(float_of_int (1 + Prng.int rng 9))
+  in
+  let entries =
+    ref
+      (List.init
+         (4 + Prng.int rng 14)
+         (fun _ ->
+           let i = Prng.int rng n in
+           (label i, label ((i + 1 + Prng.int rng (n - 1)) mod n), inter ())))
+  in
+  let any_label () = if Prng.int rng 3 = 0 then Prng.int rng (3 * n) else label (Prng.int rng n) in
+  let net = Compact.of_entries ~vertices:[ label n ] !entries in
   let d = ref (Delta.create ~with_chains:true net) in
-  let ok = ref true in
-  for _ = 1 to 3 do
-    let n_adds = 1 + Prng.int rng 4 in
+  for round = 1 to 4 do
+    let no_row = Prng.int rng 4 = 0 in
     let additions =
-      List.init n_adds (fun _ ->
-          let s = Prng.int rng 10 in
-          let t = Prng.int rng 10 in
-          let t = if t = s then (t + 1) mod 10 else t in
-          ( s,
-            t,
-            Interaction.make
-              ~time:(float_of_int (Prng.int rng 20))
-              ~qty:(float_of_int (1 + Prng.int rng 9)) ))
+      if no_row then [ (100 + (2 * round), 101 + (2 * round), inter ()) ]
+      else
+        List.concat
+          (List.init
+             (1 + Prng.int rng 4)
+             (fun _ ->
+               let s = any_label () and t = any_label () in
+               let t = if t = s then s + 1 else t in
+               List.init (1 + Prng.int rng 2) (fun _ -> (s, t, inter ()))))
     in
-    d := Delta.apply !d ~additions;
-    let full = Catalog.precompute ~with_chains:true !d.Delta.net in
-    let eq t1 t2 = normalized !d.Delta.net t1 = normalized !d.Delta.net t2 in
-    ok :=
-      !ok
-      && eq !d.Delta.tables.Catalog.l2 full.Catalog.l2
-      && eq !d.Delta.tables.Catalog.l3 full.Catalog.l3
-      && eq (Option.get !d.Delta.tables.Catalog.c2) (Option.get full.Catalog.c2)
+    let before = copy !d in
+    let labels = List.init (Compact.n_vertices !d.Delta.net) (Compact.label !d.Delta.net) in
+    let next = Delta.apply !d ~additions in
+    let net, rows = copy !d in
+    Alcotest.(check bool) "input net unchanged" true (Compact.equal net (fst before));
+    Alcotest.(check (list (list (pair (list int) Check.exact)))) "input tables unchanged"
+      (snd before) rows;
+    entries := !entries @ additions;
+    Alcotest.(check bool) "grown net = of_entries" true
+      (Compact.equal next.Delta.net (Compact.of_entries ~vertices:labels !entries));
+    check_state_matches_full "after apply" next;
+    let full = Catalog.precompute ~with_chains:true next.Delta.net in
+    List.iter
+      (fun p ->
+        let a = Catalog.pb next.Delta.net next.Delta.tables p
+        and b = Catalog.pb next.Delta.net full p in
+        Alcotest.(check (pair int Check.exact))
+          ("pb " ^ Catalog.pattern_name p)
+          (b.Catalog.instances, b.Catalog.total_flow)
+          (a.Catalog.instances, a.Catalog.total_flow))
+      Catalog.all;
+    let recomputed = next.Delta.rows_recomputed - !d.Delta.rows_recomputed in
+    Alcotest.(check int) "rows_recomputed = rows through touched pairs"
+      (rows_through next (List.map (fun (s, t, _) -> (s, t)) additions))
+      recomputed;
+    if no_row then Alcotest.(check int) "no row created" 0 recomputed;
+    d := next
   done;
-  !ok
+  true
 
 let () =
   Alcotest.run "delta"
@@ -139,6 +206,8 @@ let () =
           Alcotest.test_case "new vertices" `Quick test_new_vertices;
           Alcotest.test_case "self-loop rejected" `Quick test_self_loop_rejected;
           Alcotest.test_case "input state unchanged" `Quick test_input_state_unchanged;
+          Alcotest.test_case "isolated vertices kept" `Quick test_isolated_vertices_kept;
+          Alcotest.test_case "self-loop in the base" `Quick test_self_loop_in_base;
           Check.seeded_property ~count:100 "delta = full rebuild" prop_delta_equals_full;
         ] );
     ]

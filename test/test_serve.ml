@@ -13,7 +13,6 @@ module Ingest = Tin_daemon.Ingest
 module Greedy = Tin_core.Greedy
 module Window = Tin_core.Window
 module Catalog = Tin_patterns.Catalog
-module Tables = Tin_patterns.Tables
 module Delta = Tin_patterns.Delta
 module Prng = Tin_util.Prng
 
@@ -243,27 +242,7 @@ let test_daemon_eviction () =
 
 (* --- daemon: delta tables differential ------------------------------ *)
 
-(* Normalize a table into label space (same idiom as test_delta). *)
-let normalized net table =
-  List.init (Tables.n_rows table) (fun r ->
-      ( List.init (Tables.width table) (fun i -> Compact.label net (Tables.vert table r i)),
-        Tables.flow table r ))
-  |> List.sort compare
-
-let tables_match_precompute msg (d : Delta.t) =
-  let with_chains = d.Delta.tables.Catalog.c2 <> None in
-  let full = Catalog.precompute ~with_chains d.Delta.net in
-  let check part a b =
-    Alcotest.(check (list (pair (list int) Check.exact)))
-      (msg ^ ": " ^ part)
-      (normalized d.Delta.net b) (normalized d.Delta.net a)
-  in
-  check "L2" d.Delta.tables.Catalog.l2 full.Catalog.l2;
-  check "L3" d.Delta.tables.Catalog.l3 full.Catalog.l3;
-  match (d.Delta.tables.Catalog.c2, full.Catalog.c2) with
-  | Some a, Some b -> check "chains" a b
-  | None, None -> ()
-  | _ -> Alcotest.fail "chain-table presence mismatch"
+let tables_match_precompute = Check.tables_match_precompute
 
 let prop_daemon_tables_match_precompute rng =
   (* P1 needs the chain table, so this also exercises chains. *)
@@ -534,6 +513,46 @@ let test_http_latency_metric () =
           Alcotest.(check bool) "probed path never becomes a label" false
             (contains scrape "no-such-route{")))
 
+(* A recorded tick names its table update: [delta.apply] under
+   [serve.tick], and under it [delta.merge] (the substrate) and one
+   [delta.rows] per table, whose row counts add up to the rows
+   recomputed. *)
+let test_tick_trace_spans () =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let d =
+        Daemon.create (Daemon.config ~source:0 ~sink:9 ~patterns:[ Catalog.Rigid Catalog.P1 ] ())
+      in
+      ignore (Daemon.ingest d [ entry 0 1 1.0 5.0; entry 1 0 2.0 3.0; entry 1 2 3.0 1.0 ]);
+      ignore (Daemon.tick d);
+      let named n = List.filter (fun (e : Obs.event) -> e.Obs.name = n) (Obs.trace_events ()) in
+      let one n =
+        match named n with
+        | [ e ] -> e
+        | l -> Alcotest.failf "expected one %s span, got %d" n (List.length l)
+      in
+      let tick = one "serve.tick" and apply = one "delta.apply" in
+      Alcotest.(check string) "delta.apply under serve.tick" tick.Obs.span_id apply.Obs.parent_id;
+      Alcotest.(check string) "delta.merge under delta.apply" apply.Obs.span_id
+        (one "delta.merge").Obs.parent_id;
+      let rows = named "delta.rows" in
+      List.iter
+        (fun (e : Obs.event) ->
+          Alcotest.(check string) "delta.rows under delta.apply" apply.Obs.span_id e.Obs.parent_id)
+        rows;
+      Alcotest.(check (list string)) "one delta.rows per table" [ "l2"; "l3"; "c2" ]
+        (List.map (fun (e : Obs.event) -> List.assoc "table" e.Obs.args) rows);
+      Alcotest.(check int) "row counts add up"
+        (Daemon.stats d).Daemon.rows_recomputed_total
+        (List.fold_left
+           (fun n (e : Obs.event) -> n + int_of_string (List.assoc "rows" e.Obs.args))
+           0 rows))
+
 (* The lag gauge must read as absent — not stale — when the window is
    empty or nothing has ever arrived. *)
 let test_ingest_lag_unset () =
@@ -602,5 +621,6 @@ let () =
           Alcotest.test_case "traceparent echo" `Quick test_traceparent_echo;
           Alcotest.test_case "request latency histogram" `Quick test_http_latency_metric;
           Alcotest.test_case "lag gauge unset semantics" `Quick test_ingest_lag_unset;
+          Alcotest.test_case "tick trace names the delta layer" `Quick test_tick_trace_spans;
         ] );
     ]

@@ -42,13 +42,10 @@ type result = {
   rows_recomputed : int;
 }
 
-(* The ticked scenario's daemon settings.  No instance cap: a capped
-   search that runs on several domains may keep a different subset of
-   instances from run to run, so only an exhaustive one can be
-   compared bit for bit. *)
+(* The ticked scenario's daemon settings; the instance cap is the
+   daemon's default. *)
 let cadence = 1000
 let patterns = Catalog.[ Rigid P2; Rigid P3; Relaxed RP3 ]
-let limit = max_int
 
 (* Strictly increasing times: the stream never ties across chunks, so
    the daemon's dirty-flag fallback fires only on evictions — the
@@ -76,7 +73,7 @@ let chunks_of stream ~chunk =
    triggered, as (pattern, instances, total flow). *)
 let run_daemon ~source ~sink ~window ~ticked chunks =
   let cadence, patterns = if ticked then (cadence, patterns) else (0, []) in
-  let d = Daemon.create (Daemon.config ~source ~sink ?window ~cadence ~patterns ~limit ()) in
+  let d = Daemon.create (Daemon.config ~source ~sink ?window ~cadence ~patterns ()) in
   let out =
     List.map
       (fun c ->
@@ -92,8 +89,10 @@ let run_daemon ~source ~sink ~window ~ticked chunks =
 (* The naive server: keep every interaction, re-restrict and re-run
    the batch greedy scan from scratch at each observation, and at each
    tick precompute the tables of the cumulative net afresh and search
-   them with the daemon's rule for an alert. *)
+   them with the daemon's rule for an alert: one domain, the daemon's
+   default cap. *)
 let run_baseline ~source ~sink ~window ~ticked chunks =
+  let limit = (Daemon.config ~source ~sink ()).Daemon.limit in
   let g = ref Graph.empty and entries = ref [] and since = ref 0 in
   let last = ref neg_infinity in
   List.map
@@ -117,7 +116,7 @@ let run_baseline ~source ~sink ~window ~ticked chunks =
           let tables = Catalog.precompute net in
           List.filter_map
             (fun p ->
-              let r = Catalog.pb net tables p in
+              let r = Catalog.pb ~jobs:1 ~limit net tables p in
               if r.Catalog.instances > 0 && r.Catalog.total_flow > 0. then
                 Some (p, r.Catalog.instances, r.Catalog.total_flow)
               else None)

@@ -155,21 +155,34 @@ let run datasets =
       (List.length problems);
     let ns_per_op = disabled_incr_ns () in
     let ns_per_flight_span = flight_span_ns () in
-    (* Count the counter operations and spans the workload performs. *)
+    (* Time the workload on the strict zero path (recorder disarmed),
+       repeating it until the timed passes add up to 100 ms: one pass
+       over these LPs takes a few milliseconds, too short to time.  The
+       flight cost is then added back analytically from the measured
+       per-span price. *)
+    Obs.Flight.disarm ();
+    solve_all problems;
+    let reps = ref 0 and disabled_secs = ref 0.0 in
+    while !disabled_secs < 0.1 do
+      let (), dt = Timer.time_f (fun () -> solve_all problems) in
+      incr reps;
+      disabled_secs := !disabled_secs +. dt
+    done;
+    let reps = !reps and disabled_secs = !disabled_secs in
+    Obs.Flight.arm ();
+    (* Count the counter operations and spans the same passes perform. *)
     Obs.reset ();
     Obs.enable ();
-    let (), enabled_secs = Timer.time_f (fun () -> solve_all problems) in
+    let (), enabled_secs =
+      Timer.time_f (fun () ->
+          for _ = 1 to reps do
+            solve_all problems
+          done)
+    in
     Obs.disable ();
     let ops = List.fold_left (fun acc (_, v) -> acc + v) 0 (Obs.counters ()) in
     let spans = List.length (Obs.trace_events ()) + Obs.dropped_events () in
     Obs.reset ();
-    (* Time the same workload on the strict zero path (recorder
-       disarmed, twice: warm + timed); the flight cost is then added
-       back analytically from the measured per-span price. *)
-    Obs.Flight.disarm ();
-    solve_all problems;
-    let (), disabled_secs = Timer.time_f (fun () -> solve_all problems) in
-    Obs.Flight.arm ();
     let injected_secs =
       (float_of_int ops *. ns_per_op /. 1e9)
       +. (float_of_int spans *. ns_per_flight_span /. 1e9)
@@ -177,6 +190,7 @@ let run datasets =
     let overhead_pct = 100.0 *. injected_secs /. Float.max disabled_secs 1e-9 in
     Printf.printf "  disabled Counter.incr:  %.2f ns/op\n" ns_per_op;
     Printf.printf "  flight span record:     %.2f ns/span\n" ns_per_flight_span;
+    Printf.printf "  workload: %d passes over the LPs\n" reps;
     Printf.printf "  counter ops in workload: %d, spans: %d\n" ops spans;
     Printf.printf "  workload wall: %.3fs disabled, %.3fs enabled\n" disabled_secs enabled_secs;
     Printf.printf "  estimated disabled-path overhead: %.4f%% (guard: < %g%%)\n" overhead_pct

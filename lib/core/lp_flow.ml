@@ -75,8 +75,9 @@ let build g ~source ~sink =
   (* Buffer constraints, one per distinct sending timestamp per vertex.
      An interaction sent at τ may not use arrivals at τ, so at each
      distinct outgoing timestamp τ we bound cumulative outgoing (≤ τ)
-     by cumulative incoming (< τ). *)
-  let n_rows = ref 0 in
+     by cumulative incoming (< τ).  A vertex's rows form one chain of
+     increments: each row adds its group's outgoing variables and the
+     arrivals since the previous row. *)
   Hashtbl.iter
     (fun v evs ->
       if v <> source && v <> sink then begin
@@ -84,11 +85,11 @@ let build g ~source ~sink =
         Array.sort (fun a b -> Float.compare a.time b.time) evs;
         let n = Array.length evs in
         (* One forward pass over the sorted events, one timestamp group
-           at a time, accumulating incoming terms (variables and
-           constants) seen strictly before the current group. *)
-        let in_vars = ref [] (* (coef, var) of incoming, accumulated *) in
+           at a time, collecting the arrivals (variables and constants)
+           since the previous row. *)
+        let increments = ref [] (* reversed *) in
+        let in_vars = ref [] (* (-1, var) of arrivals since the previous row *) in
         let in_fixed = ref 0.0 in
-        let out_vars = ref [] in
         let i = ref 0 in
         while !i < n do
           let tau = evs.(!i).time in
@@ -96,42 +97,39 @@ let build g ~source ~sink =
           while !stop < n && Float.equal evs.(!stop).time tau do
             incr stop
           done;
-          (* Outgoing events of this group join the cumulative outgoing
-             side before the constraint is emitted (cumulative ≤ τ). *)
-          let has_out = ref false in
+          (* Outgoing events of this group join the row (cumulative ≤ τ). *)
+          let out_vars = ref [] in
           for k = !i to !stop - 1 do
             let e = evs.(k) in
-            if not e.incoming then begin
-              (match e.var with
+            if not e.incoming then
+              match e.var with
               | Some x -> out_vars := (1.0, x) :: !out_vars
-              | None -> assert false (* outgoing of v ≠ source always has a var *));
-              has_out := true
-            end
+              | None -> assert false (* outgoing of v ≠ source always has a var *)
           done;
-          if !has_out && !in_fixed < infinity then begin
-            (* Σ out(≤τ) − Σ in(<τ) ≤ fixed_in(<τ) *)
-            let terms =
-              List.rev_append !out_vars (List.map (fun (c, x) -> (-.c, x)) !in_vars)
-            in
-            Problem.add_le problem terms !in_fixed;
-            incr n_rows
+          (* Σ out(≤τ) − Σ in(<τ) ≤ fixed_in(<τ); the chain ends at an
+             infinite fixed inflow, which [in_fixed] then keeps. *)
+          if !out_vars <> [] && !in_fixed < infinity then begin
+            increments := (List.rev_append !out_vars !in_vars, !in_fixed) :: !increments;
+            in_vars := [];
+            in_fixed := 0.0
           end;
           (* Incoming arrivals at τ become available after τ. *)
           for k = !i to !stop - 1 do
             let e = evs.(k) in
             if e.incoming then
               match e.var with
-              | Some x -> in_vars := (1.0, x) :: !in_vars
+              | Some x -> in_vars := (-1.0, x) :: !in_vars
               | None -> in_fixed := !in_fixed +. e.qty
           done;
           i := !stop
-        done
+        done;
+        Problem.add_cumulative problem (List.rev !increments)
       end)
     events;
   {
     problem;
     n_vars = !n_vars;
-    n_rows = !n_rows;
+    n_rows = Problem.n_constraints problem;
     fixed_into_sink = !fixed_into_sink;
     objective_vars = !objective_vars;
     var_interactions = !var_interactions;

@@ -7,8 +7,11 @@
     [v] sends, a buffer constraint bounds what [v] may have sent up to
     and including [τ] by what it received strictly before [τ]
     (Eq. 2, in cumulative form so that simultaneous interactions cannot
-    double-spend a buffer).  The objective maximizes the quantity
-    arriving at the sink (Eq. 3). *)
+    double-spend a buffer).  A vertex's rows form one chain of
+    increments ({!Tin_lp.Problem.add_cumulative}), so [k] events cost
+    O(k) nonzeros, and a row's slack is the buffer carried to the next
+    sending time.  The objective maximizes the quantity arriving at
+    the sink (Eq. 3). *)
 
 type lp = {
   problem : Tin_lp.Problem.t;

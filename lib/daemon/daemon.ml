@@ -211,7 +211,9 @@ let tick_locked t =
   Obs.Gauge.set g_rows (float_of_int t.delta.Delta.rows_recomputed);
   List.filter_map
     (fun p ->
-      let r = Catalog.pb ~limit:t.config.limit t.delta.Delta.net t.delta.Delta.tables p in
+      let r =
+        Catalog.pb ~jobs:1 ~limit:t.config.limit t.delta.Delta.net t.delta.Delta.tables p
+      in
       if r.Catalog.instances > 0 && r.Catalog.total_flow > 0.
          && r.Catalog.total_flow >= t.config.min_flow
       then begin

@@ -12,7 +12,8 @@ type var_info = { ub : float; obj : float }
 type t = {
   mutable vars : var_info array; (* prefix [0, nvars) is live *)
   mutable nvars : int;
-  mutable rows : ((float * var) list * float) list; (* reversed *)
+  mutable rows : ((float * var) list * float * bool) list;
+      (* reversed (terms, rhs) increments; true if the next row continues it *)
   mutable nrows : int;
   mutable frozen : bool;
 }
@@ -37,16 +38,22 @@ let add_var ?(ub = infinity) ?(obj = 0.0) t =
   t.nvars <- t.nvars + 1;
   id
 
-let add_le t terms rhs =
+let add_cumulative t increments =
   check_open t "Problem.add_le";
-  if not (rhs >= 0.0) then invalid_arg "Problem.add_le: negative or NaN rhs";
   List.iter
-    (fun (coef, v) ->
-      if v < 0 || v >= t.nvars then invalid_arg "Problem.add_le: unknown variable";
-      if Float.is_nan coef then invalid_arg "Problem.add_le: NaN coefficient")
-    terms;
-  t.rows <- (terms, rhs) :: t.rows;
-  t.nrows <- t.nrows + 1
+    (fun (terms, rhs) ->
+      if not (rhs >= 0.0) then invalid_arg "Problem.add_le: negative or NaN rhs";
+      List.iter
+        (fun (coef, v) ->
+          if v < 0 || v >= t.nvars then invalid_arg "Problem.add_le: unknown variable";
+          if Float.is_nan coef then invalid_arg "Problem.add_le: NaN coefficient")
+        terms)
+    increments;
+  let last = List.length increments - 1 in
+  List.iteri (fun k (terms, rhs) -> t.rows <- (terms, rhs, k < last) :: t.rows) increments;
+  t.nrows <- t.nrows + last + 1
+
+let add_le t terms rhs = add_cumulative t [ (terms, rhs) ]
 
 let n_vars t = t.nvars
 let n_constraints t = t.nrows
@@ -57,20 +64,21 @@ let solve ?eps ?max_iters ?metrics t =
   let c = Array.init n (fun j -> t.vars.(j).obj) in
   let upper = Array.init n (fun j -> t.vars.(j).ub) in
   let compute () =
-    (* CSC storage straight from the term lists, never densified.
+    (* Column lists straight from the increments, never densified.
        [t.rows] is reversed, so row [k] of the list is constraint
        [m - 1 - k]; duplicate terms give duplicate (row, coef)
        entries, which the solver sums. *)
-    let rhs = Array.make m 0.0 in
+    let rhs = Array.make m 0.0 and next = Array.make m (-1) in
     let cols = Array.make n [] in
     List.iteri
-      (fun k (terms, b) ->
+      (fun k (terms, b, continued) ->
         let i = m - 1 - k in
         List.iter (fun (coef, v) -> cols.(v) <- (i, coef) :: cols.(v)) terms;
-        rhs.(i) <- b)
+        rhs.(i) <- b;
+        if continued then next.(i) <- i + 1)
       t.rows;
-    match Sparse.solve ?eps ?max_iters ?metrics ~c ~upper ~rhs ~cols () with
-    | Sparse.Optimal { solution; _ } -> `Optimal solution
+    match Sparse.solve ?eps ?max_iters ?metrics ~c ~upper ~rhs ~cols ~next () with
+    | Sparse.Optimal { objective; solution } -> `Optimal (objective, solution)
     | Sparse.Unbounded -> `Unbounded
     | Sparse.Iteration_limit -> `Iteration_limit
   in
@@ -95,14 +103,10 @@ let solve ?eps ?max_iters ?metrics t =
     else compute ()
   in
   match outcome with
-  | `Optimal solution ->
+  | `Optimal (objective, solution) ->
       let value v =
         if v < 0 || v >= n then invalid_arg "Problem.solution.value: unknown variable"
         else solution.(v)
       in
-      let objective = ref 0.0 in
-      for j = 0 to n - 1 do
-        objective := !objective +. (c.(j) *. solution.(j))
-      done;
-      { status = `Optimal; objective = !objective; value }
+      { status = `Optimal; objective; value }
   | (`Unbounded | `Iteration_limit) as status -> { status; objective = 0.0; value = (fun _ -> 0.0) }

@@ -30,18 +30,27 @@ val add_var : ?ub:float -> ?obj:float -> t -> var
 
 val add_le : t -> (float * var) list -> float -> unit
 (** [add_le p terms rhs] adds [Σ coef·var ≤ rhs].  Repeated variables
-    in [terms] are summed.
+    in [terms] are summed.  A chain of one row ({!add_cumulative}).
     @raise Invalid_argument if [rhs] is negative or NaN, a coefficient
     is NaN, a variable is unknown, or the problem was already solved. *)
+
+val add_cumulative : t -> ((float * var) list * float) list -> unit
+(** [add_cumulative p [ (terms_1, rhs_1); ...; (terms_K, rhs_K) ]] adds
+    a chain of [K] rows, row [k] stating
+    [Σ_{j≤k} terms_j ≤ Σ_{j≤k} rhs_j].  Only the increments are stored
+    (row [k]'s slack is carried into row [k+1], {!Sparse.solve}'s
+    [next]), so a chain costs O(size of its increments), not of its
+    running sums.  Every [rhs_k] must be non-negative.
+    @raise Invalid_argument with {!add_le}'s messages, adding no row. *)
 
 val n_vars : t -> int
 val n_constraints : t -> int
 
 val solve : ?eps:float -> ?max_iters:int -> ?metrics:Solver_metrics.t -> t -> solution
 (** Solves the problem with the sparse bounded-variable revised simplex
-    ({!Sparse}: column-wise storage built straight from the term lists
-    and an eta-file basis inverse, no tableau).  The builder is frozen
-    afterwards.
+    ({!Sparse}: column-wise storage built straight from the increments,
+    the chains as its [next] links, and an eta-file basis inverse, no
+    tableau).  The builder is frozen afterwards.
 
     [metrics] accumulates the solver's work counts (iterations,
     pivots, bound flips, refactorizations) into the given record; the

@@ -16,25 +16,29 @@ type outcome =
    Columns 0..n-1 are the structural variables (bounds [0, upper.(j)]),
    columns n..n+m-1 the slacks (row i's slack is column n+i, bounds
    [0, inf)).  The constraint matrix is stored column-wise and never
-   densified; slack columns are implicit unit vectors.
+   densified.  Rows come in chains, each stored as its increment D over
+   the row it continues: with S the running sum along each chain,
+   [S D x + s = S rhs] reads [D x + (I - N) s = rhs], so row i's slack
+   is the implicit column e_i - e_next(i), its unused buffer carried
+   into the next row.
 
-   The basis inverse is represented as an eta file: B^-1 = E_k ... E_1
-   where each E is the inverse of an elementary column change.  For an
-   entering column with FTRANed direction w pivoting in row r:
+   The basis inverse is B^-1 = E_k ... E_1 S, where S inverts the
+   all-slack basis I - N and each eta E inverts an elementary column
+   change.  For an entering column with FTRANed direction w pivoting
+   in row r:
      FTRAN step:  t = v_r / w_r;  v_i -= w_i * t (i != r);  v_r = t
      BTRAN step:  y_r = (y_r - sum_{i != r} w_i * y_i) / w_r
+   FTRAN runs the forward sums S first, BTRAN the backward sums last.
    The file is rebuilt from scratch (Gauss-Jordan with partial
-   pivoting, slack columns first) every [refactor_every] etas, at which
-   point the basic values are also recomputed from the original data to
-   flush accumulated drift.
+   pivoting, slack columns first: S maps a basic slack to its unit
+   vector) every [refactor_every] etas, at which point the basic values
+   are also recomputed from the original data to flush drift.
 
-   The origin (all structural variables at 0, slacks basic at rhs) is
+   The origin (all structural variables at 0, slacks basic at S rhs) is
    feasible because rhs >= 0, so no phase 1 is needed. *)
 
-type eta = { er : int; wr : float; ew : (int * float) array (* excludes er *) }
-
 let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000)
-    ?(refactor_every = 64) ?metrics ~c ~upper ~rhs ~cols () =
+    ?(refactor_every = 64) ?metrics ~c ~upper ~rhs ~cols ~next () =
   let n = Array.length c in
   let m = Array.length rhs in
   let npivots = ref 0 and nflips = ref 0 and nretries = ref 0 and nrefact = ref 0 in
@@ -65,58 +69,86 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
       if not (b >= 0.0) then
         invalid_arg "Sparse.solve: negative or NaN rhs (origin must be feasible)")
     rhs;
-  let cols =
-    Array.map
-      (fun entries ->
-        List.iter
-          (fun (i, a) ->
-            if i < 0 || i >= m then invalid_arg "Sparse.solve: row index out of range";
-            if Float.is_nan a then invalid_arg "Sparse.solve: NaN coefficient")
-          entries;
-        Array.of_list entries)
-      cols
-  in
+  if Array.length next <> m then invalid_arg "Sparse.solve: chain arity mismatch";
+  let continued = Array.make m false in
+  Array.iteri
+    (fun i j ->
+      if j <> -1 then begin
+        if j <= i || j >= m || continued.(j) then invalid_arg "Sparse.solve: bad next link";
+        continued.(j) <- true
+      end)
+    next;
+  (* --- columns: CSC in list order; slack n+i is e_i - e_next(i) --- *)
+  let cstart = Array.make (n + 1) 0 in
+  Array.iteri (fun j l -> cstart.(j + 1) <- cstart.(j) + List.length l) cols;
+  let crow = Array.make cstart.(n) 0 and cval = Array.make cstart.(n) 0.0 in
+  Array.iteri
+    (fun j l ->
+      List.iteri
+        (fun k (i, a) ->
+          if i < 0 || i >= m then invalid_arg "Sparse.solve: row index out of range";
+          if Float.is_nan a then invalid_arg "Sparse.solve: NaN coefficient";
+          crow.(cstart.(j) + k) <- i;
+          cval.(cstart.(j) + k) <- a)
+        l)
+    cols;
   let ncols = n + m in
-  (* --- eta file --- *)
-  let dummy = { er = 0; wr = 1.0; ew = [||] } in
-  let etas = ref (Array.make 32 dummy) in
-  let neta = ref 0 in
-  let push_eta e =
-    if !neta = Array.length !etas then begin
-      let bigger = Array.make (2 * !neta) dummy in
-      Array.blit !etas 0 bigger 0 !neta;
-      etas := bigger
-    end;
-    !etas.(!neta) <- e;
-    incr neta
+  (* v += s * column j *)
+  let scatter s j v =
+    if j < n then
+      for p = cstart.(j) to cstart.(j + 1) - 1 do
+        v.(crow.(p)) <- v.(crow.(p)) +. (s *. cval.(p))
+      done
+    else begin
+      v.(j - n) <- v.(j - n) +. s;
+      if next.(j - n) >= 0 then v.(next.(j - n)) <- v.(next.(j - n)) -. s
+    end
   in
+  let col_dot y j =
+    if j >= n then y.(j - n) -. if next.(j - n) >= 0 then y.(next.(j - n)) else 0.0
+    else begin
+      let acc = ref 0.0 in
+      for p = cstart.(j) to cstart.(j + 1) - 1 do
+        acc := !acc +. (cval.(p) *. y.(crow.(p)))
+      done;
+      !acc
+    end
+  in
+  (* --- eta file, flat: eta k is entries [es.(k), es.(k+1)) of the
+     row/value columns [ei]/[ew], its pivot (r, w_r) first, then the
+     other rows in descending order --- *)
+  let es = ref (Array.make 64 0) and neta = ref 0 in
+  let ei = ref (Array.make 256 0) and ew = ref (Array.make 256 0.0) in
   let ftran v =
+    for i = 0 to m - 1 do
+      if next.(i) >= 0 then v.(next.(i)) <- v.(next.(i)) +. v.(i)
+    done;
+    let es = !es and ei = !ei and ew = !ew in
     for k = 0 to !neta - 1 do
-      let { er; wr; ew } = !etas.(k) in
-      let t = v.(er) in
+      let p0 = es.(k) in
+      let t = v.(ei.(p0)) in
       if t <> 0.0 then begin
-        let t = t /. wr in
-        Array.iter (fun (i, wi) -> v.(i) <- v.(i) -. (wi *. t)) ew;
-        v.(er) <- t
+        let t = t /. ew.(p0) in
+        for p = p0 + 1 to es.(k + 1) - 1 do
+          v.(ei.(p)) <- v.(ei.(p)) -. (ew.(p) *. t)
+        done;
+        v.(ei.(p0)) <- t
       end
     done
   in
   let btran y =
+    let es = !es and ei = !ei and ew = !ew in
     for k = !neta - 1 downto 0 do
-      let { er; wr; ew } = !etas.(k) in
-      let s = ref y.(er) in
-      Array.iter (fun (i, wi) -> s := !s -. (wi *. y.(i))) ew;
-      y.(er) <- !s /. wr
+      let p0 = es.(k) in
+      let s = ref y.(ei.(p0)) in
+      for p = p0 + 1 to es.(k + 1) - 1 do
+        s := !s -. (ew.(p) *. y.(ei.(p)))
+      done;
+      y.(ei.(p0)) <- !s /. ew.(p0)
+    done;
+    for i = m - 1 downto 0 do
+      if next.(i) >= 0 then y.(i) <- y.(i) +. y.(next.(i))
     done
-  in
-  (* --- columns (slacks implicit) --- *)
-  let scatter j v =
-    if j < n then Array.iter (fun (i, a) -> v.(i) <- v.(i) +. a) cols.(j)
-    else v.(j - n) <- v.(j - n) +. 1.0
-  in
-  let col_dot y j =
-    if j < n then Array.fold_left (fun acc (i, a) -> acc +. (a *. y.(i))) 0.0 cols.(j)
-    else y.(j - n)
   in
   (* --- basis state --- *)
   let basis = Array.init m (fun i -> n + i) in
@@ -125,10 +157,28 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
     is_basic.(n + i) <- true
   done;
   let at_upper = Array.make ncols false in
+  let w = Array.make m 0.0 (* FTRANed entering column / scratch *) in
+  (* Appends the eta of a pivot on [w] in row [r]. *)
+  let push_eta r =
+    let p = ref !es.(!neta) in
+    while !p + m > Array.length !ei do
+      ei := Array.append !ei !ei;
+      ew := Array.append !ew !ew
+    done;
+    let ei = !ei and ew = !ew in
+    let add i = ei.(!p) <- i; ew.(!p) <- w.(i); incr p in
+    add r;
+    for i = m - 1 downto 0 do
+      if i <> r && Float.abs w.(i) > 1e-13 then add i
+    done;
+    if !neta + 1 = Array.length !es then es := Array.append !es !es;
+    incr neta;
+    !es.(!neta) <- !p
+  in
   let xb = Array.copy rhs in
+  ftran xb;
   let bound j = if j < n then upper.(j) else infinity in
   let cost j = if j < n then c.(j) else 0.0 in
-  let w = Array.make m 0.0 (* FTRANed entering column / scratch *) in
   let y = Array.make m 0.0 (* simplex multipliers *) in
   let base_etas = ref 0 (* eta count right after the last reinversion *) in
   let refactorize () =
@@ -136,8 +186,8 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
     neta := 0;
     let newbasis = Array.make m (-1) in
     let assigned = Array.make m false in
-    (* Slack columns first: with an empty eta file a basic slack n+i is
-       already the unit vector of row i, so it installs with a trivial
+    (* Slack columns first: with an empty eta file a basic slack n+i
+       FTRANs to the unit vector of row i, so it installs with a trivial
        (skipped) eta.  Structural columns then pivot with row choice by
        largest magnitude among unassigned rows. *)
     let structural = ref [] in
@@ -152,7 +202,7 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
     List.iter
       (fun q ->
         Array.fill w 0 m 0.0;
-        scatter q w;
+        scatter 1.0 q w;
         ftran w;
         let r = ref (-1) and best = ref 0.0 in
         for i = 0 to m - 1 do
@@ -162,14 +212,9 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
           end
         done;
         if !r < 0 then failwith "Sparse.solve: singular basis";
-        let r = !r in
-        let ew = ref [] in
-        for i = 0 to m - 1 do
-          if i <> r && Float.abs w.(i) > 1e-13 then ew := (i, w.(i)) :: !ew
-        done;
-        push_eta { er = r; wr = w.(r); ew = Array.of_list !ew };
-        newbasis.(r) <- q;
-        assigned.(r) <- true)
+        push_eta !r;
+        newbasis.(!r) <- q;
+        assigned.(!r) <- true)
       (List.sort compare !structural);
     Array.blit newbasis 0 basis 0 m;
     (* Recompute basic values from the original data:
@@ -177,7 +222,7 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
     Array.blit rhs 0 xb 0 m;
     for j = 0 to n - 1 do
       if (not is_basic.(j)) && at_upper.(j) && upper.(j) <> 0.0 then
-        Array.iter (fun (i, a) -> xb.(i) <- xb.(i) -. (a *. upper.(j))) cols.(j)
+        scatter (-.upper.(j)) j xb
     done;
     ftran xb;
     for i = 0 to m - 1 do
@@ -301,7 +346,7 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
       else if k >= max_iters then Iteration_limit
       else begin
         Array.fill w 0 m 0.0;
-        scatter q w;
+        scatter 1.0 q w;
         ftran w;
         let sigma = if at_upper.(q) then -1.0 else 1.0 in
         (* Bounded ratio test over z_i = sigma * w_i. *)
@@ -363,11 +408,7 @@ let solve ?(eps = Tin_util.Fcmp.(default_policy.pivot_eps)) ?(max_iters = 50_000
             let r = !block in
             let p = basis.(r) in
             let vq = (if at_upper.(q) then bound q else 0.0) +. (sigma *. step) in
-            let ew = ref [] in
-            for i = 0 to m - 1 do
-              if i <> r && Float.abs w.(i) > 1e-13 then ew := (i, w.(i)) :: !ew
-            done;
-            push_eta { er = r; wr = w.(r); ew = Array.of_list !ew };
+            push_eta r;
             basis.(r) <- q;
             is_basic.(q) <- true;
             is_basic.(p) <- false;

@@ -35,8 +35,14 @@ let next64 () =
   let v = splitmix64 (Int64.logxor seed (Int64.of_int n)) in
   if v = 0L then 1L else v
 
-let fresh_trace_id () = Printf.sprintf "%016Lx%016Lx" (next64 ()) (next64 ())
-let fresh_span_id () = Printf.sprintf "%016Lx" (next64 ())
+(* Lowercase zero-padded hex, as [%016Lx] prints it; Printf cost most
+   of a flight-recorded span. *)
+let hex16 x =
+  String.init 16 (fun d ->
+      "0123456789abcdef".[Int64.to_int (Int64.shift_right_logical x (60 - (4 * d))) land 15])
+
+let fresh_trace_id () = hex16 (next64 ()) ^ hex16 (next64 ())
+let fresh_span_id () = hex16 (next64 ())
 
 (* ---- domain-local current context --------------------------------- *)
 

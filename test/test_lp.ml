@@ -72,10 +72,10 @@ let test_simplex_zero_objective () = check_opt ~expected_obj:0.0 ~c:[| 0.0 |] [ 
 let test_simplex_arity_mismatch () =
   Alcotest.check_raises "sparse column arity"
     (Invalid_argument "Sparse.solve: column arity mismatch") (fun () ->
-      ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rhs:[||] ~cols:[||] ()));
+      ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rhs:[||] ~cols:[||] ~next:[||] ()));
   Alcotest.check_raises "sparse bounds arity"
     (Invalid_argument "Sparse.solve: bounds arity mismatch") (fun () ->
-      ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[||] ~rhs:[||] ~cols:[| [] |] ()))
+      ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[||] ~rhs:[||] ~cols:[| [] |] ~next:[||] ()))
 
 (* Random 2-variable problems against the vertex-enumeration
    reference.  All-positive coefficients with a positive rhs: bounded
@@ -189,6 +189,83 @@ let test_box_bounded_vs_reference () =
       rows_spec
   done
 
+(* Rows in chains: [add_cumulative] states the running sums of its
+   increments.  On random small LPs whose rows come in chains it must
+   reach the status and optimum of the same running sums added row by
+   row with [add_le], and both must agree with vertex enumeration. *)
+let test_cumulative_vs_materialised () =
+  let rng = Tin_util.Prng.create ~seed:2424 in
+  let int k = Tin_util.Prng.int rng k in
+  for _ = 1 to 200 do
+    let n = 1 + int 4 in
+    let c = Array.init n (fun _ -> float_of_int (int 11 - 5)) in
+    let upper = Array.init n (fun _ -> if int 4 = 0 then infinity else float_of_int (int 10)) in
+    let chains =
+      List.init (int 3) (fun _ ->
+          List.init (1 + int 3) (fun _ ->
+              (Array.init n (fun _ -> float_of_int (int 7 - 3)), float_of_int (int 6))))
+    in
+    let running_sums chain =
+      let sum = Array.make n 0.0 and b = ref 0.0 in
+      List.map
+        (fun (coefs, rhs) ->
+          Array.iteri (fun j a -> sum.(j) <- sum.(j) +. a) coefs;
+          b := !b +. rhs;
+          (Array.copy sum, !b))
+        chain
+    in
+    let rows = List.concat_map running_sums chains in
+    let solve add =
+      let p = Problem.create () in
+      let vars = Array.mapi (fun j obj -> Problem.add_var ~ub:upper.(j) ~obj p) c in
+      let terms coefs =
+        Array.to_list (Array.mapi (fun j a -> (a, vars.(j))) coefs)
+        |> List.filter (fun (a, _) -> a <> 0.0)
+      in
+      add p terms;
+      Problem.solve p
+    in
+    let chained =
+      solve (fun p terms ->
+          List.iter
+            (fun chain ->
+              Problem.add_cumulative p (List.map (fun (coefs, rhs) -> (terms coefs, rhs)) chain))
+            chains)
+    in
+    let flat =
+      solve (fun p terms -> List.iter (fun (coefs, rhs) -> Problem.add_le p (terms coefs) rhs) rows)
+    in
+    Alcotest.(check string)
+      "status" (status_name flat.Problem.status) (status_name chained.Problem.status);
+    match Lp_ref.solve ~c ~upper ~rows () with
+    | `Optimal best ->
+        Alcotest.(check string) "optimal" "optimal" (status_name chained.Problem.status);
+        Alcotest.(check (float 1e-6))
+          "add_cumulative = vertex enumeration" best chained.Problem.objective;
+        Alcotest.(check (float 1e-6)) "add_le = vertex enumeration" best flat.Problem.objective
+    | `Unbounded ->
+        Alcotest.(check string) "unbounded" "unbounded" (status_name chained.Problem.status)
+  done
+
+(* A chain is validated as a whole: one bad increment adds no row. *)
+let test_cumulative_rejected () =
+  let p = Problem.create () in
+  let x = Problem.add_var ~obj:1.0 p in
+  Alcotest.check_raises "negative increment"
+    (Invalid_argument "Problem.add_le: negative or NaN rhs") (fun () ->
+      Problem.add_cumulative p [ ([ (1.0, x) ], 3.0); ([ (1.0, x) ], -1.0) ]);
+  Alcotest.check_raises "NaN coefficient" (Invalid_argument "Problem.add_le: NaN coefficient")
+    (fun () -> Problem.add_cumulative p [ ([ (1.0, x) ], 3.0); ([ (nan, x) ], 1.0) ]);
+  let other = Problem.create () in
+  ignore (Problem.add_var other);
+  let stranger = Problem.add_var other in
+  Alcotest.check_raises "unknown variable" (Invalid_argument "Problem.add_le: unknown variable")
+    (fun () -> Problem.add_cumulative p [ ([ (1.0, x) ], 3.0); ([ (1.0, stranger) ], 3.0) ]);
+  Alcotest.(check int) "no row added" 0 (Problem.n_constraints p);
+  Problem.add_cumulative p [ ([ (1.0, x) ], 3.0); ([], 2.0) ];
+  Alcotest.(check int) "two rows" 2 (Problem.n_constraints p);
+  Alcotest.(check (float 1e-9)) "x <= 3 binds, not 3 + 2" 3.0 (Problem.solve p).Problem.objective
+
 (* --- exact iteration budgets --------------------------------------- *)
 
 (* The budget contract: a run that needs exactly [p] work passes
@@ -228,12 +305,13 @@ let test_iteration_budget_exact () =
           List.concat
             (List.mapi (fun i (a, _) -> if a.(j) <> 0.0 then [ (i, a.(j)) ] else []) rows))
     in
+    let next = Array.make n_rows (-1) in
     let sparse max_iters =
       let m = Solver_metrics.create () in
       let o =
         match max_iters with
-        | None -> Sparse.solve ~metrics:m ~c ~upper ~rhs ~cols ()
-        | Some k -> Sparse.solve ~max_iters:k ~metrics:m ~c ~upper ~rhs ~cols ()
+        | None -> Sparse.solve ~metrics:m ~c ~upper ~rhs ~cols ~next ()
+        | Some k -> Sparse.solve ~max_iters:k ~metrics:m ~c ~upper ~rhs ~cols ~next ()
       in
       ( (match o with
         | Sparse.Optimal { objective; _ } -> `Opt objective
@@ -251,7 +329,7 @@ let test_metrics_accumulate () =
       (Sparse.solve ~metrics:m ~c:[| 3.0; 5.0 |] ~upper:[| 4.0; infinity |]
          ~rhs:[| 12.0; 18.0 |]
          ~cols:[| [ (1, 3.0) ]; [ (0, 2.0); (1, 2.0) ] |]
-         ())
+         ~next:[| -1; -1 |] ())
   in
   solve ();
   let once = m.Solver_metrics.iterations in
@@ -291,6 +369,9 @@ let () =
           Alcotest.test_case "frozen after solve" `Quick test_problem_frozen;
           Alcotest.test_case "bad bounds" `Quick test_problem_bad_bounds;
           Alcotest.test_case "repeated terms" `Quick test_problem_repeated_terms;
+          Alcotest.test_case "add_cumulative = running sums = vertex enumeration" `Quick
+            test_cumulative_vs_materialised;
+          Alcotest.test_case "add_cumulative rejection" `Quick test_cumulative_rejected;
         ] );
       ( "budget",
         [

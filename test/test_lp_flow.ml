@@ -2,6 +2,10 @@
 
 open Tin_testlib
 module Lp_flow = Tin_core.Lp_flow
+module Problem = Tin_lp.Problem
+module SM = Tin_lp.Solver_metrics
+module VGen = Tin_verify.Gen
+module Prng = Tin_util.Prng
 module P = Paper_examples
 
 let solve g ~source ~sink =
@@ -91,6 +95,57 @@ let test_source_eq_sink () =
   Alcotest.check_raises "source=sink" (Invalid_argument "Lp_flow.build: source = sink")
     (fun () -> ignore (Lp_flow.build P.fig3 ~source:P.s ~sink:P.s))
 
+(* Chained rows against the cumulative rows they stand for
+   ([Lp_flow_ref], the builder that wrote every row out in full): on
+   random DAG flow LPs, with timestamp ties and zero quantities, the
+   same variables and rows, the same optimum within 1e-15 relative and
+   the same pivots and bound flips. *)
+let prop_chains_match_cumulative_rows rng =
+  let g, source, sink = VGen.random_dag ~max_v:12 ~max_edges:40 rng in
+  let g = if Prng.bool rng then VGen.duplicate_timestamps rng g else g in
+  let g = if Prng.bool rng then VGen.zero_quantities rng g else g in
+  let lp = Lp_flow.build g ~source ~sink and ref_lp = Lp_flow_ref.build g ~source ~sink in
+  Alcotest.(check (pair int int)) "vars, rows"
+    (ref_lp.Lp_flow_ref.n_vars, ref_lp.Lp_flow_ref.n_rows)
+    (lp.Lp_flow.n_vars, lp.Lp_flow.n_rows);
+  let m = SM.create () and m_ref = SM.create () in
+  if lp.Lp_flow.n_vars > 0 then ignore (Problem.solve ~metrics:m lp.Lp_flow.problem);
+  match (Lp_flow.solve g ~source ~sink, Lp_flow_ref.solve ~metrics:m_ref g ~source ~sink) with
+  | Ok v, Ok want ->
+      if Float.abs (v -. want) > 1e-15 *. Float.abs want then
+        Alcotest.failf "chained %h vs cumulative %h" v want;
+      Alcotest.(check (pair int int)) "pivots, bound flips"
+        (m_ref.SM.pivots, m_ref.SM.bound_flips) (m.SM.pivots, m.SM.bound_flips);
+      true
+  | _ -> Alcotest.fail "solver failure"
+
+(* Chained rows keep the LP linear in a vertex's events.  On
+   source -> a -> b -> sink with k interleaved interactions per edge,
+   a and b hold k rows each, which cumulative rows write out in
+   O(k²) nonzeros: building at 4k must allocate at most 5x the words
+   of building at k. *)
+let test_build_allocation_linear () =
+  let relay k =
+    let edge first =
+      List.init k (fun i ->
+          Interaction.make
+            ~time:(float_of_int ((3 * i) + first))
+            ~qty:(float_of_int (1 + (i mod 5))))
+    in
+    List.fold_left
+      (fun g v -> Graph.add_edge g ~src:v ~dst:(v + 1) (edge v))
+      Graph.empty [ 0; 1; 2 ]
+  in
+  let words k =
+    let g = relay k in
+    let w0 = Check.allocated_words () in
+    ignore (Sys.opaque_identity (Lp_flow.build g ~source:0 ~sink:3));
+    Check.allocated_words () -. w0
+  in
+  let small = words 200 and large = words 800 in
+  if large > 5.0 *. small then
+    Alcotest.failf "build allocates %.0f words at k = 200 and %.0f at k = 800" small large
+
 let () =
   Alcotest.run "lp_flow"
     [
@@ -111,5 +166,11 @@ let () =
           Alcotest.test_case "infinite source edges" `Quick test_infinite_source_edges;
           Alcotest.test_case "empty graph" `Quick test_empty_graph;
           Alcotest.test_case "source=sink" `Quick test_source_eq_sink;
+        ] );
+      ( "chains",
+        [
+          Check.seeded_property "chained rows = cumulative rows" prop_chains_match_cumulative_rows;
+          Alcotest.test_case "build allocation linear in events" `Quick
+            test_build_allocation_linear;
         ] );
     ]

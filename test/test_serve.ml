@@ -323,6 +323,45 @@ let test_daemon_base_seed () =
   Alcotest.(check bool) "continues from the seed" true
     (Float.equal (Greedy.flow g ~source:0 ~sink:2) (Daemon.flow d))
 
+(* A tick's pattern search runs on one domain, so a [limit] that
+   truncates P2 and P3 keeps the same instances every time: each tick's
+   alert equals [Catalog.pb ~jobs:1] at that cap over freshly
+   precomputed tables of the same net, and a replay of the stream
+   raises the same alerts.  120 vertices span several anchor chunks. *)
+let test_daemon_capped_alerts_reproducible () =
+  let patterns = [ Catalog.Rigid Catalog.P2; Catalog.Rigid Catalog.P3 ] and limit = 40 in
+  let rng = Prng.create ~seed:31 in
+  let chunks =
+    List.init 4 (fun c ->
+        List.init 150 (fun k ->
+            let s = Prng.int rng 120 in
+            let d = (s + 118 + Prng.int rng 4) mod 120 in
+            let d = if d = s then (s + 2) mod 120 else d in
+            entry s d (float_of_int ((150 * c) + k)) (float_of_int (1 + Prng.int rng 9))))
+  in
+  let run () =
+    let d = Daemon.create (Daemon.config ~source:0 ~sink:1 ~patterns ~limit ()) in
+    List.concat_map
+      (fun chunk ->
+        ignore (Daemon.ingest d chunk);
+        let alerts = Daemon.tick d in
+        let net = (Daemon.tables d).Delta.net in
+        let fresh = Catalog.precompute net in
+        List.iter
+          (fun (a : Daemon.alert) ->
+            let r = Catalog.pb ~jobs:1 ~limit net fresh a.Daemon.pattern in
+            let name = Catalog.pattern_name a.Daemon.pattern in
+            Alcotest.(check int) (name ^ " instances") r.Catalog.instances a.Daemon.instances;
+            Alcotest.(check bool) (name ^ " flow bits") true
+              (Float.equal r.Catalog.total_flow a.Daemon.total_flow))
+          alerts;
+        List.map (fun (a : Daemon.alert) -> (a.Daemon.instances, a.Daemon.total_flow)) alerts)
+      chunks
+  in
+  let first = run () in
+  Alcotest.(check bool) "the cap truncates" true (List.exists (fun (k, _) -> k = limit) first);
+  Alcotest.(check (list (pair int (float 0.0)))) "replay raises the same alerts" first (run ())
+
 (* A rebuild replays the window in place: forcing one (an evicting
    entry, then [stats]) allocates the same words on both heaps whether
    the window holds 10k or 40k interactions — the kernel's label
@@ -610,6 +649,8 @@ let () =
           Alcotest.test_case "alerts and cadence" `Quick test_daemon_alerts_and_cadence;
           Alcotest.test_case "min-flow threshold silences" `Quick test_daemon_min_flow_silences;
           Alcotest.test_case "base network seed" `Quick test_daemon_base_seed;
+          Alcotest.test_case "capped alerts reproducible" `Quick
+            test_daemon_capped_alerts_reproducible;
           Alcotest.test_case "rebuild allocates nothing per interaction" `Quick
             test_daemon_rebuild_allocation;
           Alcotest.test_case "validation" `Quick test_daemon_validation;

@@ -30,7 +30,7 @@ let test_textbook () =
     ~expected:[ (0, 2.0); (1, 6.0) ]
     (Sparse.solve ~c:[| 3.0; 5.0 |] ~upper:[| inf; inf |]
        ~rhs:[| 4.0; 12.0; 18.0 |]
-       ~cols:[| [ (0, 1.0); (2, 3.0) ]; [ (1, 2.0); (2, 2.0) ] |]
+       ~cols:[| [ (0, 1.0); (2, 3.0) ]; [ (1, 2.0); (2, 2.0) ] |] ~next:[| -1; -1; -1 |]
        ())
 
 (* No constraint rows at all: the optimum is reached purely by bound
@@ -38,14 +38,16 @@ let test_textbook () =
 let test_pure_bound_flips () =
   check_opt ~expected_obj:11.0
     ~expected:[ (0, 3.0); (1, 4.0) ]
-    (Sparse.solve ~c:[| 1.0; 2.0 |] ~upper:[| 3.0; 4.0 |] ~rhs:[||] ~cols:[| []; [] |] ())
+    (Sparse.solve ~c:[| 1.0; 2.0 |] ~upper:[| 3.0; 4.0 |] ~rhs:[||] ~cols:[| []; [] |] ~next:[||]
+       ())
 
 (* The row constraint is slack at the optimum; the variable's own upper
    bound is what binds. *)
 let test_upper_bound_tight () =
   check_opt ~expected_obj:2.0
     ~expected:[ (0, 2.0) ]
-    (Sparse.solve ~c:[| 1.0 |] ~upper:[| 2.0 |] ~rhs:[| 10.0 |] ~cols:[| [ (0, 1.0) ] |] ())
+    (Sparse.solve ~c:[| 1.0 |] ~upper:[| 2.0 |] ~rhs:[| 10.0 |] ~cols:[| [ (0, 1.0) ] |]
+       ~next:[| -1 |] ())
 
 (* Degenerate vertex at the origin with a redundant third row; Bland's
    fallback protects against cycling.  Optimum x = y = 1/2. *)
@@ -53,7 +55,7 @@ let test_degenerate () =
   check_opt ~expected_obj:0.5
     (Sparse.solve ~c:[| 1.0; 0.0 |] ~upper:[| inf; inf |]
        ~rhs:[| 1.0; 0.0; 1.0 |]
-       ~cols:[| [ (0, 1.0); (1, 1.0); (2, 1.0) ]; [ (0, 1.0); (1, -1.0) ] |]
+       ~cols:[| [ (0, 1.0); (1, 1.0); (2, 1.0) ]; [ (0, 1.0); (1, -1.0) ] |] ~next:[| -1; -1; -1 |]
        ())
 
 (* Identical rows repeated three times: the basis stays nonsingular
@@ -64,6 +66,7 @@ let test_redundant_rows () =
        ~rhs:[| 5.0; 5.0; 5.0 |]
        ~cols:
          [| [ (0, 1.0); (1, 1.0); (2, 1.0) ]; [ (0, 1.0); (1, 1.0); (2, 1.0) ] |]
+       ~next:[| -1; -1; -1 |]
        ())
 
 (* Duplicate (row, coef) entries in a column must be summed: the column
@@ -72,12 +75,13 @@ let test_duplicate_entries_summed () =
   check_opt ~expected_obj:3.0
     ~expected:[ (0, 3.0) ]
     (Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| 6.0 |]
-       ~cols:[| [ (0, 1.0); (0, 1.0) ] |]
+       ~cols:[| [ (0, 1.0); (0, 1.0) ] |] ~next:[| -1 |]
        ())
 
 let test_unbounded () =
   match
-    Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| 1.0 |] ~cols:[| [ (0, -1.0) ] |] ()
+    Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| 1.0 |] ~cols:[| [ (0, -1.0) ] |]
+      ~next:[| -1 |] ()
   with
   | Sparse.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
@@ -85,7 +89,9 @@ let test_unbounded () =
 let test_negative_rhs_rejected () =
   Alcotest.check_raises "negative rhs"
     (Invalid_argument "Sparse.solve: negative or NaN rhs (origin must be feasible)") (fun () ->
-      ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| -1.0 |] ~cols:[| [] |] ()))
+      ignore
+        (Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| -1.0 |] ~cols:[| [] |] ~next:[| -1 |]
+           ()))
 
 (* Out of shape: an upper bound or rhs below zero, or NaN; a NaN
    coefficient in the objective or a column. *)
@@ -93,28 +99,73 @@ let test_shape_rejected () =
   Alcotest.check_raises "NaN column coefficient" (Invalid_argument "Sparse.solve: NaN coefficient")
     (fun () ->
       ignore
-        (Sparse.solve ~c:[| 1.0 |] ~upper:[| 5.0 |] ~rhs:[| 3.0 |] ~cols:[| [ (0, nan) ] |] ()));
+        (Sparse.solve ~c:[| 1.0 |] ~upper:[| 5.0 |] ~rhs:[| 3.0 |] ~cols:[| [ (0, nan) ] |]
+           ~next:[| -1 |] ()));
   Alcotest.check_raises "NaN objective" (Invalid_argument "Sparse.solve: NaN objective")
     (fun () ->
       ignore
         (Sparse.solve ~c:[| nan; 1.0 |] ~upper:[| 5.0; 5.0 |] ~rhs:[| 2.0 |]
-           ~cols:[| [ (0, 1.0) ]; [ (0, 1.0) ] |] ()));
+           ~cols:[| [ (0, 1.0) ]; [ (0, 1.0) ] |] ~next:[| -1 |] ()));
   List.iter
     (fun bad ->
       Alcotest.check_raises (Printf.sprintf "upper %g" bad)
         (Invalid_argument "Sparse.solve: bad upper bound") (fun () ->
-          ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| bad |] ~rhs:[||] ~cols:[| [] |] ()));
+          ignore
+            (Sparse.solve ~c:[| 1.0 |] ~upper:[| bad |] ~rhs:[||] ~cols:[| [] |] ~next:[||] ()));
       Alcotest.check_raises (Printf.sprintf "rhs %g" bad)
         (Invalid_argument "Sparse.solve: negative or NaN rhs (origin must be feasible)")
         (fun () ->
-          ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rhs:[| bad |] ~cols:[| [] |] ())))
+          ignore
+            (Sparse.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rhs:[| bad |] ~cols:[| [] |]
+               ~next:[| -1 |] ())))
     [ -1.0; neg_infinity; nan ]
 
 let test_bad_row_index_rejected () =
   try
-    ignore (Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| 1.0 |] ~cols:[| [ (3, 1.0) ] |] ());
+    ignore
+      (Sparse.solve ~c:[| 1.0 |] ~upper:[| inf |] ~rhs:[| 1.0 |] ~cols:[| [ (3, 1.0) ] |]
+         ~next:[| -1 |] ());
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
+
+(* A three-row chain, stored as increments: x0 <= 2, x0 + x1 <= 2 + 3,
+   x0 + x1 + x2 <= 2 + 3 + 1, with x1 <= 1.  Maximizing 3x0 + 2x1 + x2
+   fills x0 and x1 and leaves row 2's bound to x2: x = (2, 1, 3),
+   objective 11, row 1 slack by 2 (carried into row 2).  With
+   [refactor_every = 1] every pivot reinverts over the chained slacks. *)
+let test_three_row_chain () =
+  List.iter
+    (fun refactor_every ->
+      check_opt ~expected_obj:11.0
+        ~expected:[ (0, 2.0); (1, 1.0); (2, 3.0) ]
+        (Sparse.solve ~refactor_every ~c:[| 3.0; 2.0; 1.0 |] ~upper:[| 4.0; 1.0; inf |]
+           ~rhs:[| 2.0; 3.0; 1.0 |]
+           ~cols:[| [ (0, 1.0) ]; [ (1, 1.0) ]; [ (2, 1.0) ] |]
+           ~next:[| 1; 2; -1 |] ()))
+    [ 1; 64 ]
+
+(* [next] must link each row forward to one row at most once. *)
+let test_bad_next_rejected () =
+  let solve next =
+    ignore
+      (Sparse.solve ~c:[| 1.0 |] ~upper:[| 1.0 |] ~rhs:[| 1.0; 1.0; 1.0 |]
+         ~cols:[| [ (0, 1.0) ] |] ~next ())
+  in
+  List.iter
+    (fun (what, next) ->
+      Alcotest.check_raises what (Invalid_argument "Sparse.solve: bad next link") (fun () ->
+          solve next))
+    [
+      ("backward link", [| -1; 0; -1 |]);
+      ("self link", [| -1; 1; -1 |]);
+      ("out of range", [| 3; -1; -1 |]);
+      ("below -1", [| -2; -1; -1 |]);
+      ("row continued twice", [| 2; 2; -1 |]);
+    ];
+  Alcotest.check_raises "arity" (Invalid_argument "Sparse.solve: chain arity mismatch") (fun () ->
+      solve [| -1; -1 |]);
+  solve [| 1; 2; -1 |];
+  solve [| 2; -1; -1 |]
 
 (* ------------------------------------------------------------------ *)
 (* Random agreement with vertex enumeration.  [refactor_every] is
@@ -146,7 +197,43 @@ let test_random_vs_reference () =
   for k = 1 to 300 do
     let c, upper, dense_rows, rhs, cols = random_instance rng in
     let reference = Lp_ref.solve ~c ~upper ~rows:dense_rows () in
-    let got = Sparse.solve ~refactor_every:2 ~c ~upper ~rhs ~cols () in
+    let next = Array.make (Array.length rhs) (-1) in
+    let got = Sparse.solve ~refactor_every:2 ~c ~upper ~rhs ~cols ~next () in
+    match (reference, got) with
+    | `Optimal a, Sparse.Optimal { objective = b; _ } ->
+        if not (Fcmp.approx_eq ~eps:1e-6 a b) then
+          Alcotest.failf "instance %d: vertex enumeration=%.9g sparse=%.9g" k a b
+    | `Unbounded, Sparse.Unbounded -> ()
+    | _ -> Alcotest.failf "instance %d: outcome mismatch" k
+  done
+
+(* The same agreement with rows in random chains, stored as
+   increments: the reference sees each chain's running sums. *)
+let test_random_chains_vs_reference () =
+  let rng = Prng.create ~seed:2025 in
+  for k = 1 to 300 do
+    let c, upper, dense_rows, rhs, cols = random_instance rng in
+    let m = Array.length rhs in
+    (* Link each row to a later row not yet continued, or to none. *)
+    let next = Array.make m (-1) and continued = Array.make m false in
+    for i = 0 to m - 2 do
+      let j = i + 1 + Prng.int rng (m - i - 1) in
+      if Prng.bool rng && not continued.(j) then begin
+        next.(i) <- j;
+        continued.(j) <- true
+      end
+    done;
+    (* Row j of the reference sums row j and every row it continues. *)
+    let n = Array.length c in
+    let sums = Array.of_list (List.map (fun (a, b) -> (Array.copy a, b)) dense_rows) in
+    for i = 0 to m - 1 do
+      if next.(i) >= 0 then begin
+        let a, b = sums.(i) and a', b' = sums.(next.(i)) in
+        sums.(next.(i)) <- (Array.init n (fun j -> a.(j) +. a'.(j)), b +. b')
+      end
+    done;
+    let reference = Lp_ref.solve ~c ~upper ~rows:(Array.to_list sums) () in
+    let got = Sparse.solve ~refactor_every:2 ~c ~upper ~rhs ~cols ~next () in
     match (reference, got) with
     | `Optimal a, Sparse.Optimal { objective = b; _ } ->
         if not (Fcmp.approx_eq ~eps:1e-6 a b) then
@@ -251,9 +338,15 @@ let () =
           Alcotest.test_case "negative rhs rejected" `Quick test_negative_rhs_rejected;
           Alcotest.test_case "shape rejection" `Quick test_shape_rejected;
           Alcotest.test_case "bad row index rejected" `Quick test_bad_row_index_rejected;
+          Alcotest.test_case "three-row chain" `Quick test_three_row_chain;
+          Alcotest.test_case "bad next rejected" `Quick test_bad_next_rejected;
         ] );
       ( "agreement",
-        [ Alcotest.test_case "random vs vertex enumeration" `Quick test_random_vs_reference ] );
+        [
+          Alcotest.test_case "random vs vertex enumeration" `Quick test_random_vs_reference;
+          Alcotest.test_case "random chains vs vertex enumeration" `Quick
+            test_random_chains_vs_reference;
+        ] );
       ( "problem",
         [
           Alcotest.test_case "`Sparse route" `Quick test_problem_sparse_route;

@@ -19,6 +19,12 @@ type scale = {
   gb_budget_ms : float;
       (** Wall-clock budget per graph-browsing run; runs that exceed
           it are extrapolated like the paper's "(est.)" entries. *)
+  sweep_budget_ms : float option;
+      (** Wall-clock budget per graph-browsing run of the jobs sweep
+          and its counter pass ([BENCH_pattern.json]).  [None] at quick
+          scale: every quick search ends at its instance cap, and the
+          document's counts are gated for equality, so they must not
+          depend on how fast the host is. *)
 }
 
 let full =
@@ -29,6 +35,7 @@ let full =
     gb_limit = 300_000;
     lp_pattern_limit = 3000;
     gb_budget_ms = 20_000.0;
+    sweep_budget_ms = Some 10_000.0;
   }
 
 let quick =
@@ -39,6 +46,7 @@ let quick =
     gb_limit = 20_000;
     lp_pattern_limit = 500;
     gb_budget_ms = 3_000.0;
+    sweep_budget_ms = None;
   }
 
 type dataset = {

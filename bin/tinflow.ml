@@ -1042,7 +1042,7 @@ let bench_check_cmd =
       !code
     end
     else begin
-      let failures = ref 0 and missing = ref 0 in
+      let regressed = ref 0 and drifted = ref 0 and missing = ref 0 in
       List.iter
         (fun f ->
           let base_path = Filename.concat baseline (Filename.basename f) in
@@ -1079,20 +1079,25 @@ let bench_check_cmd =
                          ~title:
                            (Printf.sprintf "%s vs %s (tolerance %g%%)" f base_path tolerance)
                          rows);
-                    let regressed = Regress.regressed rows in
-                    failures := !failures + List.length regressed;
+                    let n_regressed = List.length (Regress.regressed rows)
+                    and n_drifted = List.length (Regress.drifted rows) in
+                    regressed := !regressed + n_regressed;
+                    drifted := !drifted + n_drifted;
                     Event.emit "bench_check.result"
                       ~fields:
                         [
                           ("file", Json.Str f);
                           ("metrics", Json.int (List.length rows));
-                          ("regressed", Json.int (List.length regressed));
+                          ("drifted", Json.int n_drifted);
+                          ("regressed", Json.int n_regressed);
                         ]))
         files;
-      if !failures > 0 then begin
-        Printf.eprintf "tinflow: bench-check: %d metric(s) regressed beyond tolerance\n"
-          !failures;
-        1
+      if !drifted > 0 || !regressed > 0 then begin
+        Printf.eprintf
+          "tinflow: bench-check: %d exact metric(s) drifted, %d metric(s) regressed beyond \
+           tolerance\n"
+          !drifted !regressed;
+        if !drifted > 0 then 3 else 1
       end
       else begin
         if !missing = 0 then print_endline "bench-check: ok";
@@ -1102,9 +1107,22 @@ let bench_check_cmd =
   in
   Cmd.v
     (Cmd.info "bench-check"
+       ~exits:
+         (Cmd.Exit.info 0 ~doc:"every exact metric equals its baseline and no timing regressed."
+         :: Cmd.Exit.info 1
+              ~doc:"a timing, footprint or rate regressed beyond $(b,--tolerance); no exact drift."
+         :: Cmd.Exit.info 2
+              ~doc:
+                "a usage error: an unreadable document or baseline directory, a benchmark or \
+                 scale header that differs from the baseline's, or a negative $(b,--tolerance)."
+         :: Cmd.Exit.info 3
+              ~doc:
+                "an exact metric (a count: instances, pivots, spills, rebuilds, rows) differs \
+                 from its baseline or is missing."
+         :: List.filter (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok) Cmd.Exit.defaults)
        ~doc:
-         "Compare fresh benchmark JSON documents against the committed baseline and fail on \
-          regressions beyond a noise tolerance")
+         "Compare fresh benchmark JSON documents against the committed baseline: fail when an \
+          exact count differs, or a timing regresses beyond a noise tolerance")
     Term.(const run $ files $ baseline $ tolerance $ update $ obs_term)
 
 (* --- obs report --- *)
@@ -1120,7 +1138,8 @@ let obs_report_cmd =
   let top =
     Arg.(
       value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Number of span names in the self-time table.")
+      & info [ "top" ] ~docv:"N"
+          ~doc:"Number of span names in the self-time table (the JSON report lists every name).")
   in
   let json_out =
     Arg.(
@@ -1141,7 +1160,7 @@ let obs_report_cmd =
       | Error e -> Error (trace ^ ": " ^ e)
       | exception Sys_error msg -> Error msg
     in
-    match Result.bind doc (Tin_obs.Report.analyze ~top) with
+    match Result.bind doc Tin_obs.Report.analyze with
     | Error msg ->
         prerr_endline ("tinflow: obs report: " ^ msg);
         2
@@ -1151,9 +1170,9 @@ let obs_report_cmd =
         | Some path ->
             Out_channel.with_open_bin path (fun oc ->
                 Out_channel.output_string oc (Tin_obs.Report.to_json report));
-            print_string (Tin_obs.Report.render report);
+            print_string (Tin_obs.Report.render ~top report);
             Printf.eprintf "tinflow: report written to %s\n%!" path
-        | None -> print_string (Tin_obs.Report.render report));
+        | None -> print_string (Tin_obs.Report.render ~top report));
         (* Broken stitching is a finding, not a formatting detail:
            surface it in the exit code so CI can assert on it. *)
         if report.Tin_obs.Report.orphans > 0 then begin

@@ -84,15 +84,11 @@ let map ?jobs ?(chunk = 4) f items =
    index.  [stop] makes the reduce cooperative: once set, no further
    chunk is claimed and the per-index loop stops early; already-folded
    chunk accumulators still merge, so partial results survive. *)
-let map_reduce ?jobs ?(chunk = 16) ?stop ~n ~init ~body ~merge () =
+let map_reduce ~jobs ?(chunk = 16) ?stop ~n ~init ~body ~merge () =
   if chunk < 1 then invalid_arg "Batch.map_reduce: chunk must be positive";
   if n < 0 then invalid_arg "Batch.map_reduce: negative range";
+  if jobs < 1 then invalid_arg "Batch.map_reduce: jobs must be positive";
   let n_chunks = (n + chunk - 1) / chunk in
-  let jobs =
-    match jobs with
-    | Some j -> if j < 1 then invalid_arg "Batch.map_reduce: jobs must be positive" else j
-    | None -> max 1 (min (recommended_jobs ()) n_chunks)
-  in
   if n_chunks = 0 then init ()
   else begin
     let stopped () = match stop with None -> false | Some s -> Atomic.get s in

@@ -40,7 +40,7 @@ val max_flows :
     @raise Pipeline.Solver_failure as {!Pipeline.compute}. *)
 
 val map_reduce :
-  ?jobs:int ->
+  jobs:int ->
   ?chunk:int ->
   ?stop:bool Atomic.t ->
   n:int ->
@@ -49,8 +49,10 @@ val map_reduce :
   merge:('acc -> 'acc -> 'acc) ->
   unit ->
   'acc
-(** [map_reduce ~n ~init ~body ~merge ()] folds the index range
-    [0 .. n-1] in parallel: indices are grouped into [chunk]-sized
+(** [map_reduce ~jobs ~n ~init ~body ~merge ()] folds the index range
+    [0 .. n-1] on [jobs] domains, the calling one included (never more
+    than there are chunks; [jobs = 1] runs every chunk on the calling
+    domain): indices are grouped into [chunk]-sized
     blocks handed out from an atomic cursor, every block folds into a
     fresh [init ()] accumulator via [body], and block accumulators are
     combined with [merge] {e in index order} after all domains join.

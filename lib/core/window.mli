@@ -26,7 +26,9 @@ val max_flow :
   source:Graph.vertex ->
   sink:Graph.vertex ->
   float
-(** Maximum flow using only in-window interactions (PreSim pipeline). *)
+(** Maximum flow using only in-window interactions, by
+    {!Pipeline.max_flow}: the greedy scan when Lemma 2 holds, Dinic on
+    the time-expanded network otherwise. *)
 
 val greedy_flow :
   ?from_time:float ->
@@ -51,4 +53,5 @@ val max_flow_profile :
 (** [(τ, maximum flow using interactions up to τ)] for each requested
     prefix endpoint (default: every distinct timestamp of interactions
     entering the sink — the only instants where the value can change).
-    The maximum flow is recomputed per point: O(points × PreSim). *)
+    The maximum flow is recomputed per point: O(points × one
+    {!Pipeline.max_flow}). *)

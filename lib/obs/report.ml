@@ -97,7 +97,7 @@ let union_us intervals =
 
 let span_end s = s.ts_us +. s.dur_us
 
-let analyze ?(top = 10) doc =
+let analyze doc =
   match spans_of_doc doc with
   | Error _ as e -> e
   | Ok [] -> Error "trace contains no complete span events"
@@ -250,7 +250,6 @@ let analyze ?(top = 10) doc =
             { s_name = name; s_count = c; s_total_us = tot; s_max_us = mx } :: acc)
           tbl []
         |> List.sort (fun a b -> Float.compare b.s_total_us a.s_total_us)
-        |> List.filteri (fun i _ -> i < top)
       in
       Ok
         {
@@ -354,7 +353,7 @@ let to_json (r : t) =
 
 let pct f = Printf.sprintf "%.1f%%" (100.0 *. f)
 
-let render (r : t) =
+let render ?(top = 10) (r : t) =
   let b = Buffer.create 2048 in
   Buffer.add_string b
     (Printf.sprintf "trace: %d span(s), %d dropped, wall %s, root \"%s\"%s\n" r.spans r.dropped
@@ -420,5 +419,5 @@ let render (r : t) =
               Table.fmt_ms (ms s.s_total_us);
               Table.fmt_ms (ms s.s_max_us);
             ])
-          r.self_times));
+          (List.filteri (fun i _ -> i < top) r.self_times)));
   Buffer.contents b

@@ -17,8 +17,8 @@
       [batch.map_reduce.chunk] spans: duration statistics, per-domain
       chunk time, and imbalance (max over mean domain chunk time —
       1.0 is a perfectly even spread);
-    - {e top span self-times} aggregated by name (duration minus the
-      interval union of children).
+    - {e span self-times} aggregated by name (duration minus the
+      interval union of children), heaviest first.
 
     Traces recorded before trace contexts existed (spans without ids)
     degrade gracefully: every span classifies as a root and the
@@ -69,9 +69,9 @@ type t = {
   self_times : self_time list;
 }
 
-val analyze : ?top:int -> Tin_util.Json.t -> (t, string) result
-(** [analyze doc] over a parsed Chrome-trace document.  [top] (default
-    10) bounds [self_times].  [Error] when the document has no
+val analyze : Tin_util.Json.t -> (t, string) result
+(** [analyze doc] over a parsed Chrome-trace document; [self_times]
+    holds every span name.  [Error] when the document has no
     [traceEvents] array or no complete span events. *)
 
 val to_json : t -> string
@@ -81,11 +81,13 @@ val to_json : t -> string
     dur_ms, self_ms}], "domains": [{tid, spans, busy_ms, utilization}],
     "utilization": {domains, mean}, "chunks": {count, mean_ms, min_ms,
     max_ms, stddev_ms, imbalance, per_domain} | null, "self_times":
-    [{name, count, self_ms, max_self_ms}]}].  Field names use the
-    [_ms] convention so {!Tin_util.Regress} classifies them as
+    [{name, count, self_ms, max_self_ms}]}], every span name in
+    [self_times], so two reports of the same work list the same names
+    and each name's [count] is a deterministic total.  Field names use
+    the [_ms] convention so {!Tin_util.Regress} classifies them as
     lower-is-better when a report is diffed with [tinflow
     bench-check]. *)
 
-val render : t -> string
+val render : ?top:int -> t -> string
 (** Human tables: critical path, per-domain utilization, chunk
-    balance, top self-times. *)
+    balance, and the [top] (default 10) heaviest self-times. *)

@@ -159,7 +159,7 @@ let anchor_chunk = 16
    one anchor's walk; the shared [stop] flag then keeps the remaining
    anchors from doing any real work.  [name] labels the observability
    spans (one per search plus, when tracing, one per anchor). *)
-let search ?jobs sh ~name ~n body =
+let search ?(jobs = 1) sh ~name ~n body =
   let run_anchor local a =
     Obs.Counter.incr c_anchors;
     let go () = try body local a with Done -> () in
@@ -170,7 +170,7 @@ let search ?jobs sh ~name ~n body =
     else go ()
   in
   let run () =
-    Batch.map_reduce ?jobs ~chunk:anchor_chunk ~stop:sh.stop ~n
+    Batch.map_reduce ~jobs ~chunk:anchor_chunk ~stop:sh.stop ~n
       ~init:(fun () -> { count = 0; flow = 0.0 })
       ~body:run_anchor
       ~merge:(fun a b -> { count = a.count + b.count; flow = a.flow +. b.flow })

@@ -1,4 +1,4 @@
-type status = Ok_within | Improved | Regressed | Added | Removed
+type status = Ok_within | Improved | Regressed | Drifted | Added | Removed
 
 type row = {
   path : string;
@@ -38,14 +38,14 @@ let flatten (doc : Json.t) =
   go "" doc;
   List.rev !out
 
-(* Facts of the machine, not of the code under test. *)
+(* Facts of the machine or of the schedule, not of the code under
+   test: the host's domain count, a domain's identity, and how an obs
+   report's deterministic span total ([trace.spans]) splits across
+   domains. *)
 let ignored path =
-  let last =
-    match String.rindex_opt path '.' with
-    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-    | None -> path
-  in
-  last = "domains_available"
+  match List.rev (String.split_on_char '.' path) with
+  | ("domains_available" | "tid") :: _ | [ "spans"; _; "domains" ] -> true
+  | _ -> false
 
 type direction = Lower_better | Higher_better | Exact
 
@@ -55,22 +55,20 @@ let direction path =
     let rec go i = i + n <= h && (String.sub path i n = needle || go (i + 1)) in
     go 0
   in
-  if has "_ms" || has "_secs" || has "wall" || has "rss" then Lower_better
-  else if has "_per_s" || has "speedup" then Higher_better
+  if has "_ms" || has "_secs" || has "wall" || has "rss" || has "imbalance" then Lower_better
+  else if has "_per_s" || has "speedup" || has "utilization" then Higher_better
   else Exact
 
 let judge ~tolerance_pct path base cur =
-  let tol = tolerance_pct /. 100.0 in
   let denom = Float.max (Float.abs base) 1e-12 in
   let delta = (cur -. base) /. denom in
-  let beyond = Float.abs delta > tol in
+  let beyond = Float.abs delta > tolerance_pct /. 100.0 in
   let status =
-    if not beyond then Ok_within
-    else
-      match direction path with
-      | Lower_better -> if delta > 0.0 then Regressed else Improved
-      | Higher_better -> if delta < 0.0 then Regressed else Improved
-      | Exact -> Regressed
+    match direction path with
+    | Exact -> if Float.equal base cur then Ok_within else Drifted
+    | _ when not beyond -> Ok_within
+    | Lower_better -> if delta > 0.0 then Regressed else Improved
+    | Higher_better -> if delta < 0.0 then Regressed else Improved
   in
   (100.0 *. delta, status)
 
@@ -97,7 +95,8 @@ let compare_docs ?(tolerance_pct = 15.0) ~baseline ~current () =
                   status;
                 }
           | None ->
-              Some { path; baseline = Some bv; current = None; delta_pct = None; status = Removed })
+              let status = if direction path = Exact then Drifted else Removed in
+              Some { path; baseline = Some bv; current = None; delta_pct = None; status })
       b
   in
   let added =
@@ -120,11 +119,13 @@ let header_mismatch ~baseline ~current =
     [ "benchmark"; "scale" ]
 
 let regressed rows = List.filter (fun r -> r.status = Regressed) rows
+let drifted rows = List.filter (fun r -> r.status = Drifted) rows
 
 let status_name = function
   | Ok_within -> "ok"
   | Improved -> "improved"
   | Regressed -> "REGRESSED"
+  | Drifted -> "DRIFTED"
   | Added -> "new"
   | Removed -> "missing"
 
@@ -145,8 +146,11 @@ let render_table ?title rows =
     else Table.render ?title ~header:[ "metric"; "baseline"; "current"; "delta"; "status" ] body
   in
   table
-  ^ Printf.sprintf "%d metric(s) compared: %d within tolerance, %d regressed, %d improved, %d new, %d missing\n"
+  ^ Printf.sprintf
+      "%d metric(s) compared: %d within tolerance, %d drifted, %d regressed, %d improved, %d new, \
+       %d missing\n"
       (List.length rows) n_ok
+      (List.length (drifted rows))
       (List.length (regressed rows))
       (List.length (List.filter (fun r -> r.status = Improved) rows))
       (List.length (List.filter (fun r -> r.status = Added) rows))

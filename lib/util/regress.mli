@@ -1,27 +1,32 @@
 (** Benchmark-regression gate: structural diff of two machine-readable
     benchmark documents ([BENCH_flow.json] / [BENCH_pattern.json],
     or a [tinflow.obs.report/v1] trace report) with a relative noise
-    tolerance.
+    tolerance for timings.
 
     Both documents are flattened to [path -> number] maps.  Array
     elements are keyed by their identifying field ([name], [class],
     [jobs], [pattern] or [tid]) when present — so reordering a
     dataset, adding a job count, or renumbering a domain does not
-    shift every other metric — and by index otherwise.  Each shared metric is then judged against the
-    tolerance in the direction its name implies: wall-clock and
-    footprint paths ([..._ms], [..._secs], [...rss...]) regress
-    upward, throughput paths
-    ([..._per_s], [...speedup...]) regress downward, and anything else
-    (counters, instance counts) regresses on any deviation beyond the
-    tolerance.  Machine-dependent facts ([domains_available]) are
-    ignored. *)
+    shift every other metric — and by index otherwise.  Each path's
+    class follows from its name alone.  Wall-clock, footprint and
+    balance paths ([..._ms], [..._secs], [...wall...], [...rss...],
+    [...imbalance...]) are lower-better, and throughput paths
+    ([..._per_s], [...speedup...], [...utilization...]) higher-better:
+    these are judged against the tolerance.  Every other path is
+    exact (instance counts, pivots, spills, rebuilds, rows): it
+    passes only when the two values are equal, whatever the
+    tolerance, and a baseline exact path missing from the current
+    document drifts too.  Facts of the machine or of the schedule are
+    skipped: [domains_available], a domain's [tid], and an obs
+    report's per-domain [domains.<tid>.spans]. *)
 
 type status =
   | Ok_within  (** within tolerance *)
   | Improved  (** beyond tolerance, in the good direction *)
   | Regressed  (** beyond tolerance, in the bad direction *)
+  | Drifted  (** an exact path that differs, or is missing from the current document *)
   | Added  (** present only in the current document *)
-  | Removed  (** present only in the baseline document *)
+  | Removed  (** a directional path present only in the baseline document *)
 
 type row = {
   path : string;  (** dotted metric path, e.g. [datasets.Bitcoin.classes.C.solver_avg_ms.sparse] *)
@@ -48,10 +53,14 @@ val header_mismatch : baseline:Json.t -> current:Json.t -> string option
 
 val regressed : row list -> row list
 (** The rows with [status = Regressed].  {!Added} / {!Removed} rows are
-    informational (renamed counters must not fail a soft gate). *)
+    informational. *)
+
+val drifted : row list -> row list
+(** The rows with [status = Drifted]. *)
 
 val status_name : status -> string
 
 val render_table : ?title:string -> row list -> string
 (** The per-metric comparison table ({!Table.render} layout), ready to
-    print; rows within tolerance are summarized, deviations listed. *)
+    print; rows within tolerance (equal, for exact paths) are
+    summarized, deviations listed. *)

@@ -10,11 +10,10 @@ type case = {
 
 (* --- base generators ------------------------------------------------
 
-   Same shapes as the property-test generators (test/helpers/gen.ml):
+   Shared by the [tinflow verify] fuzzer and the property tests:
    integral times in a small range so timestamp ties happen naturally,
    integral quantities so flow equalities are exact in the unmutated
-   case.  Kept separate from the test helpers so the [tinflow verify]
-   fuzzer does not drag alcotest/qcheck into the binary. *)
+   case. *)
 
 let interactions ?(max_inter = 3) ?(max_time = 20) ?(max_qty = 10) rng =
   List.init
@@ -35,22 +34,22 @@ let random_dag ?(max_v = 8) ?(max_edges = 14) rng =
   done;
   (!g, 0, n - 1)
 
-let random_digraph ?(max_v = 7) ?(max_edges = 12) rng =
+let random_digraph ?(max_v = 7) ?(max_edges = 12) ?max_inter rng =
   let n = 2 + Prng.int rng (max_v - 1) in
   let n_edges = 1 + Prng.int rng max_edges in
   let g = ref (Graph.add_vertex (Graph.add_vertex Graph.empty 0) (n - 1)) in
   for _ = 1 to n_edges do
     let i = Prng.int rng n in
     let j = Prng.int rng n in
-    if i <> j then g := Graph.add_edge !g ~src:i ~dst:j (interactions rng)
+    if i <> j then g := Graph.add_edge !g ~src:i ~dst:j (interactions ?max_inter rng)
   done;
   (!g, 0, n - 1)
 
-let random_chain ?(max_len = 6) rng =
+let random_chain ?(max_len = 6) ?max_inter rng =
   let k = 1 + Prng.int rng max_len in
   let g = ref Graph.empty in
   for i = 0 to k - 1 do
-    g := Graph.add_edge !g ~src:i ~dst:(i + 1) (interactions ~max_time:30 rng)
+    g := Graph.add_edge !g ~src:i ~dst:(i + 1) (interactions ?max_inter ~max_time:30 rng)
   done;
   (!g, 0, k)
 
@@ -137,8 +136,8 @@ let self_loop_rejected g =
 let families : (string * (Prng.t -> Graph.t * Graph.vertex * Graph.vertex)) list =
   [
     ("dag", random_dag ?max_v:None ?max_edges:None);
-    ("digraph", random_digraph ?max_v:None ?max_edges:None);
-    ("chain", random_chain ?max_len:None);
+    ("digraph", random_digraph ?max_v:None ?max_edges:None ?max_inter:None);
+    ("chain", random_chain ?max_len:None ?max_inter:None);
     ("lemma2", random_lemma2 ?max_v:None);
   ]
 

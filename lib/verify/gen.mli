@@ -1,8 +1,8 @@
 (** Randomized temporal-interaction-network instances for the
     differential verifier.
 
-    Base generators mirror the property-test families (random DAGs,
-    general digraphs, chains, Lemma-2 graphs) with integral times and
+    Base generators, shared with the property tests (random DAGs,
+    general digraphs, chains, Lemma-2 graphs), use integral times and
     quantities; mutation operators then push the instances into the
     numeric and temporal corners the oracles must agree on: duplicated
     timestamps, zero quantities, subnormal and huge magnitudes.
@@ -23,12 +23,18 @@ val random_dag :
     higher index. *)
 
 val random_digraph :
-  ?max_v:int -> ?max_edges:int -> Tin_util.Prng.t -> Graph.t * Graph.vertex * Graph.vertex
-(** General directed graph — cycles allowed. *)
+  ?max_v:int ->
+  ?max_edges:int ->
+  ?max_inter:int ->
+  Tin_util.Prng.t ->
+  Graph.t * Graph.vertex * Graph.vertex
+(** General directed graph — cycles allowed.  Each edge carries 1 to
+    [max_inter] (default 3) interactions. *)
 
 val random_chain :
-  ?max_len:int -> Tin_util.Prng.t -> Graph.t * Graph.vertex * Graph.vertex
-(** Chain [0 → 1 → … → k] (Lemma-1 family). *)
+  ?max_len:int -> ?max_inter:int -> Tin_util.Prng.t -> Graph.t * Graph.vertex * Graph.vertex
+(** Chain [0 → 1 → … → k] (Lemma-1 family); [max_inter] as in
+    {!random_digraph}. *)
 
 val random_lemma2 :
   ?max_v:int -> Tin_util.Prng.t -> Graph.t * Graph.vertex * Graph.vertex

@@ -1,98 +1,11 @@
-(* Deterministic random problem generators for property tests.  All
-   take an explicit PRNG so qcheck can drive them from an integer seed
-   (graphs themselves do not shrink well; seeds are reported on
-   failure and reproduce exactly). *)
+(* Deterministic random pattern-test inputs.  Both take an explicit
+   PRNG so qcheck can drive them from an integer seed (seeds are
+   reported on failure and reproduce exactly).  The flow-problem
+   families (DAGs, digraphs, chains, Lemma-2 graphs) are
+   [Tin_verify.Gen]'s, shared with the fuzzer. *)
 
 module Prng = Tin_util.Prng
 module Pattern = Tin_patterns.Pattern
-
-(* Random DAG flow problem: vertices 0..n-1 with 0 as designated
-   source and n-1 as sink; edges only go from lower to higher index.
-   Integral times in a small range (so timestamp ties happen) and
-   integral quantities (so flow equalities are exact). *)
-let random_dag ?(max_v = 8) ?(max_edges = 14) ?(max_inter = 3) rng =
-  let n = 2 + Prng.int rng (max_v - 1) in
-  let n_edges = 1 + Prng.int rng max_edges in
-  let g = ref (Graph.add_vertex (Graph.add_vertex Graph.empty 0) (n - 1)) in
-  for _ = 1 to n_edges do
-    let i = Prng.int rng (n - 1) in
-    let j = i + 1 + Prng.int rng (n - 1 - i) in
-    let n_inter = 1 + Prng.int rng max_inter in
-    let is =
-      List.init n_inter (fun _ ->
-          Interaction.make
-            ~time:(float_of_int (Prng.int rng 20))
-            ~qty:(float_of_int (Prng.int rng 10)))
-    in
-    g := Graph.add_edge !g ~src:i ~dst:j is
-  done;
-  (!g, 0, n - 1)
-
-(* Random general directed graph (cycles allowed) — for the greedy
-   scan and the LP/time-expansion equivalence, which do not need
-   DAGs. *)
-let random_digraph ?(max_v = 7) ?(max_edges = 12) ?(max_inter = 3) rng =
-  let n = 2 + Prng.int rng (max_v - 1) in
-  let n_edges = 1 + Prng.int rng max_edges in
-  let g = ref (Graph.add_vertex (Graph.add_vertex Graph.empty 0) (n - 1)) in
-  for _ = 1 to n_edges do
-    let i = Prng.int rng n in
-    let j = Prng.int rng n in
-    if i <> j then begin
-      let n_inter = 1 + Prng.int rng max_inter in
-      let is =
-        List.init n_inter (fun _ ->
-            Interaction.make
-              ~time:(float_of_int (Prng.int rng 20))
-              ~qty:(float_of_int (Prng.int rng 10)))
-      in
-      g := Graph.add_edge !g ~src:i ~dst:j is
-    end
-  done;
-  (!g, 0, n - 1)
-
-(* Random chain s=0 → 1 → ... → k: Lemma 1 family. *)
-let random_chain ?(max_len = 6) ?(max_inter = 4) rng =
-  let k = 1 + Prng.int rng max_len in
-  let g = ref Graph.empty in
-  for i = 0 to k - 1 do
-    let n_inter = 1 + Prng.int rng max_inter in
-    let is =
-      List.init n_inter (fun _ ->
-          Interaction.make
-            ~time:(float_of_int (Prng.int rng 30))
-            ~qty:(float_of_int (Prng.int rng 10)))
-    in
-    g := Graph.add_edge !g ~src:i ~dst:(i + 1) is
-  done;
-  (!g, 0, k)
-
-(* Random Lemma-2 family: a DAG where every vertex except source and
-   sink has exactly one outgoing edge.  Built backwards: each interior
-   vertex picks one higher-indexed target; the source sprays edges. *)
-let random_lemma2 ?(max_v = 8) ?(max_inter = 3) rng =
-  let n = 3 + Prng.int rng (max_v - 2) in
-  let sink = n - 1 in
-  let g = ref (Graph.add_vertex (Graph.add_vertex Graph.empty 0) sink) in
-  let interactions () =
-    List.init
-      (1 + Prng.int rng max_inter)
-      (fun _ ->
-        Interaction.make
-          ~time:(float_of_int (Prng.int rng 25))
-          ~qty:(float_of_int (Prng.int rng 10)))
-  in
-  for i = 1 to n - 2 do
-    let j = i + 1 + Prng.int rng (n - 1 - i) in
-    g := Graph.add_edge !g ~src:i ~dst:j (interactions ())
-  done;
-  (* Source reaches a random subset of interior vertices. *)
-  let n_src = 1 + Prng.int rng (n - 1) in
-  for _ = 1 to n_src do
-    let j = 1 + Prng.int rng (n - 1) in
-    g := Graph.add_edge !g ~src:0 ~dst:j (interactions ())
-  done;
-  (!g, 0, sink)
 
 (* A random small network with reciprocal edges for pattern tests. *)
 let random_net ?(n = 12) ?(edges = 30) ?(max_inter = 2) rng =

@@ -3,6 +3,7 @@
    propagated. *)
 
 open Tin_testlib
+module VGen = Tin_verify.Gen
 module Batch = Tin_core.Batch
 module Pipeline = Tin_core.Pipeline
 module Prng = Tin_util.Prng
@@ -133,7 +134,7 @@ let test_max_flows_matches_sequential () =
   let rng = Prng.create ~seed:7 in
   let problems =
     List.init 24 (fun _ ->
-        let graph, source, sink = Gen.random_dag rng in
+        let graph, source, sink = VGen.random_dag rng in
         { Batch.graph; source; sink })
   in
   let sequential =
@@ -154,7 +155,7 @@ let test_max_flows_solver_and_method () =
   let rng = Prng.create ~seed:11 in
   let problems =
     List.init 12 (fun _ ->
-        let graph, source, sink = Gen.random_dag rng in
+        let graph, source, sink = VGen.random_dag rng in
         { Batch.graph; source; sink })
   in
   let via_lp = Batch.max_flows ~jobs:3 ~method_:Pipeline.Lp problems in

@@ -464,6 +464,47 @@ let test_bench_check () =
       (* A wider tolerance absorbs the deviation. *)
       write_file cur {|{"wall_ms": 110.0, "iters": 10}|};
       let _ = check_ok "bench-check tolerant" (run_capture (args " --tolerance 20")) in
+      (* Counts are exact whatever the tolerance: a provenance document
+         whose spills rose 30% and peak entries fell 30% exits 3, and
+         so does an ingest document that lost a scenario. *)
+      let base_t = Filename.concat baseline "BENCH_t.json" in
+      let prov ~lrb_peak ~prop_spills =
+        Printf.sprintf
+          {|{"benchmark": "provenance", "scale": "quick", "scenarios": [
+             {"name": "lrb", "spills": 2086, "peak_entries": %d, "scan_ms": 34.9},
+             {"name": "prop", "spills": %d, "peak_entries": 30529, "scan_ms": 80.8}]}|}
+          lrb_peak prop_spills
+      in
+      write_file base_t (prov ~lrb_peak:11697 ~prop_spills:1107654);
+      write_file cur (prov ~lrb_peak:8188 ~prop_spills:1439950);
+      let code, out = run_capture (args " --tolerance 50") in
+      Alcotest.(check int) "drifted counts exit 3" 3 code;
+      Alcotest.(check bool) "drifted counts named" true
+        (contains out "scenarios.prop.spills" && contains out "scenarios.lrb.peak_entries"
+        && contains out "DRIFTED" && contains out "2 exact metric(s) drifted");
+      let scenario ?(rate = 5e4) name rebuilds =
+        Printf.sprintf
+          {|{"name": "%s", "interactions": 20000, "rebuilds": %d, "daemon_ingest_per_s": %g}|}
+          name rebuilds rate
+      in
+      let ingest scenarios =
+        Printf.sprintf {|{"benchmark": "ingest", "scale": "quick", "scenarios": [%s]}|}
+          (String.concat ", " scenarios)
+      in
+      write_file base_t (ingest [ scenario "windowed" 180; scenario "ticked" 0 ]);
+      write_file cur (ingest [ scenario "windowed" 180 ]);
+      let code, out = run_capture (args " --tolerance 50") in
+      Alcotest.(check int) "missing scenario exits 3" 3 code;
+      Alcotest.(check bool) "missing counts named" true
+        (contains out "scenarios.ticked.rebuilds" && contains out "2 exact metric(s) drifted");
+      (* A new scenario is new coverage, not a drift; a timing-only
+         regression still exits 1. *)
+      write_file cur (ingest [ scenario "windowed" 180; scenario "ticked" 0; scenario "new" 1 ]);
+      let _ = check_ok "added scenario" (run_capture (args " --tolerance 50")) in
+      write_file cur (ingest [ scenario "windowed" 180; scenario ~rate:1e4 "ticked" 0 ]);
+      let code, out = run_capture (args " --tolerance 50") in
+      Alcotest.(check int) "timing-only regression exits 1" 1 code;
+      Alcotest.(check bool) "no drift" true (contains out "0 exact metric(s) drifted");
       (* Unparsable input and bad flags are usage errors, not crashes. *)
       write_file cur "not json";
       let code, _ = run_capture (args "") in

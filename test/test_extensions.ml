@@ -3,6 +3,7 @@
    decomposition into temporal paths. *)
 
 open Tin_testlib
+module VGen = Tin_verify.Gen
 module Window = Tin_core.Window
 module Decompose = Tin_core.Decompose
 module Pipeline = Tin_core.Pipeline
@@ -48,7 +49,7 @@ let test_max_flow_profile () =
 
 let prop_window_monotone rng =
   (* Larger windows can only increase the maximum flow. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let tau1 = float_of_int (Tin_util.Prng.int rng 20) in
   let tau2 = tau1 +. float_of_int (Tin_util.Prng.int rng 10) in
   Fcmp.approx_le ~eps:1e-6
@@ -57,14 +58,14 @@ let prop_window_monotone rng =
 
 let prop_window_equals_te_on_restricted rng =
   (* Windowed PreSim flow = Dinic on the restricted graph. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let tau = float_of_int (Tin_util.Prng.int rng 20) in
   Fcmp.approx_eq ~eps:1e-6
     (Window.max_flow ~until:tau g ~source ~sink)
     (TE.max_flow (Window.restrict ~until:tau g) ~source ~sink)
 
 let prop_profile_nondecreasing rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let profile = Window.max_flow_profile g ~source ~sink in
   let rec nondecreasing = function
     | (_, a) :: ((_, b) :: _ as rest) -> a <= b +. 1e-9 && nondecreasing rest
@@ -121,7 +122,7 @@ let test_online_rejects_out_of_order () =
 (* Streaming and batch run the same kernel, so pushing the canonical
    order reproduces the batch scan bit for bit. *)
 let prop_online_matches_batch rng =
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   let m = Kernel.create ~source ~sink in
   Array.iter (fun (src, dst, i) -> ignore (Kernel.push m ~src ~dst i)) (Graph.interactions_sorted g);
   Float.equal (Greedy.flow g ~source ~sink) (Kernel.flow m)
@@ -161,7 +162,7 @@ let test_online_same_instant_order_dependent () =
   Check.check_flow "swapped order: qty-4 send drains first" 4.0 (flow_of swapped)
 
 let prop_online_buffers_match rng =
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   let m = Kernel.create ~source ~sink in
   Array.iter (fun (src, dst, i) -> ignore (Kernel.push m ~src ~dst i)) (Graph.interactions_sorted g);
   Greedy.buffers g ~source ~sink
@@ -200,7 +201,7 @@ let test_buffer_cap_sink_uncapped () =
     (TE.max_flow ~buffer_capacity:(fun _ -> 0.0) g ~source:0 ~sink:1)
 
 let prop_buffer_cap_monotone rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let c1 = float_of_int (Tin_util.Prng.int rng 10) in
   let c2 = c1 +. float_of_int (Tin_util.Prng.int rng 10) in
   Fcmp.approx_le ~eps:1e-6
@@ -208,7 +209,7 @@ let prop_buffer_cap_monotone rng =
     (TE.max_flow ~buffer_capacity:(fun _ -> c2) g ~source ~sink)
 
 let prop_buffer_cap_bounded_by_unbounded rng =
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   let c = float_of_int (Tin_util.Prng.int rng 15) in
   Fcmp.approx_le ~eps:1e-6
     (TE.max_flow ~buffer_capacity:(fun _ -> c) g ~source ~sink)
@@ -339,13 +340,13 @@ let test_decompose_crumb_dead_end_continues () =
   done
 
 let prop_decompose_partitions rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let value, paths = Decompose.max_flow_paths g ~source ~sink in
   let total = List.fold_left (fun acc p -> acc +. p.Decompose.amount) 0.0 paths in
   Fcmp.approx_eq ~eps:1e-5 value total
 
 let prop_decompose_respects_quantities rng =
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   let _, paths = Decompose.max_flow_paths g ~source ~sink in
   Decompose.per_interaction paths
   |> List.for_all (fun u ->
@@ -354,7 +355,7 @@ let prop_decompose_respects_quantities rng =
          u.Decompose.u_offered > 0.0 && u.Decompose.u_carried <= u.Decompose.u_offered +. 1e-6)
 
 let prop_decompose_legs_temporal rng =
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   let _, paths = Decompose.max_flow_paths g ~source ~sink in
   List.for_all
     (fun p ->

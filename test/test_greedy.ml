@@ -2,6 +2,7 @@
    cases. *)
 
 open Tin_testlib
+module VGen = Tin_verify.Gen
 module Greedy = Tin_core.Greedy
 module P = Paper_examples
 
@@ -171,7 +172,7 @@ let test_kernel_loop_allocation_free () =
    copy.  Entries outside the range must not be scanned (their [moved]
    slots keep their NaN). *)
 let prop_kernel_range_replay rng =
-  let g, source, sink = Gen.random_digraph ~max_edges:20 ~max_inter:4 rng in
+  let g, source, sink = VGen.random_digraph ~max_edges:20 ~max_inter:4 rng in
   let inters = Graph.interactions_sorted g in
   let n = Array.length inters in
   let lo = Tin_util.Prng.int rng (n + 1) in

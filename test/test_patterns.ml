@@ -259,6 +259,35 @@ let test_time_budget () =
   Alcotest.(check int) "same instances" a.Catalog.instances b.Catalog.instances;
   Alcotest.(check bool) "not flagged" false b.Catalog.timed_out
 
+(* A search called without [~jobs] runs on the calling domain, as the
+   interface documents: every anchor chunk of a traced GB and PB that
+   spans several chunks is recorded on this domain. *)
+let test_default_jobs_sequential () =
+  let module Obs = Tin_obs.Obs in
+  let net = Gen.random_net ~n:60 ~edges:400 (Tin_util.Prng.create ~seed:5) in
+  let tables = Catalog.precompute net in
+  let n_chunks = (Compact.n_vertices net + 15) / 16 in
+  Alcotest.(check bool) "several anchor chunks" true (n_chunks > 1);
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      ignore (Catalog.gb net (Catalog.Rigid Catalog.P3));
+      ignore (Catalog.pb net tables (Catalog.Rigid Catalog.P3));
+      let chunks =
+        List.filter
+          (fun (e : Obs.event) -> e.Obs.name = "batch.map_reduce.chunk")
+          (Obs.trace_events ())
+      in
+      Alcotest.(check int) "one span per chunk and search" (2 * n_chunks) (List.length chunks);
+      List.iter
+        (fun (e : Obs.event) ->
+          Alcotest.(check int) "on the calling domain" (Domain.self () :> int) e.Obs.tid)
+        chunks)
+
 let test_deadline_overshoot_bounded () =
   (* Regression: the time budget used to be sampled only at
      ticket-grant, so a shard holding tickets could keep solving
@@ -482,6 +511,7 @@ let () =
           Alcotest.test_case "avg flow" `Quick test_avg_flow;
           Alcotest.test_case "time budget" `Quick test_time_budget;
           Alcotest.test_case "deadline overshoot bounded" `Quick test_deadline_overshoot_bounded;
+          Alcotest.test_case "jobs default to one domain" `Quick test_default_jobs_sequential;
           Alcotest.test_case "pattern DSL" `Quick test_pattern_dsl;
           Alcotest.test_case "DSL roundtrip" `Quick test_pattern_dsl_roundtrip;
           Alcotest.test_case "DSL errors" `Quick test_pattern_dsl_errors;

@@ -8,6 +8,7 @@
    tie them all together. *)
 
 open Tin_testlib
+module VGen = Tin_verify.Gen
 module Greedy = Tin_core.Greedy
 module Lp_flow = Tin_core.Lp_flow
 module Preprocess = Tin_core.Preprocess
@@ -25,7 +26,7 @@ let lp_exn g ~source ~sink =
 let eps = 1e-5
 
 let prop_greedy_le_max rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let greedy = Greedy.flow g ~source ~sink in
   let best = TE.max_flow g ~source ~sink in
   Fcmp.approx_le ~eps greedy best
@@ -33,13 +34,13 @@ let prop_greedy_le_max rng =
 (* The tighter 1e-6 on DAGs: the two formulations share no code, so
    each is the other's reference. *)
 let prop_lp_eq_dinic rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   Fcmp.approx_eq ~eps:1e-6 (lp_exn g ~source ~sink) (TE.max_flow g ~source ~sink)
 
 (* The sparse simplex's solution vector, not only its objective: the
    amounts it routes into the sink add up to Dinic's value. *)
 let prop_sparse_simplex_eq_dinic rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   match Lp_flow.solve_detailed g ~source ~sink with
   | Error _ -> QCheck.Test.fail_report "LP solver failure"
   | Ok (flow, assignments) ->
@@ -52,24 +53,24 @@ let prop_sparse_simplex_eq_dinic rng =
       Fcmp.approx_eq ~eps:1e-6 oracle flow && Fcmp.approx_eq ~eps:1e-6 oracle into_sink
 
 let prop_lp_eq_dinic_cyclic rng =
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   Fcmp.approx_eq ~eps (lp_exn g ~source ~sink) (TE.max_flow g ~source ~sink)
 
 let prop_preprocess_preserves rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let before = TE.max_flow g ~source ~sink in
   let r = Preprocess.run g ~source ~sink in
   if r.Preprocess.zero_flow then Fcmp.is_zero ~eps before
   else Fcmp.approx_eq ~eps before (TE.max_flow r.Preprocess.graph ~source ~sink)
 
 let prop_simplify_preserves rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let before = TE.max_flow g ~source ~sink in
   let r = Simplify.run g ~source ~sink in
   Fcmp.approx_eq ~eps before (TE.max_flow r.Simplify.graph ~source ~sink)
 
 let prop_preprocess_then_simplify_preserves rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let before = TE.max_flow g ~source ~sink in
   let r = Preprocess.run g ~source ~sink in
   if r.Preprocess.zero_flow then Fcmp.is_zero ~eps before
@@ -81,13 +82,13 @@ let prop_preprocess_then_simplify_preserves rng =
 let prop_simplify_idempotent rng =
   (* Simplification runs to a fixpoint: applying it twice changes
      nothing more. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let once = (Simplify.run g ~source ~sink).Simplify.graph in
   let twice = (Simplify.run once ~source ~sink).Simplify.graph in
   Graph.equal once twice
 
 let prop_preprocess_idempotent rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let r1 = Preprocess.run g ~source ~sink in
   if r1.Preprocess.zero_flow then true
   else begin
@@ -101,20 +102,20 @@ let prop_preprocess_idempotent rng =
   end
 
 let prop_pre_and_presim_agree_with_lp rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let reference = lp_exn g ~source ~sink in
   Fcmp.approx_eq ~eps reference (Pipeline.compute Pipeline.Pre g ~source ~sink)
   && Fcmp.approx_eq ~eps reference (Pipeline.compute Pipeline.Pre_sim g ~source ~sink)
 
 let prop_chain_greedy_optimal rng =
   (* Lemma 1. *)
-  let g, source, sink = Gen.random_chain rng in
+  let g, source, sink = VGen.random_chain ~max_inter:4 rng in
   Fcmp.approx_eq ~eps (Greedy.flow g ~source ~sink) (TE.max_flow g ~source ~sink)
 
 let prop_lemma2_greedy_optimal rng =
   (* Lemma 2 family: every interior vertex has exactly one outgoing
      edge. *)
-  let g, source, sink = Gen.random_lemma2 rng in
+  let g, source, sink = VGen.random_lemma2 rng in
   (* The generator guarantees the condition; double-check it. *)
   Solubility.soluble g ~source ~sink
   && Fcmp.approx_eq ~eps (Greedy.flow g ~source ~sink) (TE.max_flow g ~source ~sink)
@@ -122,14 +123,14 @@ let prop_lemma2_greedy_optimal rng =
 let prop_soluble_implies_greedy_optimal rng =
   (* Whenever the Lemma-2 test passes on an arbitrary DAG, greedy must
      equal the maximum. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   (not (Solubility.soluble g ~source ~sink))
   || Fcmp.approx_eq ~eps (Greedy.flow g ~source ~sink) (TE.max_flow g ~source ~sink)
 
 let prop_flow_bounded_by_cut rng =
   (* Max flow cannot exceed the total quantity leaving the source or
      entering the sink. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let best = TE.max_flow g ~source ~sink in
   let out_cap =
     List.fold_left (fun acc (_, is) -> acc +. Interaction.total_qty is) 0.0 (Graph.out_edges g source)
@@ -142,7 +143,7 @@ let prop_flow_bounded_by_cut rng =
 let prop_greedy_trace_consistent rng =
   (* The trace's moved amounts never exceed offers, and the flow equals
      the sum of transfers into the sink. *)
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   let flow, trace = Greedy.flow_trace g ~source ~sink in
   List.for_all (fun tr -> tr.Greedy.moved <= tr.Greedy.offered +. 1e-12) trace
   &&
@@ -156,7 +157,7 @@ let prop_greedy_trace_consistent rng =
 let prop_scaling_invariance rng =
   (* Flow is linear in quantities: scaling all quantities by k scales
      the maximum flow by k. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let k = 3.0 in
   let scaled =
     Graph.fold_edges
@@ -173,7 +174,7 @@ let prop_scaling_invariance rng =
 
 let prop_time_shift_invariance rng =
   (* Shifting all timestamps by a constant changes nothing. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let shifted =
     Graph.fold_edges
       (fun src dst is acc ->
@@ -192,11 +193,11 @@ let prop_time_shift_invariance rng =
 
 let prop_compact_roundtrip_graph rng =
   (* of_graph / to_graph is the identity on self-loop-free graphs. *)
-  let g, _, _ = Gen.random_digraph rng in
+  let g, _, _ = VGen.random_digraph rng in
   Graph.equal g (Compact.to_graph (Compact.of_graph g))
 
 let prop_classification_consistent rng =
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   match Pipeline.classify g ~source ~sink with
   | Pipeline.A ->
       (* Class A means greedy is already exact. *)

@@ -4,6 +4,7 @@
    decomposition on random problems. *)
 
 open Tin_testlib
+module VGen = Tin_verify.Gen
 module Prov = Tin_core.Provenance
 module Greedy = Tin_core.Greedy
 module Decompose = Tin_core.Decompose
@@ -139,7 +140,7 @@ let test_jobs_determinism () =
      across job counts: same graphs in, same vectors out, regardless of
      which domain computed which index. *)
   let rng = Prng.create ~seed:7 in
-  let cases = Array.init 8 (fun _ -> Gen.random_digraph rng) in
+  let cases = Array.init 8 (fun _ -> VGen.random_digraph rng) in
   let run_all ~jobs policy =
     let acc =
       Batch.map_reduce ~jobs ~n:(Array.length cases)
@@ -167,7 +168,7 @@ let test_jobs_determinism () =
 let prop_decomposition_conserves rng =
   (* Satellite invariant: peeled path amounts reassemble the max-flow
      value up to eps-sized crumbs per path. *)
-  let g, source, sink = Gen.random_dag rng in
+  let g, source, sink = VGen.random_dag rng in
   let value, paths = Decompose.max_flow_paths g ~source ~sink in
   let total = List.fold_left (fun acc p -> acc +. p.Decompose.amount) 0.0 paths in
   let eps = 1e-6 *. float_of_int (max 1 (List.length paths)) in
@@ -177,7 +178,7 @@ let prop_decomposition_conserves rng =
 let prop_proportional_totals_equal_greedy rng =
   (* Source-rooted Proportional totals equal the greedy scan exactly
      (Float.equal, not approx). *)
-  let g, source, sink = Gen.random_digraph rng in
+  let g, source, sink = VGen.random_digraph rng in
   let r = Prov.run ~policy:Prov.Proportional ~source ~absorb:sink g in
   Float.equal (Greedy.flow g ~source ~sink)
        (match List.assoc_opt sink r.Prov.totals with Some m -> m | None -> 0.0)
@@ -189,7 +190,7 @@ let prop_proportional_totals_equal_greedy rng =
 let prop_policies_agree_on_totals rng =
   (* Selection policy decides *which* units move, never *how many*:
      per-vertex totals are policy-independent, bit for bit. *)
-  let g, _, sink = Gen.random_digraph rng in
+  let g, _, sink = VGen.random_digraph rng in
   let totals policy = (Prov.run ~policy ~absorb:sink g).Prov.totals in
   let reference = totals Prov.Proportional in
   List.for_all
@@ -201,7 +202,7 @@ let prop_policies_agree_on_totals rng =
 
 let prop_vectors_conserve_mass rng =
   (* Every vertex's provenance vector sums to its buffered total. *)
-  let g, _, sink = Gen.random_digraph rng in
+  let g, _, sink = VGen.random_digraph rng in
   List.for_all
     (fun policy ->
       let r = Prov.run ~policy ~absorb:sink g in

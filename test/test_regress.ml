@@ -1,7 +1,7 @@
 (* Bench-regression gate: flattening, direction heuristics, tolerance
-   judgement, the Added/Removed soft-gate semantics and the header
-   refusal; and the JSON printer the bench documents are written with,
-   read back by the parser the gate uses. *)
+   judgement of timings, equality of exact counts, the Added/Removed
+   semantics and the header refusal; and the JSON printer the bench
+   documents are written with, read back by the parser the gate uses. *)
 
 module Json = Tin_util.Json
 module Regress = Tin_util.Regress
@@ -52,16 +52,25 @@ let test_throughput_direction () =
   Alcotest.(check (option status)) "higher speedup improves" (Some Regress.Improved)
     (row_status rows "batch_speedup")
 
+(* An exact path passes only when equal: the tolerance is for timings,
+   and a count that moves at all is a change of behaviour. *)
 let test_exact_metrics_regress_both_ways () =
   let base = {|{"pivots": 100}|} in
   List.iter
-    (fun cur ->
-      let rows = compare_str base cur in
-      Alcotest.(check (option status)) ("deviation regresses: " ^ cur)
-        (Some Regress.Regressed) (row_status rows "pivots"))
-    [ {|{"pivots": 130}|}; {|{"pivots": 70}|} ];
-  let rows = compare_str base {|{"pivots": 110}|} in
-  Alcotest.(check (option status)) "within tolerance" (Some Regress.Ok_within)
+    (fun (tolerance_pct, cur) ->
+      let rows = compare_str ~tolerance_pct base cur in
+      Alcotest.(check (option status))
+        (Printf.sprintf "deviation drifts at %g%%: %s" tolerance_pct cur)
+        (Some Regress.Drifted) (row_status rows "pivots"))
+    [
+      (15.0, {|{"pivots": 130}|}); (15.0, {|{"pivots": 70}|}); (15.0, {|{"pivots": 110}|});
+      (50.0, {|{"pivots": 110}|}); (50.0, {|{"pivots": 100.5}|});
+    ];
+  let rows = compare_str ~tolerance_pct:50.0 base {|{"pivots": 110}|} in
+  Alcotest.(check int) "a drift is no timing regression" 0 (List.length (Regress.regressed rows));
+  Alcotest.(check int) "but is a drift" 1 (List.length (Regress.drifted rows));
+  let rows = compare_str ~tolerance_pct:0.0 base base in
+  Alcotest.(check (option status)) "equal passes" (Some Regress.Ok_within)
     (row_status rows "pivots")
 
 let test_tolerance_is_configurable () =
@@ -73,24 +82,123 @@ let test_tolerance_is_configurable () =
   Alcotest.(check (option status)) "loose tolerance passes +10%" (Some Regress.Ok_within)
     (row_status rows "wall_ms")
 
+(* New coverage is not a regression, and neither is a timing that is
+   no longer measured; a count that vanished is a drift, like a
+   scenario the gate can no longer see. *)
 let test_added_removed_are_informational () =
-  let base = {|{"old_counter": 5, "shared_ms": 10.0}|} in
-  let cur = {|{"new_counter": 7, "shared_ms": 10.0}|} in
-  let rows = compare_str base cur in
-  Alcotest.(check (option status)) "removed flagged" (Some Regress.Removed)
-    (row_status rows "old_counter");
-  Alcotest.(check (option status)) "added flagged" (Some Regress.Added)
+  let base = {|{"old_counter": 5, "old_ms": 3.0, "shared_ms": 10.0}|} in
+  let cur = {|{"new_counter": 7, "new_ms": 4.0, "shared_ms": 10.0}|} in
+  let rows = compare_str ~tolerance_pct:50.0 base cur in
+  Alcotest.(check (option status)) "removed timing informational" (Some Regress.Removed)
+    (row_status rows "old_ms");
+  Alcotest.(check (option status)) "added count informational" (Some Regress.Added)
     (row_status rows "new_counter");
-  (* A renamed counter must not fail the soft gate. *)
-  Alcotest.(check int) "not regressions" 0 (List.length (Regress.regressed rows))
+  Alcotest.(check (option status)) "added timing informational" (Some Regress.Added)
+    (row_status rows "new_ms");
+  Alcotest.(check (option status)) "removed count drifts" (Some Regress.Drifted)
+    (row_status rows "old_counter");
+  Alcotest.(check int) "not regressions" 0 (List.length (Regress.regressed rows));
+  Alcotest.(check (list string)) "only the removed count drifts" [ "old_counter" ]
+    (List.map (fun (r : Regress.row) -> r.Regress.path) (Regress.drifted rows))
 
+(* Facts of the machine, and of the schedule in a [tinflow obs report
+   --json] document: a domain's id and its share of the span total
+   are skipped.  The report's utilization is higher-better and its
+   imbalance lower-better, so two schedules of the same work differ
+   only in directional paths. *)
 let test_machine_facts_ignored () =
   let rows =
     compare_str {|{"domains_available": 8, "wall_ms": 10.0}|}
       {|{"domains_available": 128, "wall_ms": 10.0}|}
   in
   Alcotest.(check (option status)) "domains_available skipped" None
-    (row_status rows "domains_available")
+    (row_status rows "domains_available");
+  let report ?(total = 40) ~spans0 ~util1 ~mean ~imbalance ~cp_tid () =
+    Printf.sprintf
+      {|{"schema": "tinflow.obs.report/v1",
+         "trace": {"spans": %d, "dropped": 0, "wall_ms": 9.0, "roots": 1, "orphans": 0},
+         "critical_path": [{"name": "batch", "tid": %d, "dur_ms": 9.0, "self_ms": 1.0}],
+         "domains": [{"tid": 0, "spans": %d, "busy_ms": 8.0, "utilization": 0.9},
+                     {"tid": 1, "spans": %d, "busy_ms": 6.0, "utilization": %g}],
+         "utilization": {"domains": 2, "mean": %g},
+         "chunks": {"count": 12, "mean_ms": 1.0, "imbalance": %g},
+         "self_times": [{"name": "lp.solve", "count": 30, "self_ms": 4.0}]}|}
+      total cp_tid spans0 (total - spans0) util1 mean imbalance
+  in
+  let base = report ~spans0:22 ~util1:0.6 ~mean:0.75 ~imbalance:1.2 ~cp_tid:0 () in
+  let self = compare_str base base in
+  Alcotest.(check int) "self-diff compares all but the skipped" 18 (List.length self);
+  Alcotest.(check bool) "self-diff clean" true
+    (List.for_all (fun (r : Regress.row) -> r.Regress.status = Regress.Ok_within) self);
+  List.iter
+    (fun p -> Alcotest.(check (option status)) (p ^ " skipped") None (row_status self p))
+    [ "critical_path.batch.tid"; "domains.0.tid"; "domains.0.spans"; "domains.1.spans" ];
+  (* Another schedule: spans move between domains, the critical path
+     ends on the other domain, utilization drops and imbalance grows. *)
+  let rows =
+    compare_str base (report ~spans0:17 ~util1:0.3 ~mean:0.6 ~imbalance:1.5 ~cp_tid:1 ())
+  in
+  Alcotest.(check int) "another schedule does not drift" 0 (List.length (Regress.drifted rows));
+  List.iter
+    (fun p -> Alcotest.(check (option status)) (p ^ " regresses") (Some Regress.Regressed)
+        (row_status rows p))
+    [ "domains.1.utilization"; "utilization.mean"; "chunks.imbalance" ];
+  let rows =
+    compare_str base (report ~spans0:22 ~util1:0.9 ~mean:0.9 ~imbalance:1.0 ~cp_tid:0 ())
+  in
+  List.iter
+    (fun p -> Alcotest.(check (option status)) (p ^ " improves") (Some Regress.Improved)
+        (row_status rows p))
+    [ "domains.1.utilization"; "utilization.mean"; "chunks.imbalance" ];
+  (* The span total itself is exact. *)
+  let rows =
+    compare_str base (report ~total:41 ~spans0:22 ~util1:0.6 ~mean:0.75 ~imbalance:1.2 ~cp_tid:0 ())
+  in
+  Alcotest.(check (option status)) "span total exact" (Some Regress.Drifted)
+    (row_status rows "trace.spans")
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A [tinflow obs report --json] document lists every span name, not
+   only the [--top] heaviest: a name that falls from 2nd to 12th
+   between two schedules of the same work is still compared, and its
+   count, a deterministic total, still matches.  Only the human table
+   stops at [top]. *)
+let test_report_lists_every_span_name () =
+  let module Report = Tin_obs.Report in
+  (* A root span and eleven children on one domain: [k01 .. k10] last
+     20 .. 29 us, [k00] lasts [k00_us]. *)
+  let report ~k00_us =
+    let span ~name ~id ~parent ~ts ~dur =
+      Printf.sprintf
+        {|{"ph": "X", "name": "%s", "ts": %d, "dur": %d, "tid": 0,
+           "args": {"trace_id": "t", "span_id": "%s", "parent_id": "%s"}}|}
+        name ts dur id parent
+    in
+    let kids =
+      List.init 11 (fun i ->
+          span ~name:(Printf.sprintf "k%02d" i) ~id:(Printf.sprintf "s%d" i) ~parent:"root"
+            ~ts:(100 * i) ~dur:(if i = 0 then k00_us else 19 + i))
+    in
+    let root = span ~name:"root" ~id:"root" ~parent:"" ~ts:0 ~dur:5000 in
+    let doc = Printf.sprintf {|{"traceEvents": [%s]}|} (String.concat ", " (root :: kids)) in
+    match Report.analyze (parse doc) with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "report refused the trace: %s" msg
+  in
+  let heavy = report ~k00_us:30 and light = report ~k00_us:5 in
+  Alcotest.(check int) "every name listed" 12 (List.length light.Report.self_times);
+  Alcotest.(check bool) "k00 in the heavy table" true
+    (contains ~sub:"k00" (Report.render ~top:10 heavy));
+  Alcotest.(check bool) "k00 out of the light table" false
+    (contains ~sub:"k00" (Report.render ~top:10 light));
+  let rows = compare_str (Report.to_json heavy) (Report.to_json light) in
+  Alcotest.(check int) "no drift" 0 (List.length (Regress.drifted rows));
+  Alcotest.(check (option status)) "k00 count still compared" (Some Regress.Ok_within)
+    (row_status rows "self_times.k00.count")
 
 let test_array_elements_keyed_by_name () =
   (* Reordering a named array must not shift every other metric. *)
@@ -131,11 +239,6 @@ let test_flatten_paths () =
     "dotted paths, strings skipped"
     [ ("a.b.x.v", 1.5); ("a.b.1", 2.0) ]
     (Regress.flatten doc)
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_render_table_mentions_deviations () =
   let rows = compare_str {|{"wall_ms": 100.0, "iters": 7}|} {|{"wall_ms": 200.0, "iters": 7}|} in
@@ -259,6 +362,8 @@ let () =
           Alcotest.test_case "added/removed informational" `Quick
             test_added_removed_are_informational;
           Alcotest.test_case "machine facts ignored" `Quick test_machine_facts_ignored;
+          Alcotest.test_case "report lists every span name" `Quick
+            test_report_lists_every_span_name;
           Alcotest.test_case "named array keying" `Quick test_array_elements_keyed_by_name;
           Alcotest.test_case "header mismatch" `Quick test_header_mismatch;
         ] );

@@ -4,6 +4,7 @@
    auto-detection. *)
 
 open Tin_testlib
+module VGen = Tin_verify.Gen
 
 let i_ t q = Interaction.make ~time:t ~qty:q
 
@@ -79,14 +80,14 @@ let test_roundtrip_duplicate_timestamps () =
       Alcotest.check compact "duplicate timestamps round-trip" c (Snapshot.load path))
 
 let prop_roundtrip rng =
-  let g, _, _ = Gen.random_dag rng in
+  let g, _, _ = VGen.random_dag rng in
   let c = Compact.of_graph g in
   with_snapshot c (fun path -> Compact.equal c (Snapshot.load path))
 
 let prop_roundtrip_through_graph rng =
   (* save -> load -> to_graph must reproduce the original graph, not
      just an equal substrate. *)
-  let g, _, _ = Gen.random_digraph rng in
+  let g, _, _ = VGen.random_digraph rng in
   let c = Compact.of_graph g in
   with_snapshot c (fun path -> Graph.equal g (Compact.to_graph (Snapshot.load path)))
 
@@ -216,7 +217,7 @@ let prop_io_csv_and_snapshot_agree rng =
      format-agnostic loader.  CSV cannot represent isolated vertices,
      so the snapshot is taken from the CSV round-trip (which drops
      them) rather than from the generated graph directly. *)
-  let g, _, _ = Gen.random_dag rng in
+  let g, _, _ = VGen.random_dag rng in
   let csv = Filename.temp_file "tin_snap" ".csv" in
   let snap = Filename.temp_file "tin_snap" ".tinb" in
   Fun.protect

@@ -87,7 +87,10 @@ let check_report problems =
      which is why the utilization floor below stays gated on real
      parallelism. *)
   let jobs = 2 in
+  (* The whole run is the trace: size the span ring for it, as
+     [tinflow --trace] does. *)
   Obs.reset ();
+  Obs.Flight.set_capacity Obs.Flight.trace_capacity;
   Obs.enable ();
   Obs.Span.with_root "bench.obs.batch" (fun () ->
       ignore
@@ -102,6 +105,7 @@ let check_report problems =
   let doc = Json.parse_exn (Obs.chrome_trace_json ()) in
   Obs.disable ();
   Obs.reset ();
+  Obs.Flight.set_capacity Obs.Flight.default_capacity;
   match Report.analyze doc with
   | Error msg -> failwith ("obs report analysis failed: " ^ msg)
   | Ok r ->

@@ -105,7 +105,6 @@ type obs_opts = {
   listen : int option;
   log_json : bool;
   flight_dump : string option;
-  no_flight : bool;
 }
 
 let obs_term =
@@ -123,8 +122,11 @@ let obs_term =
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Record spans across all domains and write a Chrome-trace JSON file to $(docv) on \
-             exit (loadable in chrome://tracing or Perfetto).")
+            (Printf.sprintf
+               "Record spans across all domains and write a Chrome-trace JSON file to $(docv) \
+                on exit (loadable in chrome://tracing or Perfetto).  Each domain keeps its \
+                newest %d spans; the file's dropped_events counts the older ones overwritten."
+               Tin_obs.Obs.Flight.trace_capacity))
   in
   let log_json =
     Arg.(
@@ -145,18 +147,10 @@ let obs_term =
              writes $(docv)-<reason>.json as a Chrome trace on SIGUSR2, on a daemon 5xx \
              response, and on crash.")
   in
-  let no_flight =
-    Arg.(
-      value & flag
-      & info [ "no-flight" ]
-          ~doc:
-            "Disarm the flight recorder: no span ring is maintained and no post-mortem dumps \
-             are written.")
-  in
   Term.(
-    const (fun metrics trace log_json flight_dump no_flight ->
-        { metrics; trace; listen = None; log_json; flight_dump; no_flight })
-    $ metrics $ trace $ log_json $ flight_dump $ no_flight)
+    const (fun metrics trace log_json flight_dump ->
+        { metrics; trace; listen = None; log_json; flight_dump })
+    $ metrics $ trace $ log_json $ flight_dump)
 
 (* The long-running subcommands additionally take [--listen]. *)
 let obs_serve_term =
@@ -181,33 +175,32 @@ let with_obs ~cmd o run =
   (* Flight recorder: armed by default, independent of --metrics /
      --trace — the post-mortem black box.  SIGUSR2 dumps it on demand
      (the handler runs as regular OCaml code between allocations, so
-     writing a file from it is safe); a crash below dumps it too. *)
-  if o.no_flight then Obs.Flight.disarm ();
+     writing a file from it is safe); a crash below dumps it too.  The
+     ring is also the span store --trace writes out, so a trace raises
+     its capacity first. *)
+  if o.trace <> None then Obs.Flight.set_capacity Obs.Flight.trace_capacity;
   Option.iter Obs.Flight.set_dump_prefix o.flight_dump;
-  if Obs.Flight.armed () then begin
-    match
-      Sys.set_signal Sys.sigusr2
-        (Sys.Signal_handle
-           (fun _ ->
-             let path = Obs.Flight.dump ~reason:"sigusr2" () in
-             Event.note "flight recorder dumped to %s" path;
-             Event.emit "flight.dump"
-               ~fields:[ ("path", Json.Str path); ("reason", Json.Str "sigusr2") ]))
-    with
-    | () -> ()
-    | exception (Invalid_argument _ | Sys_error _) -> (* no SIGUSR2 on this platform *) ()
-  end;
+  (match
+     Sys.set_signal Sys.sigusr2
+       (Sys.Signal_handle
+          (fun _ ->
+            let path = Obs.Flight.dump ~reason:"sigusr2" () in
+            Event.note "flight recorder dumped to %s" path;
+            Event.emit "flight.dump"
+              ~fields:[ ("path", Json.Str path); ("reason", Json.Str "sigusr2") ]))
+   with
+  | () -> ()
+  | exception (Invalid_argument _ | Sys_error _) -> (* no SIGUSR2 on this platform *) ());
   (* Every subcommand runs under a root request span, so anything the
      run records (batch chunks, LP solves, catalog searches) stitches
      into one per-invocation trace tree. *)
   let run () = Obs.Span.with_root ("tinflow." ^ cmd) run in
   let crash_dump () =
-    if Obs.Flight.armed () then
-      match Obs.Flight.dump ~reason:"crash" () with
-      | path ->
-          Event.note "flight recorder dumped to %s" path;
-          Event.emit "flight.dump" ~fields:[ ("path", Json.Str path); ("reason", Json.Str "crash") ]
-      | exception _ -> ()
+    match Obs.Flight.dump ~reason:"crash" () with
+    | path ->
+        Event.note "flight recorder dumped to %s" path;
+        Event.emit "flight.dump" ~fields:[ ("path", Json.Str path); ("reason", Json.Str "crash") ]
+    | exception _ -> ()
   in
   let server =
     match o.listen with
@@ -242,8 +235,12 @@ let with_obs ~cmd o run =
       Option.iter
         (fun path ->
           Obs.write_chrome_trace path;
-          Event.note "trace written to %s" path;
-          Event.emit "trace.written" ~fields:[ ("path", Json.Str path) ])
+          let dropped = Obs.dropped_events () in
+          Event.note "trace written to %s%s" path
+            (if dropped = 0 then ""
+             else Printf.sprintf " (incomplete: %d oldest span(s) overwritten)" dropped);
+          Event.emit "trace.written"
+            ~fields:[ ("path", Json.Str path); ("dropped_events", Json.int dropped) ])
         o.trace;
       if o.metrics then Obs.print_summary stderr;
       let elapsed =

@@ -18,8 +18,6 @@ let c_sim_interactions = Obs.Counter.make "pipeline.simplify.interactions_remove
 
 type method_ = Greedy | Lp | Pre | Pre_sim | Time_expanded
 
-let all_methods = [ Greedy; Lp; Pre; Pre_sim; Time_expanded ]
-
 let method_name = function
   | Greedy -> "Greedy"
   | Lp -> "LP"

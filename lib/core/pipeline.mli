@@ -13,7 +13,6 @@
 
 type method_ = Greedy | Lp | Pre | Pre_sim | Time_expanded
 
-val all_methods : method_ list
 val method_name : method_ -> string
 
 (** Difficulty classes of Section 6.2: [A] = greedy-soluble as given;

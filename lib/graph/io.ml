@@ -9,8 +9,6 @@ let error_to_string e =
   if e.line = 0 then Printf.sprintf "%s: %s" file e.message
   else Printf.sprintf "%s:%d:%d: %s" file e.line e.column e.message
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
 let src = Logs.Src.create "tin.graph.io" ~doc:"Interaction network I/O"
 
 module Log = (val Logs.src_log src : Logs.LOG)

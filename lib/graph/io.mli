@@ -36,8 +36,6 @@ val error_to_string : error -> string
     ["file: message"] when [line = 0] (snapshot errors have no textual
     position). *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val parse_channel :
   ?file:string -> in_channel -> ((int * int * Interaction.t) list, error) result
 (** Parses a channel.  Self-loops are skipped (with a [Logs] warning

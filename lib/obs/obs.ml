@@ -106,7 +106,7 @@ let gauge_clock = Atomic.make 0
 
 module Gauge0 = struct
   type cell = { mutable v : float; mutable stamp : int }
-  type t = { name : string; base : string; labels : (string * string) list; shard : cell Shard.t }
+  type t = { name : string; shard : cell Shard.t }
 
   let bump () = 1 + Atomic.fetch_and_add gauge_clock 1
 
@@ -114,13 +114,6 @@ module Gauge0 = struct
     if Atomic.get enabled then begin
       let cell = Shard.local g.shard in
       cell.v <- x;
-      cell.stamp <- bump ()
-    end
-
-  let add g dx =
-    if Atomic.get enabled then begin
-      let cell = Shard.local g.shard in
-      cell.v <- (if cell.stamp = 0 then dx else cell.v +. dx);
       cell.stamp <- bump ()
     end
 
@@ -142,8 +135,7 @@ module Gauge0 = struct
         cell.stamp <- 0)
       (Shard.all g.shard)
 
-  let create ~base ~labels name =
-    { name; base; labels; shard = Shard.create (fun () -> { v = 0.0; stamp = 0 }) }
+  let create name = { name; shard = Shard.create (fun () -> { v = 0.0; stamp = 0 }) }
 end
 
 module Histogram0 = struct
@@ -231,12 +223,8 @@ end
 module Gauge = struct
   include Gauge0
 
-  type family = family_id
-
-  let un = function G g -> Some g | _ -> None
-  let make name = find_or_create name (Gauge0.create ~base:name ~labels:[]) (fun g -> G g) un
-  let make_labeled name ~labels = register_family name labels
-  let labeled fam values = family_member fam values Gauge0.create (fun g -> G g) un
+  let make name =
+    find_or_create name Gauge0.create (fun g -> G g) (function G g -> Some g | _ -> None)
 end
 
 module Histogram = struct
@@ -250,45 +238,28 @@ module Histogram = struct
   let labeled fam values = family_member fam values Histogram0.create (fun h -> H h) un
 end
 
-(* --- span buffers --- *)
+(* --- span ring (the one span store) --------------------------------- *)
 
-(* Per-domain bounded event buffers: an unbounded trace of a long
-   pattern search could otherwise exhaust memory.  Overflow is counted
-   and reported instead of silently dropped.  The cap is settable so
-   tests can force overflow without recording 262k spans. *)
-let default_span_buffer_cap = 262_144
-let span_cap = Atomic.make default_span_buffer_cap
-let span_buffer_cap () = Atomic.get span_cap
-
-let set_span_buffer_cap n =
-  if n <= 0 then invalid_arg "Obs.set_span_buffer_cap: cap must be positive";
-  Atomic.set span_cap n
-
-type span_cell = { mutable evs : event list; mutable count : int; mutable dropped : int }
-
-let span_shard = Shard.create (fun () -> { evs = []; count = 0; dropped = 0 })
-
-(* --- flight-recorder ring (always-on black box) -------------------- *)
-
-(* A bounded per-domain ring of the most recent span events, armed
-   independently of [enabled]: when tracing is off, spans still land
-   here (and only here), so a SIGUSR2 / crash / daemon-5xx dump can
-   answer "what was it doing" after the fact.  Overwriting the oldest
-   entry counts as an *eviction* — deliberately a different counter
-   from the bounded span-buffer drops, because an eviction is normal
-   steady-state behaviour while a drop means the requested trace is
-   incomplete.  The dump/incident half of the [Flight] API lives at
-   the end of this file (it needs the Chrome-trace emitter). *)
+(* A bounded per-domain ring of the most recent span events.  It is
+   armed independently of [enabled], so with tracing off spans still
+   land here and a SIGUSR2 / crash / daemon-5xx dump can answer "what
+   was it doing" after the fact; [--trace] raises its capacity and
+   writes it out at exit.  Overwriting the oldest entry counts as a
+   drop.  The ring keeps the newest spans, and on one domain a span
+   completes before its parent, so a kept span's same-domain parent is
+   kept too.  The dump/incident half of the [Flight] API lives at the
+   end of this file (it needs the Chrome-trace emitter). *)
 module Flight0 = struct
   let armed_flag = Atomic.make true
   let default_capacity = 4096
+  let trace_capacity = 262_144
   let capacity = Atomic.make default_capacity
 
   type cell = {
     mutable ring : event array;
     mutable next : int;
     mutable filled : int;
-    mutable evicted : int;
+    mutable dropped : int;
   }
 
   let dummy =
@@ -303,53 +274,65 @@ module Flight0 = struct
       parent_id = "";
     }
 
-  let shard =
-    Shard.create (fun () ->
-        { ring = Array.make (Atomic.get capacity) dummy; next = 0; filled = 0; evicted = 0 })
+  let shard = Shard.create (fun () -> { ring = [||]; next = 0; filled = 0; dropped = 0 })
 
+  (* The ring doubles up to [capacity] instead of starting full: every
+     [Batch.map] call spawns fresh domains whose cells stay registered,
+     and at [trace_capacity] a full ring per domain would pin megabytes
+     each.  Below capacity the ring has never wrapped, so growing is
+     one blit with the oldest entry at slot 0. *)
   let push e =
     let c = Shard.local shard in
     let len = Array.length c.ring in
-    if c.filled = len then c.evicted <- c.evicted + 1 else c.filled <- c.filled + 1;
+    let cap = Atomic.get capacity in
+    if c.filled = len && len < cap then begin
+      let ring = Array.make (min cap (max 1 (2 * len))) dummy in
+      Array.blit c.ring 0 ring 0 len;
+      c.next <- len;
+      c.ring <- ring
+    end;
+    let len = Array.length c.ring in
+    if c.filled = len then c.dropped <- c.dropped + 1 else c.filled <- c.filled + 1;
     c.ring.(c.next) <- e;
     c.next <- (c.next + 1) mod len
 
   let armed () = Atomic.get armed_flag
   let arm () = Atomic.set armed_flag true
   let disarm () = Atomic.set armed_flag false
-  let evictions () = List.fold_left (fun acc c -> acc + c.evicted) 0 (Shard.all shard)
+  let dropped () = List.fold_left (fun acc c -> acc + c.dropped) 0 (Shard.all shard)
 
   let events () =
     Shard.all shard
     |> List.concat_map (fun c ->
-           let len = Array.length c.ring in
-           List.init c.filled (fun i ->
-               (* oldest-first: the slot after [next] wraps to the
-                  oldest retained entry once the ring has lapped *)
-               c.ring.((c.next - c.filled + i + len * 2) mod len)))
-    |> List.sort (fun a b -> Int64.compare a.ts_ns b.ts_ns)
+           (* A dump may read a ring while its domain grows it: take one
+              snapshot of the array and clamp the indices to it.  A racy
+              read can then miss or repeat an entry, never leave the
+              array. *)
+           let ring = c.ring in
+           let len = Array.length ring in
+           let filled = min c.filled len in
+           let next = if len = 0 then 0 else c.next mod len in
+           (* oldest first: once the ring has lapped, the slot at
+              [next] holds the oldest retained entry *)
+           List.init filled (fun i -> ring.((next - filled + i + len) mod len)))
+    |> List.filter (fun e -> e != dummy)
+    |> List.stable_sort (fun a b -> Int64.compare a.ts_ns b.ts_ns)
 
   let clear () =
     List.iter
       (fun c ->
-        Array.fill c.ring 0 (Array.length c.ring) dummy;
+        c.ring <- [||];
         c.next <- 0;
         c.filled <- 0;
-        c.evicted <- 0)
+        c.dropped <- 0)
       (Shard.all shard)
 
-  (* Tests only: resize (and clear) every materialized cell.  New
-     domains pick the new capacity up from the atomic. *)
+  (* Clears every materialized cell; new domains and cleared cells
+     grow up to the new capacity. *)
   let set_capacity n =
     if n <= 0 then invalid_arg "Obs.Flight.set_capacity: capacity must be positive";
     Atomic.set capacity n;
-    List.iter
-      (fun c ->
-        c.ring <- Array.make n dummy;
-        c.next <- 0;
-        c.filled <- 0;
-        c.evicted <- 0)
-      (Shard.all shard)
+    clear ()
 end
 
 (* Is anything listening?  True when the metrics layer is enabled or
@@ -358,8 +341,10 @@ end
 let recording () = Atomic.get enabled || Atomic.get Flight0.armed_flag
 
 module Span = struct
+  (* Callers have checked [recording ()]: a span opened while either
+     listener is on lands in the ring. *)
   let record ~trace_id ~span_id ~parent_id name args t0 t1 =
-    let e =
+    Flight0.push
       {
         name;
         ts_ns = t0;
@@ -370,16 +355,6 @@ module Span = struct
         span_id;
         parent_id;
       }
-    in
-    if Atomic.get enabled then begin
-      let cell = Shard.local span_shard in
-      if cell.count >= Atomic.get span_cap then cell.dropped <- cell.dropped + 1
-      else begin
-        cell.evs <- e :: cell.evs;
-        cell.count <- cell.count + 1
-      end
-    end;
-    if Atomic.get Flight0.armed_flag then Flight0.push e
 
   let with_ ?(args = []) name f =
     if not (recording ()) then f ()
@@ -467,24 +442,13 @@ let histograms () =
   |> List.filter_map (function H h -> Some (Histogram.name h, Histogram.summary h) | _ -> None)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let trace_events () =
-  Shard.all span_shard
-  |> List.concat_map (fun cell -> cell.evs)
-  |> List.sort (fun a b -> Int64.compare a.ts_ns b.ts_ns)
-
-let dropped_events () =
-  List.fold_left (fun acc cell -> acc + cell.dropped) 0 (Shard.all span_shard)
+let trace_events = Flight0.events
+let dropped_events = Flight0.dropped
 
 let reset () =
   List.iter
     (function C c -> Counter.reset c | G g -> Gauge0.reset g | H h -> Histogram.reset h)
     (metrics ());
-  List.iter
-    (fun cell ->
-      cell.evs <- [];
-      cell.count <- 0;
-      cell.dropped <- 0)
-    (Shard.all span_shard);
   Flight0.clear ()
 
 (* --- runtime telemetry sampler ------------------------------------- *)
@@ -667,7 +631,6 @@ let metrics_json () =
          ("gauges", obj (fun v -> Json.Num v) (gauges ()));
          ("histograms", obj summary (histograms ()));
          ("dropped_events", Json.int (dropped_events ()));
-         ("flight_evictions", Json.int (Flight0.evictions ()));
        ])
 
 (* --- Prometheus text exposition (format version 0.0.4) ------------- *)
@@ -759,7 +722,7 @@ let prometheus_text () =
         | G g -> (
             (* NaN means "unset": skipped like a never-written gauge. *)
             match Gauge0.freshest g with
-            | Some (_, v) when not (Float.is_nan v) -> Some (g.Gauge0.base, g.Gauge0.labels, v)
+            | Some (_, v) when not (Float.is_nan v) -> Some (g.Gauge0.name, [], v)
             | _ -> None)
         | _ -> None)
       ms
@@ -811,14 +774,9 @@ let prometheus_text () =
         (fun s -> s.Stats.max)
         (fun s -> s.Stats.count > 0))
     (group_by_base hs);
-  (* Span loss is part of the scrape: a dashboard can alert on it.
-     Buffer drops (trace incomplete) and flight-ring evictions (normal
-     wraparound of the post-mortem ring) are distinct signals. *)
-  header "obs_dropped_span_events" "counter" "spans dropped at the per-domain buffer cap";
+  (* Span loss is part of the scrape: a dashboard can alert on it. *)
+  header "obs_dropped_span_events" "counter" "spans overwritten in the per-domain span ring";
   Buffer.add_string b (Printf.sprintf "obs_dropped_span_events %d\n" (dropped_events ()));
-  header "obs_flight_ring_evictions" "counter"
-    "flight-recorder ring slots overwritten by newer spans";
-  Buffer.add_string b (Printf.sprintf "obs_flight_ring_evictions %d\n" (Flight0.evictions ()));
   Buffer.contents b
 
 let write_chrome_trace path =
@@ -828,11 +786,6 @@ let write_chrome_trace path =
     (fun () -> output_string oc (chrome_trace_json ()))
 
 let print_summary oc =
-  if dropped_events () > 0 then
-    Printf.fprintf oc
-      "observability: WARNING: %d span(s) dropped (per-domain buffer cap %d reached; the trace \
-       is incomplete)\n"
-      (dropped_events ()) (span_buffer_cap ());
   let cs = List.filter (fun (_, v) -> v <> 0) (counters ()) in
   if cs <> [] then
     output_string oc
@@ -860,9 +813,9 @@ let print_summary oc =
               ])
             hs));
   let spans = List.length (trace_events ()) in
-  if spans > 0 || dropped_events () > 0 then
-    Printf.fprintf oc "observability: %d span(s) recorded%s\n" spans
-      (match dropped_events () with 0 -> "" | d -> Printf.sprintf ", %d dropped" d);
+  if spans > 0 then
+    Printf.fprintf oc "observability: %d span(s) kept%s\n" spans
+      (match dropped_events () with 0 -> "" | d -> Printf.sprintf ", %d older one(s) dropped" d);
   if cs = [] && gs = [] && hs = [] && spans = 0 then
     output_string oc "observability: no metrics recorded\n"
 
@@ -873,17 +826,14 @@ module Flight = struct
 
   let lock = Mutex.create ()
   let prefix = ref ("tinflow-flight-" ^ string_of_int (Unix.getpid ()))
-  let dump_count = Atomic.make 0
   let last_dump_ns = Atomic.make Int64.min_int
 
   let set_dump_prefix p =
     if p = "" then invalid_arg "Obs.Flight.set_dump_prefix: empty prefix";
     Mutex.protect lock (fun () -> prefix := p)
 
-  let dumps () = Atomic.get dump_count
-
   (* Post-mortem snapshot: the ring contents as a Chrome trace, with
-     the trigger and the eviction count as extra top-level fields.
+     the trigger and the armed flag as extra top-level fields.
      Serialized under a lock (signal handler, 5xx path and crash hook
      may race); safe to call from a [Sys.Signal_handle] because those
      run as normal OCaml code between allocations, not as raw signal
@@ -891,14 +841,7 @@ module Flight = struct
   let dump ?path ~reason () =
     let evs = events () in
     let body =
-      chrome_trace_of
-        ~extra:
-          [
-            ("reason", Json.Str reason);
-            ("flight_evictions", Json.int (evictions ()));
-            ("armed", Json.Bool (armed ()));
-          ]
-        evs
+      chrome_trace_of ~extra:[ ("reason", Json.Str reason); ("armed", Json.Bool (armed ())) ] evs
     in
     Mutex.protect lock (fun () ->
         let path =
@@ -908,7 +851,6 @@ module Flight = struct
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () -> output_string oc body);
-        Atomic.incr dump_count;
         Atomic.set last_dump_ns (Timer.now_ns ());
         path)
 

@@ -17,6 +17,8 @@
     buffer touches, batch chunk timelines, per-solve latency
     histograms) is therefore always compiled in and enabled at runtime
     with [tinflow --metrics] / [--trace FILE] / [--listen PORT].
+    Spans have one store, the per-domain {!Flight} ring: it is armed by
+    default, and [--trace] raises its capacity and writes it out.
 
     Thread-safety: recording is safe from any domain.  {!reset} must
     not race with in-flight instrumented work — call it from the
@@ -47,9 +49,9 @@ val recording : unit -> bool
     key off {!enabled} alone. *)
 
 val reset : unit -> unit
-(** Zeroes every counter and histogram, unsets every gauge, and drops
-    all recorded span events and flight-ring contents.  Metric
-    identities (registered names) survive. *)
+(** Zeroes every counter and histogram, unsets every gauge, and empties
+    the span ring and its {!dropped_events} count.  Metric identities
+    (registered names) survive. *)
 
 (** Monotonically increasing named event counts. *)
 module Counter : sig
@@ -105,18 +107,8 @@ module Gauge : sig
 
   val make : string -> t
 
-  type family
-
-  val make_labeled : string -> labels:string list -> family
-  val labeled : family -> string list -> t
-
   val set : t -> float -> unit
   (** No-op while {!enabled} is false. *)
-
-  val add : t -> float -> unit
-  (** [add g dx] adjusts the calling domain's cell by [dx] (from the
-      domain's own last write, or from [dx] if this domain never
-      wrote) and stamps it freshest.  No-op while disabled. *)
 
   val value : t -> float
   (** The most recently written value across domains; [nan] if the
@@ -156,14 +148,6 @@ type event = {
   parent_id : string;  (** Enclosing span's id; [""] for roots. *)
 }
 
-val span_buffer_cap : unit -> int
-(** Per-domain bounded span-buffer capacity (default 262144). *)
-
-val set_span_buffer_cap : int -> unit
-(** Change the per-domain span-buffer cap.  Tests use a tiny cap to
-    force drops; restore the default afterwards.
-    @raise Invalid_argument if not positive. *)
-
 (** Wall-clock spans around instrumented regions, carrying W3C trace
     context: every recorded span gets a fresh span id, inherits the
     trace id of the innermost open span on its domain (or starts a
@@ -174,9 +158,9 @@ module Span : sig
   val with_ : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
   (** [with_ name f] runs [f ()]; when {!recording} is true, the
       elapsed interval is recorded as a complete event on the calling
-      domain's timeline (also when [f] raises) — into the bounded
-      trace buffer when {!enabled}, and into the {!Flight} ring when
-      armed.  Otherwise this is exactly a guarded call to [f]. *)
+      domain's timeline (also when [f] raises), in that domain's
+      {!Flight} ring.  Otherwise this is exactly a guarded call to
+      [f]. *)
 
   val with_root : ?traceparent:string -> string -> (unit -> 'a) -> 'a
   (** [with_root name f] opens [name] as a {e root} span: under a
@@ -197,16 +181,17 @@ module Span : sig
       responses). *)
 end
 
-(** Always-on post-mortem flight recorder: a bounded per-domain ring
-    of the most recent spans, armed by default and independent of
-    {!enabled} — cheap enough to leave on in production ([--trace]
-    off), so a SIGUSR2, daemon 5xx or crash can dump "what it was
-    doing" after the fact.  Ring wraparound counts {e evictions}
-    (normal; exported as [obs_flight_ring_evictions]), a different
-    signal from bounded span-buffer {e drops}
-    ([obs_dropped_span_events], trace incomplete). *)
+(** The span store: a bounded per-domain ring of the most recent
+    spans.  Armed by default and independent of {!enabled}, it is
+    cheap enough to leave on in production, so a SIGUSR2, daemon 5xx
+    or crash can dump "what it was doing" after the fact.  It is also
+    what {!trace_events} and the [--trace] export read: [--trace] sets
+    the capacity to {!trace_capacity} before the run.  A full ring
+    overwrites its oldest span and counts it in {!dropped_events}.
+    Since a span completes after its children on its domain, the
+    newest spans of a trace form a tree: the root and every kept
+    span's same-domain parent survive an overflow. *)
 module Flight : sig
-  val armed : unit -> bool
   val arm : unit -> unit
 
   val disarm : unit -> unit
@@ -214,18 +199,19 @@ module Flight : sig
       zero-recording path. *)
 
   val default_capacity : int
-  (** Ring slots per domain (4096). *)
+  (** Ring slots per domain at startup (4096). *)
+
+  val trace_capacity : int
+  (** Ring slots per domain for a whole-run trace (262144): what
+      [tinflow --trace] sets before the run. *)
 
   val set_capacity : int -> unit
-  (** Resize (and clear) every materialized ring; tests use a tiny
-      capacity to force evictions.  @raise Invalid_argument if not
-      positive. *)
-
-  val events : unit -> event list
-  (** Current ring contents across domains, oldest first. *)
-
-  val evictions : unit -> int
-  (** Ring slots overwritten by newer spans since the last {!reset}. *)
+  (** Set the ring slots per domain and clear every ring.  A ring
+      allocates by doubling as spans arrive, so a large capacity costs
+      only the spans actually kept.  Callers that export a whole run
+      ([--trace]) raise it to {!trace_capacity} first; tests use a tiny
+      capacity to force overflow.
+      @raise Invalid_argument if not positive. *)
 
   val set_dump_prefix : string -> unit
   (** Path prefix for dump files (default
@@ -233,8 +219,9 @@ module Flight : sig
 
   val dump : ?path:string -> reason:string -> unit -> string
   (** Write the ring as a Chrome trace to [path] (default
-      [<prefix>-<reason>.json]) with [reason], [flight_evictions] and
-      [armed] as extra top-level fields; returns the path written.
+      [<prefix>-<reason>.json]), with [reason] and [armed] as extra
+      top-level fields next to ["dropped_events"]; returns the path
+      written.
       Safe from OCaml signal handlers and racing triggers (serialized
       internally). *)
 
@@ -242,9 +229,6 @@ module Flight : sig
   (** Rate-limited {!dump} (at most one per second, across reasons):
       the trigger for recurring conditions like daemon 5xx responses.
       [None] when suppressed by the rate limit. *)
-
-  val dumps : unit -> int
-  (** Dump files written since process start. *)
 end
 
 (** Process runtime telemetry: GC behaviour, resident set size and
@@ -296,12 +280,15 @@ val histograms : unit -> (string * Tin_util.Stats.summary) list
     name. *)
 
 val trace_events : unit -> event list
-(** All recorded spans, across domains, sorted by start time. *)
+(** The {!Flight} ring's contents across domains, sorted by start
+    time (oldest first). *)
 
 val dropped_events : unit -> int
-(** Spans discarded because a domain's buffer hit its cap.  Surfaced
-    by {!print_summary} (warning line) and as a top-level
-    ["dropped_events"] field of both JSON exports. *)
+(** Spans the {!Flight} ring overwrote since the last {!reset}: a
+    trace that reads nonzero lost its oldest spans.  Exported as the
+    top-level ["dropped_events"] field of every JSON document (trace,
+    flight dump, {!metrics_json}) and as [obs_dropped_span_events] in
+    {!prometheus_text}. *)
 
 val chrome_trace_json : unit -> string
 (** The recorded spans in Chrome-trace {e JSON Object Format}:
@@ -314,8 +301,7 @@ val chrome_trace_json : unit -> string
 
 val metrics_json : unit -> string
 (** Counters, gauges and histogram summaries as one compact (single
-    line) JSON object, with top-level ["dropped_events"] and
-    ["flight_evictions"] fields. *)
+    line) JSON object, with a top-level ["dropped_events"] field. *)
 
 val prometheus_text : unit -> string
 (** Every metric in Prometheus text exposition format (version
@@ -333,5 +319,5 @@ val write_chrome_trace : string -> unit
 
 val print_summary : out_channel -> unit
 (** Renders the nonzero counters, set gauges and nonempty histograms
-    as aligned tables (the [tinflow --metrics] report), preceded by a
-    warning line when {!dropped_events} is positive. *)
+    as aligned tables (the [tinflow --metrics] report), then one line
+    with the spans kept and {!dropped_events}. *)

@@ -58,10 +58,6 @@ let gaussian t =
 
 let log_normal t ~mu ~sigma = exp (mu +. (sigma *. gaussian t))
 
-let pareto t ~alpha ~x_min =
-  let u = 1.0 -. uniform t in
-  x_min /. (u ** (1.0 /. alpha))
-
 let zipf t ~n ~s =
   if n <= 0 then invalid_arg "Prng.zipf: n must be positive";
   (* Inverse-transform over the generalized harmonic CDF, approximated

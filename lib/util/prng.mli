@@ -51,10 +51,6 @@ val log_normal : t -> mu:float -> sigma:float -> float
 (** Log-normal draw: [exp (mu + sigma * N(0,1))].  Used for transferred
     quantities, which are heavy-tailed in all three real datasets. *)
 
-val pareto : t -> alpha:float -> x_min:float -> float
-(** Pareto draw with shape [alpha] and scale [x_min]; used for
-    heavy-tailed degree targets. *)
-
 val gaussian : t -> float
 (** Standard normal draw (Box–Muller). *)
 

@@ -164,6 +164,46 @@ let test_metrics_and_trace () =
       let json2 = In_channel.with_open_text trace In_channel.input_all in
       Alcotest.(check bool) "catalog span" true (contains json2 "catalog.search"))
 
+(* --trace sizes the span ring for the whole run: a search with more
+   anchors than the default ring holds still exports one
+   [catalog.anchor] span per anchor, none dropped. *)
+let test_trace_keeps_every_anchor () =
+  let module Json = Tin_util.Json in
+  let net = Filename.temp_file "tinflow_wide" ".csv" in
+  let trace = Filename.temp_file "tinflow_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ net; trace ])
+    (fun () ->
+      ignore
+        (check_ok "generate wide"
+           (run_capture (Printf.sprintf "generate %s --shape bitcoin --factor 0.1 --seed 7" net)));
+      let out =
+        check_ok "patterns --trace"
+          (run_capture (Printf.sprintf "patterns %s -p rp2 --trace %s" net trace))
+      in
+      Alcotest.(check bool) "search untruncated" false (contains out "RP2*");
+      let doc = Json.parse_exn (In_channel.with_open_text trace In_channel.input_all) in
+      let spans named =
+        match Json.member "traceEvents" doc with
+        | Some (Json.Arr evs) ->
+            List.filter (fun e -> Option.bind (Json.member "name" e) Json.str = Some named) evs
+        | _ -> Alcotest.fail "trace has no traceEvents array"
+      in
+      let anchors =
+        match spans "catalog.search" with
+        | [ s ] -> (
+            match Option.bind (Json.member "args" s) (Json.member "anchors") with
+            | Some (Json.Str a) -> int_of_string a
+            | _ -> Alcotest.fail "catalog.search span has no anchors arg")
+        | l -> Alcotest.failf "expected one catalog.search span, got %d" (List.length l)
+      in
+      Alcotest.(check bool) "more anchors than the default ring" true
+        (anchors > Tin_obs.Obs.Flight.default_capacity);
+      Alcotest.(check int) "one catalog.anchor span per anchor" anchors
+        (List.length (spans "catalog.anchor"));
+      Alcotest.(check (option (float 0.0))) "none dropped" (Some 0.0)
+        (Option.bind (Json.member "dropped_events" doc) Json.num))
+
 let test_dot () =
   let out = check_ok "dot" (run_capture (Printf.sprintf "dot %s" csv)) in
   Alcotest.(check bool) "digraph" true (contains out "digraph")
@@ -564,6 +604,7 @@ let () =
                 test_patterns_parallel_matches_sequential;
               Alcotest.test_case "patterns time budget" `Quick test_patterns_time_budget;
               Alcotest.test_case "metrics and trace flags" `Quick test_metrics_and_trace;
+              Alcotest.test_case "trace keeps every anchor" `Quick test_trace_keeps_every_anchor;
               Alcotest.test_case "dot export" `Quick test_dot;
               Alcotest.test_case "bad usage" `Quick test_bad_usage;
               Alcotest.test_case "corrupt csv diagnostic" `Quick test_corrupt_csv_diagnostic;

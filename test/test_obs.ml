@@ -193,6 +193,11 @@ end
 
 (* --- counters ------------------------------------------------------ *)
 
+let names evs = List.map (fun (e : Obs.event) -> e.Obs.name) evs
+
+(* Metrics off: counters and histograms record nothing.  The span
+   still lands in the flight ring, armed by default; "disarmed records
+   nothing" covers the strict zero path. *)
 let test_disabled_is_invisible () =
   Obs.reset ();
   Alcotest.(check bool) "disabled by default here" false (Obs.tracking ());
@@ -205,7 +210,9 @@ let test_disabled_is_invisible () =
   Alcotest.(check int) "span still runs the body" 7 r;
   Alcotest.(check int) "counter stays at zero" 0 (Obs.Counter.value c);
   Alcotest.(check int) "histogram records nothing" 0 (Obs.Histogram.summary h).Tin_util.Stats.count;
-  Alcotest.(check int) "no spans recorded" 0 (List.length (Obs.trace_events ()))
+  Alcotest.(check (list string)) "span kept by the armed ring" [ "test.disabled.span" ]
+    (names (Obs.trace_events ()));
+  Obs.reset ()
 
 let test_counter_basics () =
   with_enabled (fun () ->
@@ -284,8 +291,7 @@ let test_gauge_basics () =
       let g = Obs.Gauge.make "test.gauge.basics" in
       Alcotest.(check bool) "unset reads NaN" true (Float.is_nan (Obs.Gauge.value g));
       Obs.Gauge.set g 4.0;
-      Obs.Gauge.add g 1.5;
-      Alcotest.(check (float 1e-9)) "set then add" 5.5 (Obs.Gauge.value g);
+      Alcotest.(check (float 1e-9)) "set" 4.0 (Obs.Gauge.value g);
       Obs.Gauge.set g 2.0;
       Alcotest.(check (float 1e-9)) "last write wins" 2.0 (Obs.Gauge.value g);
       Alcotest.(check string) "name" "test.gauge.basics" (Obs.Gauge.name g);
@@ -333,12 +339,12 @@ let test_labeled_families () =
         (Invalid_argument "Obs: labeled family needs at least one label: test.fam.empty")
         (fun () -> ignore (Obs.Counter.make_labeled "test.fam.empty" ~labels:[]));
       (* A counter member with the same encoded name as an existing
-         gauge member is a kind clash, like unlabeled metrics. *)
-      let gfam = Obs.Gauge.make_labeled "test.fam.g" ~labels:[ "k" ] in
-      Obs.Gauge.set (Obs.Gauge.labeled gfam [ "x" ]) 1.0;
-      let cfam = Obs.Counter.make_labeled "test.fam.g" ~labels:[ "k" ] in
+         histogram member is a kind clash, like unlabeled metrics. *)
+      let hfam = Obs.Histogram.make_labeled "test.fam.h" ~labels:[ "k" ] in
+      Obs.Histogram.observe (Obs.Histogram.labeled hfam [ "x" ]) 1.0;
+      let cfam = Obs.Counter.make_labeled "test.fam.h" ~labels:[ "k" ] in
       Alcotest.check_raises "kind clash on member"
-        (Invalid_argument "Obs: metric name registered with another kind: test.fam.g{k=\"x\"}")
+        (Invalid_argument "Obs: metric name registered with another kind: test.fam.h{k=\"x\"}")
         (fun () -> ignore (Obs.Counter.labeled cfam [ "x" ])))
 
 (* --- spans --------------------------------------------------------- *)
@@ -419,37 +425,50 @@ let test_span_ids_stitch () =
 
 (* --- flight recorder ----------------------------------------------- *)
 
-(* Span-buffer drops (trace truncated) and flight-ring evictions
-   (normal wraparound) are different conditions and must count
-   separately.  Shrink both sinks, overflow them, and check the two
-   counters and their scrape lines disagree. *)
-let test_flight_drops_vs_evictions () =
+(* The ring is the one span store: past its capacity it overwrites its
+   oldest spans, keeps the newest, and counts every overwrite once, in
+   [dropped_events] and in one scrape line. *)
+let test_flight_overflow_keeps_newest () =
   with_enabled (fun () ->
-      let cap0 = Obs.span_buffer_cap () in
       Fun.protect
-        ~finally:(fun () ->
-          Obs.set_span_buffer_cap cap0;
-          Obs.Flight.set_capacity Obs.Flight.default_capacity;
-          Obs.Flight.arm ())
+        ~finally:(fun () -> Obs.Flight.set_capacity Obs.Flight.default_capacity)
         (fun () ->
-          Obs.set_span_buffer_cap 8;
           Obs.Flight.set_capacity 4;
-          Obs.Flight.arm ();
           for i = 1 to 20 do
             Obs.Span.with_ (Printf.sprintf "flood.%d" i) (fun () -> ())
           done;
-          Alcotest.(check int) "span buffer kept its cap" 8
-            (List.length (Obs.trace_events ()));
-          Alcotest.(check int) "drops past the cap" 12 (Obs.dropped_events ());
-          Alcotest.(check int) "ring evicted the rest" 16 (Obs.Flight.evictions ());
-          Alcotest.(check int) "ring holds its capacity" 4
-            (List.length (Obs.Flight.events ()));
-          let text = Obs.prometheus_text () in
-          let lines = String.split_on_char '\n' text in
-          Alcotest.(check bool) "drop line in scrape" true
-            (List.mem "obs_dropped_span_events 12" lines);
-          Alcotest.(check bool) "eviction line in scrape" true
-            (List.mem "obs_flight_ring_evictions 16" lines)))
+          Alcotest.(check (list string)) "the newest four kept"
+            [ "flood.17"; "flood.18"; "flood.19"; "flood.20" ]
+            (names (Obs.trace_events ()));
+          Alcotest.(check int) "the rest counted once" 16 (Obs.dropped_events ());
+          let lines = String.split_on_char '\n' (Obs.prometheus_text ()) in
+          Alcotest.(check (list string)) "one scrape line" [ "obs_dropped_span_events 16" ]
+            (List.filter (String.starts_with ~prefix:"obs_") lines);
+          Obs.reset ();
+          Alcotest.(check int) "reset empties the ring" 0 (List.length (Obs.trace_events ()));
+          Alcotest.(check int) "reset zeroes the count" 0 (Obs.dropped_events ())))
+
+(* A trace that overflows keeps its newest spans, and on one domain a
+   span completes after its children: the root survives, and the export
+   still reads as one tree. *)
+let test_flight_overflow_keeps_root () =
+  with_enabled (fun () ->
+      Fun.protect
+        ~finally:(fun () -> Obs.Flight.set_capacity Obs.Flight.default_capacity)
+        (fun () ->
+          Obs.Flight.set_capacity 8;
+          Obs.Span.with_root "overflow.root" (fun () ->
+              for i = 1 to 20 do
+                Obs.Span.with_ (Printf.sprintf "child.%d" i) (fun () -> ())
+              done);
+          match Tin_obs.Report.analyze (Tin_util.Json.parse_exn (Obs.chrome_trace_json ())) with
+          | Error msg -> Alcotest.fail msg
+          | Ok r ->
+              Alcotest.(check int) "spans kept" 8 r.Tin_obs.Report.spans;
+              Alcotest.(check int) "spans dropped" 13 r.Tin_obs.Report.dropped;
+              Alcotest.(check int) "one root" 1 r.Tin_obs.Report.roots;
+              Alcotest.(check int) "no orphans" 0 r.Tin_obs.Report.orphans;
+              Alcotest.(check string) "the root kept" "overflow.root" r.Tin_obs.Report.root_name))
 
 (* Disarmed and disabled together: spans cost nothing and land nowhere. *)
 let test_flight_disarmed_records_nothing () =
@@ -459,8 +478,7 @@ let test_flight_disarmed_records_nothing () =
     ~finally:(fun () -> Obs.Flight.arm ())
     (fun () ->
       Obs.Span.with_ "ghost" (fun () -> ());
-      Alcotest.(check int) "flight ring empty" 0 (List.length (Obs.Flight.events ()));
-      Alcotest.(check int) "span buffer empty" 0 (List.length (Obs.trace_events ())))
+      Alcotest.(check int) "ring empty" 0 (List.length (Obs.trace_events ())))
 
 let test_flight_dump_schema () =
   Obs.reset ();
@@ -486,8 +504,8 @@ let test_flight_dump_schema () =
           in
           Alcotest.(check bool) "flight span dumped" true (List.mem "flight.only" names)
       | _ -> Alcotest.fail "flight dump has no traceEvents");
-      Alcotest.(check bool) "eviction count in dump" true
-        (Json.mem "flight_evictions" root <> None))
+      Alcotest.(check (option (float 1e-9))) "drop count in dump" (Some 0.0)
+        (Option.bind (Json.mem "dropped_events" root) Json.num))
 
 (* Every span recorded under a traced [Batch.map_reduce] must reach the
    root request span by its parent chain, whatever the job count —
@@ -767,8 +785,6 @@ let test_prometheus_conformance () =
       Alcotest.(check bool) "histogram sum exported" true (has "conformance_hist_sum 2.5");
       Alcotest.(check bool) "span-loss counter always present" true
         (has "obs_dropped_span_events 0");
-      Alcotest.(check bool) "flight-eviction counter always present" true
-        (has "obs_flight_ring_evictions 0");
       Alcotest.(check bool) "labeled request-latency count" true
         (has "http_request_duration_ms_count{route=\"/metrics\",status=\"200\"} 1");
       Alcotest.(check bool) "labeled request-latency sum" true
@@ -1171,7 +1187,10 @@ let () =
         ] );
       ( "flight",
         [
-          Alcotest.test_case "drops vs evictions" `Quick test_flight_drops_vs_evictions;
+          Alcotest.test_case "overflow keeps the newest spans" `Quick
+            test_flight_overflow_keeps_newest;
+          Alcotest.test_case "overflowing trace keeps its root" `Quick
+            test_flight_overflow_keeps_root;
           Alcotest.test_case "disarmed records nothing" `Quick
             test_flight_disarmed_records_nothing;
           Alcotest.test_case "dump schema" `Quick test_flight_dump_schema;

@@ -592,6 +592,46 @@ let test_tick_trace_spans () =
            (fun n (e : Obs.event) -> n + int_of_string (List.assoc "rows" e.Obs.args))
            0 rows))
 
+(* A daemon driven as [tinflow serve] drives it (metrics on, recorder
+   armed at its default capacity) records several rings' worth of spans
+   in a deterministic soak; the span store stays bounded throughout.
+   Each tick re-evaluates three patterns over a few hundred vertices,
+   one [catalog.anchor] span per vertex and pattern. *)
+let test_span_store_bounded () =
+  Obs.reset ();
+  Obs.Flight.arm ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let n = 300 and cap = Obs.Flight.default_capacity in
+      let patterns = Catalog.[ Rigid P2; Rigid P3; Relaxed RP3 ] in
+      let d = Daemon.create (Daemon.config ~source:0 ~sink:1 ~patterns ()) in
+      let rng = Prng.create ~seed:7 in
+      for tick = 0 to 19 do
+        let batch =
+          List.init 100 (fun i ->
+              let s = Prng.int rng n in
+              let t = (s + 1 + Prng.int rng (n - 1)) mod n in
+              entry s t (float_of_int ((tick * 100) + i)) (float_of_int (1 + Prng.int rng 9)))
+        in
+        ignore (Daemon.ingest d batch);
+        ignore (Daemon.tick d);
+        let kept = List.length (Obs.trace_events ()) in
+        if kept > cap then Alcotest.failf "tick %d: %d spans kept, capacity %d" tick kept cap
+      done;
+      let recorded = List.length (Obs.trace_events ()) + Obs.dropped_events () in
+      Alcotest.(check bool)
+        (Printf.sprintf "several rings recorded (%d spans)" recorded)
+        true
+        (recorded > 3 * cap);
+      Alcotest.(check bool) "overflow counted" true (Obs.dropped_events () > 0);
+      Obs.reset ();
+      Alcotest.(check int) "reset empties the ring" 0 (List.length (Obs.trace_events ()));
+      Alcotest.(check int) "reset zeroes the count" 0 (Obs.dropped_events ()))
+
 (* The lag gauge must read as absent — not stale — when the window is
    empty or nothing has ever arrived. *)
 let test_ingest_lag_unset () =
@@ -663,5 +703,6 @@ let () =
           Alcotest.test_case "request latency histogram" `Quick test_http_latency_metric;
           Alcotest.test_case "lag gauge unset semantics" `Quick test_ingest_lag_unset;
           Alcotest.test_case "tick trace names the delta layer" `Quick test_tick_trace_spans;
+          Alcotest.test_case "span store bounded under a soak" `Quick test_span_store_bounded;
         ] );
     ]

@@ -173,7 +173,7 @@ let classify g ~source ~sink =
     else C
   end
 
-let report ?solver:_ ?(simplify = true) g ~source ~sink =
+let report ?solver:_ g ~source ~sink =
   let lp_vars_before = Lp_flow.n_variables g ~source in
-  let value, cls, stage, lp_vars_after = staged ~simplify g ~source ~sink in
+  let value, cls, stage, lp_vars_after = staged ~simplify:true g ~source ~sink in
   { value; cls; stage; lp_vars_before; lp_vars_after }

@@ -74,15 +74,8 @@ val classify : Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> cls
 (** Difficulty class of a DAG (used to bucket benchmark subgraphs). *)
 
 val report :
-  ?solver:[ `Auto ] ->
-  ?simplify:bool ->
-  Graph.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  report
+  ?solver:[ `Auto ] -> Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> report
 (** Full [Pre_sim] run with classification, stage and problem-size
-    accounting.  [~simplify:false] toggles the Algorithm-2 stage off
-    (the [Pre] pipeline) — the knob the verifier uses to check each
-    preprocessing stage independently.  [solver] is accepted and
-    ignored, as in {!Lp_flow.solve}: the end-to-end benchmark under
-    [perfbench/] still passes [~solver:`Auto]. *)
+    accounting.  [solver] is accepted and ignored, as in
+    {!Lp_flow.solve}: the end-to-end benchmark under [perfbench/] still
+    passes [~solver:`Auto]. *)

@@ -14,9 +14,6 @@ let restrict ?(from_time = neg_infinity) ?(until = infinity) g =
 let max_flow ?from_time ?until g ~source ~sink =
   Pipeline.max_flow (restrict ?from_time ?until g) ~source ~sink
 
-let greedy_flow ?from_time ?until g ~source ~sink =
-  Greedy.flow (restrict ?from_time ?until g) ~source ~sink
-
 let greedy_profile g ~source ~sink =
   let arrivals = Greedy.arrivals_at_sink g ~source ~sink in
   let _, steps =

@@ -30,14 +30,6 @@ val max_flow :
     {!Pipeline.max_flow}: the greedy scan when Lemma 2 holds, Dinic on
     the time-expanded network otherwise. *)
 
-val greedy_flow :
-  ?from_time:float ->
-  ?until:float ->
-  Graph.t ->
-  source:Graph.vertex ->
-  sink:Graph.vertex ->
-  float
-
 val greedy_profile :
   Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> (float * float) list
 (** The sink's buffer over time under the greedy model: one

@@ -36,11 +36,27 @@ type columns = {
   c_qty : floatarray;
 }
 
+(* The global scan order (time, qty, src, dst) between interaction
+   [i] of [a] and interaction [j] of [b].  Every sort and order check
+   over columns calls it; it is inlined there and reads the floats in
+   place, so none is boxed. *)
+let[@inline] scan_compare a i b j =
+  let c = Float.compare (Float.Array.get a.c_time i) (Float.Array.get b.c_time j) in
+  if c <> 0 then c
+  else
+    let c = Float.compare (Float.Array.get a.c_qty i) (Float.Array.get b.c_qty j) in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.c_src.(i) b.c_src.(j) in
+      if c <> 0 then c else Int.compare a.c_dst.(i) b.c_dst.(j)
+
 (* Builds the derived indexes over interaction columns already in
    global scan order.  All construction paths funnel through here so
    the adjacency layout cannot diverge between CSV, snapshot and
    in-memory origins. *)
-let derive ~labels ~label_index ~inter_src ~inter_dst ~inter_time ~inter_qty =
+let derive ~label_index cols =
+  let { c_labels = labels; c_src = inter_src; c_dst = inter_dst; _ } = cols in
+  let inter_time = cols.c_time and inter_qty = cols.c_qty in
   let n = Array.length labels and m = Array.length inter_src in
   (* Group interactions by edge with two stable counting passes (by
      dst, then by src): stability over ascending input indices makes
@@ -136,41 +152,57 @@ let index_of_labels labels =
   Array.iteri (fun i l -> Hashtbl.replace label_index l i) labels;
   label_index
 
-(* [entries] as interaction columns over [label_index]'s ids, in
-   global scan order. *)
-let scan_columns label_index entries =
+(* Columns over [labels] with room for [m] interactions. *)
+let alloc_columns labels m =
+  {
+    c_labels = labels;
+    c_src = Array.make m 0;
+    c_dst = Array.make m 0;
+    c_time = Float.Array.create m;
+    c_qty = Float.Array.create m;
+  }
+
+(* Copies interaction [j] of [a] into slot [k] of [b]. *)
+let[@inline] blit_inter a j b k =
+  b.c_src.(k) <- a.c_src.(j);
+  b.c_dst.(k) <- a.c_dst.(j);
+  Float.Array.set b.c_time k (Float.Array.get a.c_time j);
+  Float.Array.set b.c_qty k (Float.Array.get a.c_qty j)
+
+(* [entries] as columns over [labels], interactions in global scan
+   order. *)
+let scan_columns labels label_index entries =
   let m = List.length entries in
-  let tsrc = Array.make m 0 and tdst = Array.make m 0 in
-  let ttime = Float.Array.create m and tqty = Float.Array.create m in
+  let raw = alloc_columns labels m in
   List.iteri
     (fun k (a, b, i) ->
-      tsrc.(k) <- Hashtbl.find label_index a;
-      tdst.(k) <- Hashtbl.find label_index b;
-      Float.Array.set ttime k (Interaction.time i);
-      Float.Array.set tqty k (Interaction.qty i))
+      raw.c_src.(k) <- Hashtbl.find label_index a;
+      raw.c_dst.(k) <- Hashtbl.find label_index b;
+      Float.Array.set raw.c_time k (Interaction.time i);
+      Float.Array.set raw.c_qty k (Interaction.qty i))
     entries;
   let perm = Array.init m Fun.id in
-  Array.sort
-    (fun x y ->
-      let c = Float.compare (Float.Array.get ttime x) (Float.Array.get ttime y) in
-      if c <> 0 then c
-      else
-        let c = Float.compare (Float.Array.get tqty x) (Float.Array.get tqty y) in
-        if c <> 0 then c
-        else
-          let c = compare tsrc.(x) tsrc.(y) in
-          if c <> 0 then c else compare tdst.(x) tdst.(y))
-    perm;
-  let inter_src = Array.make m 0 and inter_dst = Array.make m 0 in
-  let inter_time = Float.Array.create m and inter_qty = Float.Array.create m in
-  Array.iteri
-    (fun k j ->
-      inter_src.(k) <- tsrc.(j);
-      inter_dst.(k) <- tdst.(j);
-      Float.Array.set inter_time k (Float.Array.get ttime j);
-      Float.Array.set inter_qty k (Float.Array.get tqty j))
-    perm;
-  (inter_src, inter_dst, inter_time, inter_qty)
+  Array.sort (fun x y -> scan_compare raw x raw y) perm;
+  (* Apply the permutation in place, one cycle at a time: a second set
+     of columns would add four columns to the peak memory of every CSV
+     load.  Slot [k] takes interaction [perm.(k)]; [perm.(k) = -1] marks
+     it done. *)
+  let tmp = alloc_columns labels 1 in
+  for start = 0 to m - 1 do
+    if perm.(start) >= 0 then begin
+      blit_inter raw start tmp 0;
+      let k = ref start in
+      while perm.(!k) <> start do
+        let next = perm.(!k) in
+        blit_inter raw next raw !k;
+        perm.(!k) <- -1;
+        k := next
+      done;
+      blit_inter tmp 0 raw !k;
+      perm.(!k) <- -1
+    end
+  done;
+  raw
 
 let of_entries ?(vertices = []) entries =
   let module IS = Set.Make (Int) in
@@ -178,8 +210,7 @@ let of_entries ?(vertices = []) entries =
   let lset = List.fold_left (fun s (a, b, _) -> IS.add a (IS.add b s)) lset entries in
   let labels = Array.of_seq (IS.to_seq lset) in
   let label_index = index_of_labels labels in
-  let inter_src, inter_dst, inter_time, inter_qty = scan_columns label_index entries in
-  derive ~labels ~label_index ~inter_src ~inter_dst ~inter_time ~inter_qty
+  derive ~label_index (scan_columns labels label_index entries)
 
 let merge t entries =
   let novel =
@@ -208,37 +239,24 @@ let merge t entries =
       (labels, index_of_labels labels, shift t.inter_src, shift t.inter_dst)
     end
   in
-  let bsrc, bdst, btime, bqty = scan_columns label_index entries in
-  let m_old = Array.length src and b = Array.length bsrc in
-  let inter_src = Array.make (m_old + b) 0 and inter_dst = Array.make (m_old + b) 0 in
-  let inter_time = Float.Array.create (m_old + b) and inter_qty = Float.Array.create (m_old + b) in
-  (* Does old interaction [i] sort after batch entry [k]? *)
-  let after i k =
-    let c = Float.compare (Float.Array.get t.inter_time i) (Float.Array.get btime k) in
-    let c =
-      if c <> 0 then c else Float.compare (Float.Array.get t.inter_qty i) (Float.Array.get bqty k)
-    in
-    let c = if c <> 0 then c else Int.compare src.(i) bsrc.(k) in
-    (if c <> 0 then c else Int.compare dst.(i) bdst.(k)) > 0
+  let old =
+    { c_labels = labels; c_src = src; c_dst = dst; c_time = t.inter_time; c_qty = t.inter_qty }
   in
+  let batch = scan_columns labels label_index entries in
+  let m_old = Array.length src and b = Array.length batch.c_src in
+  let cols = alloc_columns labels (m_old + b) in
   let i = ref 0 and k = ref 0 in
   for o = 0 to m_old + b - 1 do
-    if !k < b && (!i = m_old || after !i !k) then begin
-      inter_src.(o) <- bsrc.(!k);
-      inter_dst.(o) <- bdst.(!k);
-      Float.Array.set inter_time o (Float.Array.get btime !k);
-      Float.Array.set inter_qty o (Float.Array.get bqty !k);
+    if !k < b && (!i = m_old || scan_compare old !i batch !k > 0) then begin
+      blit_inter batch !k cols o;
       incr k
     end
     else begin
-      inter_src.(o) <- src.(!i);
-      inter_dst.(o) <- dst.(!i);
-      Float.Array.set inter_time o (Float.Array.get t.inter_time !i);
-      Float.Array.set inter_qty o (Float.Array.get t.inter_qty !i);
+      blit_inter old !i cols o;
       incr i
     end
   done;
-  derive ~labels ~label_index ~inter_src ~inter_dst ~inter_time ~inter_qty
+  derive ~label_index cols
 
 let of_graph g =
   let entries =
@@ -303,29 +321,18 @@ let has_self_loops t =
   let rec go e = e < n_edges t && (t.edge_src.(e) = t.edge_dst.(e) || go (e + 1)) in
   go 0
 
+(* Edge [e] as a [Graph] edge over raw labels. *)
+let graph_edge t e = (t.labels.(t.edge_src.(e)), t.labels.(t.edge_dst.(e)), edge_interactions t e)
+
+(* Edge ids are ordered by (src, dst) and ids are label ranks, so edges
+   taken in id order are in the (src, dst) label order
+   [Graph.of_sorted_edges] asks for. *)
 let edges_to_graph t eids =
-  let seen = Hashtbl.create 16 in
-  List.fold_left
-    (fun g e ->
-      if Hashtbl.mem seen e then g
-      else begin
-        Hashtbl.add seen e ();
-        Graph.add_edge g ~src:t.labels.(t.edge_src.(e)) ~dst:t.labels.(t.edge_dst.(e))
-          (edge_interactions t e)
-      end)
-    Graph.empty eids
+  Graph.of_sorted_edges ~vertices:[]
+    (Seq.map (graph_edge t) (List.to_seq (List.sort_uniq Int.compare eids)))
 
 let to_graph t =
-  let g = ref Graph.empty in
-  Array.iter (fun l -> g := Graph.add_vertex !g l) t.labels;
-  for e = 0 to n_edges t - 1 do
-    g :=
-      Graph.add_edge !g
-        ~src:t.labels.(t.edge_src.(e))
-        ~dst:t.labels.(t.edge_dst.(e))
-        (edge_interactions t e)
-  done;
-  !g
+  Graph.of_sorted_edges ~vertices:(Array.to_list t.labels) (Seq.init (n_edges t) (graph_edge t))
 
 let equal a b =
   let floatarray_equal x y =
@@ -352,7 +359,7 @@ let columns t =
     c_qty = t.inter_qty;
   }
 
-let of_columns { c_labels; c_src; c_dst; c_time; c_qty } =
+let of_columns ({ c_labels; c_src; c_dst; c_time; c_qty } as cols) =
   let n = Array.length c_labels and m = Array.length c_src in
   if Array.length c_dst <> m || Float.Array.length c_time <> m || Float.Array.length c_qty <> m
   then Error "interaction columns have inconsistent lengths"
@@ -392,22 +399,13 @@ let of_columns { c_labels; c_src; c_dst; c_time; c_qty } =
            fail "interaction %d: negative quantity" k;
            raise Exit
          end;
-         if k > 0 then begin
-           let c = Float.compare (Float.Array.get c_time (k - 1)) tm in
-           let c = if c <> 0 then c else Float.compare (Float.Array.get c_qty (k - 1)) q in
-           let c = if c <> 0 then c else compare c_src.(k - 1) s in
-           let c = if c <> 0 then c else compare c_dst.(k - 1) d in
-           if c > 0 then begin
-             fail "interaction %d: columns not in global scan order" k;
-             raise Exit
-           end
+         if k > 0 && scan_compare cols (k - 1) cols k > 0 then begin
+           fail "interaction %d: columns not in global scan order" k;
+           raise Exit
          end
        done
      with Exit -> ());
     match !err with
     | Some msg -> Error msg
-    | None ->
-        Ok
-          (derive ~labels:c_labels ~label_index:(index_of_labels c_labels) ~inter_src:c_src
-             ~inter_dst:c_dst ~inter_time:c_time ~inter_qty:c_qty)
+    | None -> Ok (derive ~label_index:(index_of_labels c_labels) cols)
   end

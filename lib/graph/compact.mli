@@ -19,14 +19,17 @@
     increasing in the id, so iterating edges in id order visits them in
     the same order as {!Graph.iter_edges} visits raw labels.
 
-    [Compact] is the one compiled substrate.  {!Snapshot} persists it
-    as [.tinb]; {!Io} loads both formats into it; pattern search,
-    path tables and subgraph extraction browse its adjacency directly;
-    and {!to_graph}/{!edges_to_graph} hand (sub)networks to the flow
-    algorithms as a persistent {!Graph.t}.  Because ids are label
-    ranks, the same network gets the same ids, and hence the same
-    enumeration order, whether it was read from CSV or from a
-    snapshot.
+    [Compact] is the one compiled substrate and the only structure a
+    network file is read into: {!Snapshot} persists it as [.tinb], and
+    {!Io} loads both formats into it.  Pattern search, path tables and
+    subgraph extraction browse its adjacency directly, and
+    {!to_graph}/{!edges_to_graph} hand (sub)networks to the flow
+    algorithms as a persistent {!Graph.t}, through the one bulk
+    constructor {!Graph.of_sorted_edges}: edges are already in
+    [(src, dst)] order and each edge's interactions in time order, so
+    nothing is sorted again.  Because ids are label ranks, the same
+    network gets the same ids, and hence the same enumeration order,
+    whether it was read from CSV or from a snapshot.
 
     Unlike {!Graph.t}, the substrate tolerates self-loops (the binary
     snapshot format must round-trip arbitrary well-formed files);
@@ -61,13 +64,14 @@ val of_graph : Graph.t -> t
     vertices. *)
 
 val to_graph : t -> Graph.t
-(** The persistent view the flow algorithms run on.
+(** The persistent view the flow algorithms run on, isolated vertices
+    included ({!Graph.of_sorted_edges} over every edge).
     @raise Invalid_argument if the substrate contains a self-loop
     ({!Graph.t} cannot represent one). *)
 
 val edges_to_graph : t -> edge_id list -> Graph.t
-(** Persistent subgraph induced by a set of edges (raw labels);
-    duplicate ids are harmless.
+(** Persistent subgraph induced by a set of edges (raw labels); the
+    ids may come in any order, and duplicates are harmless.
     @raise Invalid_argument on a self-loop edge. *)
 
 val equal : t -> t -> bool

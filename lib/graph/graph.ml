@@ -81,6 +81,48 @@ let of_edges descriptions =
     (fun t (src, dst, pairs) -> add_edge t ~src ~dst (Interaction.of_pairs pairs))
     empty descriptions
 
+(* The edges arrive in (src, dst) order, so each out-row is one run of
+   consecutive edges and goes into [out] once, complete.  An in-row
+   grows across the whole pass.  Nothing is sorted, and the vertex set
+   is built once, at the end. *)
+let of_sorted_edges ~vertices edges =
+  let fail what = invalid_arg ("Graph.of_sorted_edges: " ^ what) in
+  let out = ref IntMap.empty and row = ref IntMap.empty in
+  let last_src = ref min_int and last_dst = ref min_int in
+  let in_rows = Hashtbl.create 16 in
+  let n_edges = ref 0 and n_interactions = ref 0 in
+  let end_row () = if not (IntMap.is_empty !row) then out := IntMap.add !last_src !row !out in
+  Seq.iter
+    (fun (src, dst, is) ->
+      if src = dst then fail "self-loop";
+      if src < !last_src || (src = !last_src && dst <= !last_dst) then
+        fail "edges not in (src, dst) order";
+      if List.is_empty is || not (Interaction.is_sorted is) then
+        fail "sequence empty or not in time order";
+      if src <> !last_src then begin
+        end_row ();
+        row := IntMap.empty
+      end;
+      last_src := src;
+      last_dst := dst;
+      row := IntMap.add dst is !row;
+      (match Hashtbl.find_opt in_rows dst with
+      | Some col -> col := IntMap.add src is !col
+      | None -> Hashtbl.add in_rows dst (ref (IntMap.singleton src is)));
+      incr n_edges;
+      n_interactions := !n_interactions + List.length is)
+    edges;
+  end_row ();
+  let in_ = Hashtbl.fold (fun dst col acc -> IntMap.add dst !col acc) in_rows IntMap.empty in
+  let keys m acc = IntMap.fold (fun v _ acc -> v :: acc) m acc in
+  {
+    verts = IntSet.of_list (keys !out (keys in_ vertices));
+    out = !out;
+    in_;
+    n_edges = !n_edges;
+    n_interactions = !n_interactions;
+  }
+
 let vertices t = IntSet.elements t.verts
 let out_edges t v = IntMap.bindings (adj t.out v)
 let in_edges t v = IntMap.bindings (adj t.in_ v)

@@ -46,6 +46,18 @@ val of_edges : (vertex * vertex * (float * float) list) list -> t
 (** Builds a graph from edge descriptions with [(time, qty)] pairs —
     the notation used for the paper's worked examples. *)
 
+val of_sorted_edges :
+  vertices:vertex list -> (vertex * vertex * Interaction.t list) Seq.t -> t
+(** Bulk constructor over the layout {!Compact} stores: edges in
+    strictly increasing [(src, dst)] order, each with a non-empty
+    sequence already in time order.  Builds the graph in one pass over
+    the edges, which are read once and need not be held in memory
+    together, and sorts nothing; the result equals folding {!add_edge}
+    over the edges, starting from [vertices] (an edge's endpoints need
+    not be listed there).
+    @raise Invalid_argument on a self-loop, on edges out of order, or
+    on a sequence that is empty or out of time order. *)
+
 (** {1 Observation} *)
 
 val mem_vertex : t -> vertex -> bool

@@ -14,7 +14,7 @@ type t = private { time : float; qty : float }
 
 val make : time:float -> qty:float -> t
 (** [make ~time ~qty] validates and builds a data interaction, with
-    exactly the domain the CSV parser ({!Io.parse_channel}) accepts: both
+    exactly the domain the CSV parser of {!Io} accepts: both
     fields finite and non-negative.
     @raise Invalid_argument if [time] is NaN, infinite or negative, or
     [qty] is NaN, infinite or negative. *)

@@ -3,11 +3,10 @@ type error = { file : string; line : int; column : int; message : string }
 exception Parse_error of error
 
 let error_to_string e =
-  let file = if e.file = "" then "<channel>" else e.file in
   (* Binary-snapshot errors have no line/column structure; they carry
      [line = 0] and render without the GNU position suffix. *)
-  if e.line = 0 then Printf.sprintf "%s: %s" file e.message
-  else Printf.sprintf "%s:%d:%d: %s" file e.line e.column e.message
+  if e.line = 0 then Printf.sprintf "%s: %s" e.file e.message
+  else Printf.sprintf "%s:%d:%d: %s" e.file e.line e.column e.message
 
 let src = Logs.Src.create "tin.graph.io" ~doc:"Interaction network I/O"
 
@@ -70,7 +69,7 @@ let parse_line ~file ~lineno line =
           message = Printf.sprintf "expected 4 comma-separated fields, got %d" (List.length fields);
         }
 
-let parse_channel ?(file = "") ic =
+let parse_channel ~file ic =
   let rec go lineno acc self_loops =
     match In_channel.input_line ic with
     | None ->
@@ -90,34 +89,17 @@ let parse_channel ?(file = "") ic =
   in
   go 1 [] 0
 
-let graph_of_entries entries =
-  List.fold_left
-    (fun g (srcv, dstv, i) -> Graph.add_interaction g ~src:srcv ~dst:dstv i)
-    Graph.empty entries
-
-let load_csv_graph_result path =
-  In_channel.with_open_text path (fun ic ->
-      Result.map graph_of_entries (parse_channel ~file:path ic))
-
-let raise_on_error = function Ok x -> x | Error e -> raise (Parse_error e)
-
-let load_csv_graph path = raise_on_error (load_csv_graph_result path)
-
-(* --- format-agnostic loaders ---------------------------------------
+(* --- loaders -------------------------------------------------------
 
    A file starting with the snapshot magic is a binary [.tinb]
-   snapshot; anything else takes the CSV path unchanged.  Snapshot
-   failures are surfaced through the same [error] type (line 0 = no
+   snapshot; anything else is parsed as CSV.  Either way the network
+   lands in a [Compact.t]; snapshot failures carry [line = 0] (no
    textual position). *)
 
-let snapshot_error (e : Snapshot.error) =
-  { file = e.Snapshot.file; line = 0; column = 0; message = e.Snapshot.message }
-
-let structure_error path message = { file = path; line = 0; column = 0; message }
+let whole_file_error path message = { file = path; line = 0; column = 0; message }
 
 let load_compact_result path =
-  if Snapshot.sniff path then
-    Result.map_error snapshot_error (Snapshot.load_result path)
+  if Snapshot.sniff path then Result.map_error (whole_file_error path) (Snapshot.load_result path)
   else
     In_channel.with_open_text path (fun ic ->
         Result.map Compact.of_entries (parse_channel ~file:path ic))
@@ -126,16 +108,13 @@ let load_compact_result path =
 let load_result path =
   match load_compact_result path with
   | Ok c when Compact.has_self_loops c ->
-      Error (structure_error path "snapshot contains self-loop interactions")
+      Error (whole_file_error path "snapshot contains self-loop interactions")
   | r -> r
 
-let load_graph_result path =
-  if Snapshot.sniff path then Result.map Compact.to_graph (load_result path)
-  else load_csv_graph_result path
-
+let raise_on_error = function Ok x -> x | Error e -> raise (Parse_error e)
 let load path = raise_on_error (load_result path)
-let load_graph path = raise_on_error (load_graph_result path)
 let load_compact path = raise_on_error (load_compact_result path)
+let load_graph path = Compact.to_graph (load path)
 
 let save_csv path g =
   Out_channel.with_open_text path (fun oc ->

@@ -21,12 +21,6 @@
    scan order (time, qty, src, dst); the loader re-validates that
    invariant rather than trusting it. *)
 
-type error = { file : string; message : string }
-
-let error_to_string e = Printf.sprintf "%s: %s" e.file e.message
-
-exception Error of error
-
 let magic = "TINB"
 let version = 1
 let header_bytes = 32
@@ -144,21 +138,21 @@ let save path c =
 let u32_at buf off = Int32.to_int (Bytes.get_int32_le buf off) land 0xFFFFFFFF
 
 let load_result path =
-  let err message = Result.Error { file = path; message } in
   match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Result.Error { file = path; message = m }
+  | exception Sys_error m -> Error m
   | raw ->
       (* Read-only from here on: the unsafe cast never mutates. *)
       let buf = Bytes.unsafe_of_string raw in
       let len = Bytes.length buf in
       if len < 4 || Bytes.sub_string buf 0 4 <> magic then
-        err "bad magic (not a .tinb snapshot)"
+        Error "bad magic (not a .tinb snapshot)"
       else if len < header_bytes + 4 then
-        err (Printf.sprintf "truncated header (%d bytes, need at least %d)" len (header_bytes + 4))
+        Error
+          (Printf.sprintf "truncated header (%d bytes, need at least %d)" len (header_bytes + 4))
       else begin
         let v = u32_at buf 4 in
         if v <> version then
-          err (Printf.sprintf "unsupported snapshot version %d (expected %d)" v version)
+          Error (Printf.sprintf "unsupported snapshot version %d (expected %d)" v version)
         else begin
           let n64 = Bytes.get_int64_le buf 16 and m64 = Bytes.get_int64_le buf 24 in
           (* An honest snapshot is never larger than its file; bounding
@@ -166,19 +160,20 @@ let load_result path =
              arithmetic inside native int range. *)
           let fits x = Int64.compare x 0L >= 0 && Int64.compare x (Int64.of_int len) <= 0 in
           if not (fits n64 && fits m64) then
-            err
+            Error
               (Printf.sprintf "implausible counts (n_vertices=%Ld, n_interactions=%Ld for a %d-byte file)"
                  n64 m64 len)
           else begin
             let n = Int64.to_int n64 and m = Int64.to_int m64 in
             let expected = header_bytes + payload_bytes ~n ~m + 4 in
             if len <> expected then
-              err (Printf.sprintf "truncated snapshot: expected %d bytes, got %d" expected len)
+              Error (Printf.sprintf "truncated snapshot: expected %d bytes, got %d" expected len)
             else begin
               let stored = u32_at buf (len - 4) in
               let computed = crc32 buf ~pos:0 ~len:(len - 4) in
               if stored <> computed then
-                err (Printf.sprintf "checksum mismatch (stored %08x, computed %08x)" stored computed)
+                Error
+                  (Printf.sprintf "checksum mismatch (stored %08x, computed %08x)" stored computed)
               else begin
                 let labels = Array.make n 0 in
                 for v = 0 to n - 1 do
@@ -198,25 +193,19 @@ let load_result path =
                   Float.Array.set qty k
                     (Int64.float_of_bits (Bytes.get_int64_le buf (qty_base + (8 * k))))
                 done;
-                match
-                  Compact.of_columns
-                    {
-                      Compact.c_labels = labels;
-                      c_src = src;
-                      c_dst = dst;
-                      c_time = time;
-                      c_qty = qty;
-                    }
-                with
-                | Ok c -> Ok c
-                | Result.Error message -> err message
+                Compact.of_columns
+                  {
+                    Compact.c_labels = labels;
+                    c_src = src;
+                    c_dst = dst;
+                    c_time = time;
+                    c_qty = qty;
+                  }
               end
             end
           end
         end
       end
-
-let load path = match load_result path with Ok c -> c | Result.Error e -> raise (Error e)
 
 let sniff path =
   match

@@ -12,18 +12,9 @@
 
     Loading re-validates every structural invariant (magic, version,
     size, checksum, id ranges, label monotonicity, NaN/negativity,
-    global sort) and reports failures as values with file context,
-    mirroring the CSV loader's strictness. *)
-
-type error = { file : string; message : string }
-
-val error_to_string : error -> string
-(** ["file: message"]. *)
-
-exception Error of error
-
-val magic : string
-(** The 4-byte file magic, ["TINB"]. *)
+    global sort), mirroring the CSV loader's strictness.  A failure is
+    a plain message; {!Io}, the one way a network file is read, adds
+    the file context and reports it through {!Io.error}. *)
 
 val version : int
 (** Current format version (1).  Files with any other version are
@@ -34,12 +25,9 @@ val save : string -> Compact.t -> unit
     tooling (single [write] of a fully checksummed buffer).
     @raise Sys_error on I/O failure. *)
 
-val load_result : string -> (Compact.t, error) result
+val load_result : string -> (Compact.t, string) result
 (** Strict load; never raises on malformed input (I/O errors and all
-    corruption cases become [Error]). *)
-
-val load : string -> Compact.t
-(** @raise Error on malformed input, with file context. *)
+    corruption cases become [Error] with the reason). *)
 
 val sniff : string -> bool
 (** [sniff path] is [true] iff the file starts with the snapshot

@@ -66,8 +66,3 @@ let dagify g ~root =
   if Graph.mem_vertex g root then visit root;
   List.iter (fun v -> if not (Hashtbl.mem color v) then visit v) (Graph.vertices g);
   List.fold_left (fun g (src, dst) -> Graph.remove_edge g ~src ~dst) g !removed
-
-let restrict g ~keep =
-  List.fold_left
-    (fun acc v -> if keep v then acc else Graph.remove_vertex acc v)
-    g (Graph.vertices g)

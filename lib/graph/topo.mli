@@ -31,6 +31,3 @@ val dagify : Graph.t -> root:Graph.vertex -> Graph.t
     the extractor only calls this on graphs where all vertices are
     reachable from [root].  Used when merging cyclic seed paths
     (Section 6.2) into a DAG flow problem. *)
-
-val restrict : Graph.t -> keep:(Graph.vertex -> bool) -> Graph.t
-(** Induced subgraph on the vertices satisfying [keep]. *)

@@ -25,4 +25,3 @@ let approx_eq ?(eps = default_eps) a b =
 let approx_le ?(eps = default_eps) a b = a <= b || approx_eq ~eps a b
 let approx_ge ?(eps = default_eps) a b = a >= b || approx_eq ~eps a b
 let is_zero ?(eps = default_eps) x = approx_eq ~eps x 0.0
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x

@@ -44,6 +44,3 @@ val approx_le : ?eps:float -> float -> float -> bool
 val approx_ge : ?eps:float -> float -> float -> bool
 
 val is_zero : ?eps:float -> float -> bool
-
-val clamp : lo:float -> hi:float -> float -> float
-(** Clamp into [\[lo, hi\]]. *)

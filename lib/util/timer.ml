@@ -16,12 +16,3 @@ let time_f f =
 let time_ms f =
   let r, s = time_f f in
   (r, s *. 1e3)
-
-let repeat_ms ?(min_runs = 3) ?(min_time_ms = 10.0) f =
-  let rec go runs total =
-    if runs >= min_runs && total >= min_time_ms then total /. float_of_int runs
-    else
-      let _, ms = time_ms f in
-      go (runs + 1) (total +. ms)
-  in
-  go 0 0.0

@@ -13,9 +13,3 @@ val time_f : (unit -> 'a) -> 'a * float
 
 val time_ms : (unit -> 'a) -> 'a * float
 (** Like {!time_f} but in milliseconds. *)
-
-val repeat_ms : ?min_runs:int -> ?min_time_ms:float -> (unit -> 'a) -> float
-(** [repeat_ms f] runs [f] repeatedly until at least [min_runs] runs
-    (default 3) and [min_time_ms] total milliseconds (default 10) have
-    elapsed, and returns the mean per-run time in milliseconds.  Keeps
-    micro-measurements out of clock-granularity noise. *)

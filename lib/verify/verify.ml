@@ -495,8 +495,8 @@ type failure = {
 type fuzz_report = { cases_run : int; failures : failure list }
 
 let dump_csv path g ~source ~sink outcome =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc "src,dst,time,qty\n";
+  Io.save_csv path g;
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_text ] 0o644 path (fun oc ->
       Printf.fprintf oc "# minimal counterexample: source=%d sink=%d\n" source sink;
       List.iter
         (fun d -> Printf.fprintf oc "# %s: %s\n" d.check d.detail)
@@ -506,15 +506,7 @@ let dump_csv path g ~source ~sink outcome =
           Printf.fprintf oc "# obs %s:%s\n" oracle
             (String.concat ""
                (List.map (fun (c, v) -> Printf.sprintf " %s=%d" c v) deltas)))
-        outcome.obs;
-      Graph.iter_edges
-        (fun s d is ->
-          List.iter
-            (fun i ->
-              Printf.fprintf oc "%d,%d,%.17g,%.17g\n" s d (Interaction.time i)
-                (Interaction.qty i))
-            is)
-        g)
+        outcome.obs)
 
 let fuzz ?policy ?extra ?dump_dir ?(progress = fun _ _ -> ()) ~seed ~cases () =
   let rng = Prng.create ~seed in

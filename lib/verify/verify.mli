@@ -119,8 +119,10 @@ type fuzz_report = { cases_run : int; failures : failure list }
 
 val dump_csv :
   string -> Graph.t -> source:Graph.vertex -> sink:Graph.vertex -> outcome -> unit
-(** Writes the instance as a [tinflow]-loadable CSV; source, sink and
-    the discrepancy list ride along as [#] comment lines. *)
+(** Writes the instance with {!Io.save_csv}, then appends source, sink
+    and the discrepancy list as [#] comment lines after the rows (the
+    CSV parser skips [#] lines wherever they stand), so [tinflow] loads
+    the dump as it is. *)
 
 val fuzz :
   ?policy:Tin_util.Fcmp.policy ->

@@ -21,6 +21,40 @@ let interactions =
     (fun ppf is -> Interaction.pp_list ppf is)
     (List.equal Interaction.equal)
 
+(* [Graph.equal] compares the vertex sets and the out-maps only; this
+   also compares every vertex's in-row and the cached counts. *)
+let same_graph a b =
+  let rows_equal =
+    List.equal (fun (u, is) (u', is') -> u = u' && List.equal Interaction.equal is is')
+  in
+  Graph.equal a b
+  && Graph.n_edges a = Graph.n_edges b
+  && Graph.n_interactions a = Graph.n_interactions b
+  && List.for_all (fun v -> rows_equal (Graph.in_edges a v) (Graph.in_edges b v)) (Graph.vertices a)
+
+(* The reference for [Compact.to_graph] and [Compact.edges_to_graph]:
+   one [Graph.add_edge] per edge, skipping repeated ids, starting from
+   [g].  Edges may come in any order. *)
+let add_edges_by_fold g net eids =
+  let seen = Hashtbl.create 16 in
+  List.fold_left
+    (fun g e ->
+      if Hashtbl.mem seen e then g
+      else begin
+        Hashtbl.add seen e ();
+        Graph.add_edge g
+          ~src:(Compact.label net (Compact.edge_src net e))
+          ~dst:(Compact.label net (Compact.edge_dst net e))
+          (Compact.edge_interactions net e)
+      end)
+    g eids
+
+(* Every label a vertex, then every edge folded in. *)
+let to_graph_by_fold net =
+  let labels = List.init (Compact.n_vertices net) (Compact.label net) in
+  add_edges_by_fold (List.fold_left Graph.add_vertex Graph.empty labels) net
+    (List.init (Compact.n_edges net) Fun.id)
+
 (* qcheck property over a PRNG seed, registered as an alcotest case. *)
 let seeded_property ?(count = 200) name prop =
   QCheck_alcotest.to_alcotest

@@ -1,7 +1,8 @@
 (* Graph substrate: persistent graph, topological utilities, compiled
-   CSR view, CSV/DOT I/O. *)
+   CSR view and its bulk conversion to [Graph.t], CSV/DOT I/O. *)
 
 open Tin_testlib
+module Prng = Tin_util.Prng
 
 let i_ t q = Interaction.make ~time:t ~qty:q
 
@@ -77,6 +78,25 @@ let test_graph_add_edge_merges () =
     [ i_ 1.0 5.0; i_ 2.0 1.0 ]
     (Graph.edge g ~src:0 ~dst:1)
 
+let test_of_sorted_edges_checks () =
+  let build edges = Graph.of_sorted_edges ~vertices:[ 9 ] (List.to_seq edges) in
+  let pairs =
+    [ (0, 1, [ (1.0, 1.0); (2.0, 1.0) ]); (0, 2, [ (1.0, 1.0) ]); (1, 2, [ (3.0, 1.0) ]) ]
+  in
+  Alcotest.check Check.graph "equals the add_edge fold"
+    (Graph.add_vertex (Graph.of_edges pairs) 9)
+    (build (List.map (fun (s, d, ps) -> (s, d, Interaction.of_pairs ps)) pairs));
+  let rejects what edges =
+    match build edges with
+    | _ -> Alcotest.failf "accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "a self-loop" [ (1, 1, [ i_ 1.0 1.0 ]) ];
+  rejects "edges out of order" [ (1, 2, [ i_ 1.0 1.0 ]); (0, 2, [ i_ 1.0 1.0 ]) ];
+  rejects "a repeated edge" [ (0, 2, [ i_ 1.0 1.0 ]); (0, 2, [ i_ 2.0 1.0 ]) ];
+  rejects "a sequence out of time order" [ (0, 1, [ i_ 2.0 1.0; i_ 1.0 1.0 ]) ];
+  rejects "an empty sequence" [ (0, 1, []) ]
+
 let test_graph_persistence () =
   let g0 = Graph.of_edges [ (0, 1, [ (1.0, 1.0) ]) ] in
   let g1 = Graph.remove_edge g0 ~src:0 ~dst:1 in
@@ -146,12 +166,6 @@ let test_topo_dagify () =
   Alcotest.(check bool) "acyclic now" true (Topo.is_dag dag);
   Alcotest.(check bool) "still reaches sink" true (Topo.reaches dag 0 3)
 
-let test_topo_restrict () =
-  let g = Paper_examples.fig3 in
-  let sub = Topo.restrict g ~keep:(fun v -> v <> Paper_examples.y) in
-  Alcotest.(check bool) "y gone" false (Graph.mem_vertex sub Paper_examples.y);
-  Alcotest.(check int) "edges adjusted" 2 (Graph.n_edges sub)
-
 let test_compact_roundtrip () =
   let g = Paper_examples.fig7 in
   let net = Compact.of_graph g in
@@ -198,6 +212,57 @@ let test_compact_edges_to_graph_dedups () =
   let g = Compact.edges_to_graph net [ e01; e01 ] in
   Alcotest.(check int) "no duplication" 1 (Graph.n_interactions g)
 
+(* A random substrate over spread-out labels, with isolated vertices,
+   reciprocal edges, and edges carrying same-timestamp and exactly
+   repeated interactions. *)
+let random_substrate rng =
+  let n = 2 + Prng.int rng 12 in
+  let label v = (7 * v) - 20 in
+  let inter () = i_ (float_of_int (Prng.int rng 5)) (float_of_int (1 + Prng.int rng 3)) in
+  let entries = ref [] in
+  for _ = 1 to Prng.int rng 40 do
+    let s = Prng.int rng n and d = Prng.int rng n in
+    if s <> d then begin
+      let is = List.init (1 + Prng.int rng 3) (fun _ -> inter ()) in
+      let is = if Prng.bool rng then List.hd is :: is else is in
+      entries := List.map (fun i -> (label s, label d, i)) is @ !entries;
+      if Prng.bool rng then entries := (label d, label s, inter ()) :: !entries
+    end
+  done;
+  let isolated = List.init (Prng.int rng 4) (fun k -> 1000 + k) in
+  Compact.of_entries ~vertices:isolated !entries
+
+let prop_to_graph_matches_fold rng =
+  let net = random_substrate rng in
+  Check.same_graph (Check.to_graph_by_fold net) (Compact.to_graph net)
+
+let prop_edges_to_graph_matches_fold rng =
+  let net = random_substrate rng in
+  let m = Compact.n_edges net in
+  (* Shuffled ids, a few of them repeated. *)
+  let eids =
+    Array.of_list
+      (List.filter (fun _ -> Prng.bool rng) (List.init m Fun.id)
+      @ List.init (if m = 0 then 0 else Prng.int rng 4) (fun _ -> Prng.int rng m))
+  in
+  Prng.shuffle rng eids;
+  let eids = Array.to_list eids in
+  Check.same_graph
+    (Check.add_edges_by_fold Graph.empty net eids)
+    (Compact.edges_to_graph net eids)
+
+let test_compact_self_loop_to_graph () =
+  (* The substrate holds a self-loop; Graph.t cannot. *)
+  let net = Compact.of_entries [ (5, 5, i_ 1.0 2.0); (5, 6, i_ 2.0 3.0) ] in
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a self-loop" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "to_graph" (fun () -> Compact.to_graph net);
+  raises "edges_to_graph" (fun () ->
+      Compact.edges_to_graph net (List.init (Compact.n_edges net) Fun.id))
+
 let test_csv_roundtrip () =
   let g = Paper_examples.fig3 in
   let path = Filename.temp_file "tin_test" ".csv" in
@@ -205,7 +270,7 @@ let test_csv_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Io.save_csv path g;
-      let g' = Io.load_csv_graph path in
+      let g' = Io.load_graph path in
       Alcotest.check Check.graph "roundtrip" g g')
 
 let test_csv_parse_errors () =
@@ -215,7 +280,7 @@ let test_csv_parse_errors () =
     (fun () ->
       Out_channel.with_open_text path (fun oc ->
           output_string oc "src,dst,time,qty\n0,1,abc,2\n");
-      match Io.load_csv_graph path with
+      match Io.load_graph path with
       | exception Io.Parse_error { line = 2; _ } -> ()
       | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
       | _ -> Alcotest.fail "expected Parse_error")
@@ -226,7 +291,7 @@ let test_csv_negative_quantity () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Out_channel.with_open_text path (fun oc -> output_string oc "0,1,5,-2\n");
-      match Io.load_csv_graph path with
+      match Io.load_graph path with
       | exception Io.Parse_error { line = 1; _ } -> ()
       | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
       | _ -> Alcotest.fail "expected Parse_error")
@@ -238,7 +303,7 @@ let test_csv_skips_comments_and_self_loops () =
     (fun () ->
       Out_channel.with_open_text path (fun oc ->
           output_string oc "# comment\n\n1,1,5,5\n1,2,1,2\n");
-      let g = Io.load_csv_graph path in
+      let g = Io.load_graph path in
       Alcotest.(check int) "self-loop skipped" 1 (Graph.n_interactions g))
 
 let contains hay needle =
@@ -253,7 +318,7 @@ let test_corrupt_fixture () =
     List.find_opt Sys.file_exists [ "data/corrupt.csv"; "test/data/corrupt.csv" ]
     |> Option.value ~default:"data/corrupt.csv"
   in
-  (match Io.load_csv_graph_result path with
+  (match Io.load_result path with
   | Ok _ -> Alcotest.fail "corrupt fixture parsed"
   | Error e ->
       Alcotest.(check int) "line" 3 e.Io.line;
@@ -262,7 +327,7 @@ let test_corrupt_fixture () =
       Alcotest.(check bool)
         "file:line:column diagnostic" true
         (contains (Io.error_to_string e) "corrupt.csv:3:9"));
-  match Io.load_csv_graph path with
+  match Io.load_graph path with
   | exception Io.Parse_error { line = 3; column = 9; _ } -> ()
   | exception e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "expected Parse_error"
@@ -288,6 +353,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_graph_basics;
           Alcotest.test_case "self-loop rejected" `Quick test_graph_self_loop_rejected;
           Alcotest.test_case "add_edge merges" `Quick test_graph_add_edge_merges;
+          Alcotest.test_case "of_sorted_edges checks its input" `Quick test_of_sorted_edges_checks;
           Alcotest.test_case "persistence" `Quick test_graph_persistence;
           Alcotest.test_case "remove_vertex" `Quick test_graph_remove_vertex;
           Alcotest.test_case "set_edge empty removes" `Quick test_graph_set_edge_empty_removes;
@@ -300,7 +366,6 @@ let () =
           Alcotest.test_case "cycle detection" `Quick test_topo_cycle;
           Alcotest.test_case "reaches" `Quick test_topo_reaches;
           Alcotest.test_case "dagify" `Quick test_topo_dagify;
-          Alcotest.test_case "restrict" `Quick test_topo_restrict;
         ] );
       ( "compact",
         [
@@ -308,6 +373,9 @@ let () =
           Alcotest.test_case "lookups" `Quick test_compact_lookup;
           Alcotest.test_case "duplicate merge" `Quick test_compact_merges_duplicates;
           Alcotest.test_case "edges_to_graph dedup" `Quick test_compact_edges_to_graph_dedups;
+          Check.seeded_property "to_graph = add_edge fold" prop_to_graph_matches_fold;
+          Check.seeded_property "edges_to_graph = add_edge fold" prop_edges_to_graph_matches_fold;
+          Alcotest.test_case "self-loop to graph raises" `Quick test_compact_self_loop_to_graph;
         ] );
       ( "io",
         [

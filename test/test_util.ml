@@ -206,14 +206,11 @@ let test_fcmp () =
   Alcotest.(check bool) "inf eq" true (Fcmp.approx_eq infinity infinity);
   Alcotest.(check bool) "relative at scale" true (Fcmp.approx_eq 1e12 (1e12 +. 1.0));
   Alcotest.(check bool) "le" true (Fcmp.approx_le 1.0000001 1.0);
-  Alcotest.(check bool) "zero" true (Fcmp.is_zero 1e-9);
-  Alcotest.(check (float 0.0)) "clamp" 3.0 (Fcmp.clamp ~lo:0.0 ~hi:3.0 7.0)
+  Alcotest.(check bool) "zero" true (Fcmp.is_zero 1e-9)
 
 let test_timer_measures () =
   let _, ms = Tin_util.Timer.time_ms (fun () -> Sys.opaque_identity (Array.make 1000 0)) in
-  Alcotest.(check bool) "non-negative" true (ms >= 0.0);
-  let per = Tin_util.Timer.repeat_ms ~min_runs:2 ~min_time_ms:1.0 (fun () -> ()) in
-  Alcotest.(check bool) "repeat positive" true (per >= 0.0)
+  Alcotest.(check bool) "non-negative" true (ms >= 0.0)
 
 let () =
   Alcotest.run "util"

@@ -116,7 +116,7 @@ let test_injected_bug_caught () =
           | None -> Alcotest.fail "expected a dumped counterexample"
           | Some path ->
               Alcotest.(check bool) "dump exists" true (Sys.file_exists path);
-              let reloaded = Io.load_csv_graph path in
+              let reloaded = Io.load_graph path in
               (* The CSV records edges only, so compare modulo isolated
                  vertices. *)
               let expected =
